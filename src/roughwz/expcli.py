@@ -47,7 +47,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .fbm import FbmParams, FbmSampler, GridAlignmentError, TimeGrid
+from .fbm import (
+    CovarianceFactorizationError,
+    FbmParams,
+    FbmSampler,
+    GridAlignmentError,
+    TimeGrid,
+)
 from .lift import GridRoughPath, lift_left_riemann
 from .norms import (
     greedy_stopping_times,
@@ -62,6 +68,8 @@ from .rde import (
     solution_distance,
     solve_rde,
 )
+# No experiment calls w_delta directly any more; the name stays importable
+# here because perfbench/spans.py wraps expcli.w_delta.
 from .wongzakai import DeltaParam, w_delta, ww_delta
 
 __all__ = [
@@ -199,11 +207,10 @@ class ExperimentConfig:
             raise ConfigError(
                 "n_seeds", f"rate fits need n_seeds >= 30, got {self.n_seeds}"
             )
-        if self.field_name not in VECTOR_FIELD_CATALOG:
-            raise ConfigError(
-                "field_name",
-                f"unknown vector field {self.field_name!r}; catalog: {VECTOR_FIELD_CATALOG}",
-            )
+        try:
+            builtin_vector_field(self.field_name, m=self.m, d=self.d)
+        except ValueError as exc:
+            raise ConfigError("field_name", str(exc)) from exc
         if len(self.y0) != self.m:
             raise ConfigError("y0", f"y0 has {len(self.y0)} entries for m = {self.m}")
         if self.eta <= 0.0:
@@ -431,11 +438,10 @@ def run_noise_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
         coarse_true = true_lift.coarsen(stride)
         out = np.empty((3, n_delta))
         for col, dp in enumerate(dps):
-            w = w_delta(path, dp)
-            out[0, col] = float(
-                np.linalg.norm(path.value_at(cfg.fixed_time) - w.value_at(cfg.fixed_time))
-            )
-            coarse_wz = ww_delta(path, dp).restrict(0, n).coarsen(stride)
+            wz = ww_delta(path, dp)
+            w_fixed = wz.level1(wz.grid.zero_index, wz.grid.index_of(cfg.fixed_time))
+            out[0, col] = float(np.linalg.norm(path.value_at(cfg.fixed_time) - w_fixed))
+            coarse_wz = wz.restrict(0, n).coarsen(stride)
             out[1, col] = rho_alpha_metric(coarse_wz, coarse_true, cfg.beta)
             out[2, col] = rho_pvar_metric(coarse_wz, coarse_true, cfg.p)
         return out
@@ -761,7 +767,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GridAlignmentError, OSError) as exc:
+    except (CovarianceFactorizationError, GridAlignmentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for gate in report.gates:

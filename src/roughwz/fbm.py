@@ -6,10 +6,13 @@ index H, each component an independent centred Gaussian path with
     R(s, t) = 0.5 * (|t|^{2H} + |s|^{2H} - |t - s|^{2H}),
 
 valid for arbitrary real s, t, so windows may extend to negative times.
-Sampling is exact: the covariance matrix of the nonzero grid nodes is
-factorised by Cholesky and multiplied onto i.i.d. standard normals.  Paths
-are anchored to zero at time 0, which every grid that spans 0 must contain
-as a node.
+Sampling is exact: on a uniform grid the increments form stationary
+fractional Gaussian noise, whose covariance embeds in a circulant of twice
+the step count (Davies & Harte, 1987).  Its eigenvalues are non-negative
+for H <= 1/2 (Craigmile, 2003), so one FFT of complex normals scaled by
+their square roots gives exact increments in O(n log n).  Paths are the
+cumulative sums, re-anchored to zero at time 0, which every grid that
+spans 0 must contain as a node.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ class GridAlignmentError(ValueError):
 
 
 class CovarianceFactorizationError(RuntimeError):
-    """The node covariance matrix is numerically not positive definite."""
+    """The circulant embedding of the increment covariance is not non-negative."""
 
 
 # ---------------------------------------------------------------------------
@@ -211,45 +214,54 @@ def path_rng(seed: int, counter: int) -> np.random.Generator:
 
 
 class FbmSampler:
-    """Exact sampler holding one Cholesky factor per (grid, params).
+    """Exact circulant-embedding sampler for one (grid, params).
 
-    The factorisation costs O(n^3) and is done once in the constructor;
-    each draw is a matrix product, so ensembles over a fixed grid should
-    reuse one sampler instance.
+    The constructor takes one FFT of the embedded fractional Gaussian noise
+    autocovariance, O(n log n) time and O(n) memory; each path costs one
+    FFT of length 2 n_steps per component.  Path no. `counter` depends only
+    on (seed, counter), whether drawn alone or inside `sample_values`.
     """
 
     def __init__(self, grid: TimeGrid, params: FbmParams):
         self.grid = grid
         self.params = params
-        times = grid.times
-        self._nonzero = np.arange(grid.n_nodes) != grid.zero_index
-        tnz = times[self._nonzero]
-        cov = fbm_covariance(tnz[:, None], tnz[None, :], params.H)
-        try:
-            self._chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
+        self._zero = grid.zero_index
+        n = grid.n_steps
+        two_h = 2.0 * params.H
+        k = np.arange(n + 1, dtype=float)
+        # Autocovariance of the increments w(t_{k+1}) - w(t_k), lags 0..n.
+        gamma = 0.5 * grid.h**two_h * (
+            (k + 1.0) ** two_h - 2.0 * k**two_h + np.abs(k - 1.0) ** two_h
+        )
+        circulant_row = np.concatenate([gamma, gamma[-2:0:-1]])
+        lam = np.fft.fft(circulant_row).real
+        if lam.min() < -1e-12 * lam.max():
             raise CovarianceFactorizationError(
-                f"fBm covariance on {grid.n_nodes} nodes of [{grid.t_min}, {grid.t_max}] "
-                f"with H={params.H} is not numerically positive definite ({exc}); "
-                "the grid is too fine for double precision"
-            ) from exc
+                f"circulant embedding of the fBm increments on {grid.n_nodes} nodes of "
+                f"[{grid.t_min}, {grid.t_max}] with H={params.H} has eigenvalue "
+                f"{lam.min():.3g} < 0"
+            )
+        self._scale = np.sqrt(np.clip(lam, 0.0, None) / len(lam))
+
+    def _values(self, counter: int) -> np.ndarray:
+        g = path_rng(self.params.seed, counter)
+        shape = (len(self._scale), self.params.d)
+        z = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+        inc = np.fft.fft(self._scale[:, None] * z, axis=0).real[: self.grid.n_steps]
+        out = np.zeros((self.grid.n_nodes, self.params.d))
+        np.cumsum(inc, axis=0, out=out[1:])
+        return out - out[self._zero]
 
     def sample(self, counter: int = 0) -> SamplePath:
         """Path no. `counter` of the ensemble."""
-        return SamplePath(self.grid, self.sample_values(1, counter)[0])
+        return SamplePath(self.grid, self._values(counter))
 
     def sample_values(self, n_paths: int, start_counter: int = 0) -> np.ndarray:
-        """Value array (n_paths, n_nodes, d); row i uses stream start_counter + i."""
-        n_nz = self._chol.shape[0]
-        d = self.params.d
-        z = np.empty((n_nz, n_paths * d))
+        """Value array (n_paths, n_nodes, d); row i is path no. start_counter + i."""
+        out = np.empty((n_paths, self.grid.n_nodes, self.params.d))
         for i in range(n_paths):
-            g = path_rng(self.params.seed, start_counter + i)
-            z[:, i * d : (i + 1) * d] = g.standard_normal((n_nz, d))
-        flat = self._chol @ z
-        out = np.zeros((self.grid.n_nodes, n_paths, d))
-        out[self._nonzero] = flat.reshape(n_nz, n_paths, d)
-        return np.ascontiguousarray(np.moveaxis(out, 0, 1))
+            out[i] = self._values(start_counter + i)
+        return out
 
 
 def sample_fbm(grid: TimeGrid, params: FbmParams, counter: int = 0) -> SamplePath:

@@ -17,6 +17,7 @@ from roughwz.expcli import (
     run_stopping_time_convergence,
     run_suite,
 )
+from roughwz.fbm import CovarianceFactorizationError
 
 TINY_STOPPING = dict(experiment="stopping", n_seeds=6, grid_n=256, delta_ladder=(8, 4, 2))
 
@@ -66,6 +67,7 @@ class TestConfigValidation:
             ("metric_stride", {"metric_stride": 7}),
             ("sup_ceiling", {"sup_ceiling": -1.0}),
             ("threads", {"threads": 0}),
+            ("field_name", {"field_name": "linear-g", "d": 1, "m": 2}),
         ],
     )
     def test_each_field_is_guarded(self, field, kwargs):
@@ -210,6 +212,26 @@ class TestCli:
     def test_bad_ladder_string(self, capsys):
         assert main(["--experiment", "stopping", "--delta-ladder", "a,b"]) == 2
         assert "delta_ladder" in capsys.readouterr().err
+
+    def test_field_dimension_mismatch_is_usage_error(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps({"experiment": "solution", "field_name": "linear-g", "d": 1, "m": 2})
+        )
+        assert main(["--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "field_name" in err and "Traceback" not in err
+
+    def test_sampler_setup_failure_is_usage_error(self, capsys, monkeypatch):
+        def failing_sampler(grid, params):
+            raise CovarianceFactorizationError("negative circulant eigenvalue")
+
+        monkeypatch.setattr("roughwz.expcli.FbmSampler", failing_sampler)
+        rc = main(
+            ["--experiment", "stopping", "--seeds", "2", "--grid-n", "64", "--delta-ladder", "4,2"]
+        )
+        assert rc == 2
+        assert "negative circulant eigenvalue" in capsys.readouterr().err
 
     def test_passing_run_exit_zero(self, capsys, tmp_path):
         rc = main(

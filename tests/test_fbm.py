@@ -141,8 +141,44 @@ class TestSampler:
         sampler = FbmSampler(g, FbmParams(H=0.45, d=1, seed=2))
         block = sampler.sample_values(3, start_counter=7)
         for i in range(3):
-            # Batched matmul may differ from the single draw by one ulp.
-            assert np.allclose(block[i], sampler.sample(7 + i).values, rtol=0, atol=1e-14)
+            assert np.array_equal(block[i], sampler.sample(7 + i).values)
+
+    @pytest.mark.parametrize(
+        "grid", [(-1.0, 1.0, 32), (-0.5, 1.5, 128), (0.0, 1.0, 64), (-0.25, 0.0, 1)]
+    )
+    @pytest.mark.parametrize("H", [0.34, 0.4, 0.45, 0.5])
+    def test_linear_map_has_exact_covariance(self, grid, H, monkeypatch):
+        # Feed unit vectors for the real and the imaginary normals, one per
+        # component: column j of the draw is then column j of the sampler's
+        # linear map, and values @ values.T is the covariance it implies.
+        g = TimeGrid(*grid)
+        m = 2 * g.n_steps
+        eye, zero = np.eye(m), np.zeros((m, m))
+
+        class UnitNormals:
+            def __init__(self):
+                self.blocks = [np.hstack([eye, zero]), np.hstack([zero, eye])]
+
+            def standard_normal(self, shape):
+                assert shape == (m, 2 * m)
+                return self.blocks.pop(0)
+
+        monkeypatch.setattr("roughwz.fbm.path_rng", lambda seed, counter: UnitNormals())
+        vals = FbmSampler(g, FbmParams(H=H, d=2 * m)).sample().values
+        t = g.times
+        expected = fbm_covariance(t[:, None], t[None, :], H)
+        assert np.max(np.abs(vals @ vals.T - expected)) <= 1e-12
+
+    def test_draws_on_fine_grids(self):
+        # 2^16 steps: far beyond what a dense covariance factor fits in memory.
+        g = TimeGrid(-1.0, 1.0, 2**16)
+        sampler = FbmSampler(g, FbmParams(H=0.34, d=1, seed=4))
+        vals = sampler.sample(0).values[:, 0]
+        assert vals[g.zero_index] == 0.0
+        assert np.all(np.isfinite(vals))
+        # Seeded: the normalised squared increments average to 1.
+        ratio = np.mean(np.diff(vals) ** 2) / g.h**0.68
+        assert abs(ratio - 1.0) < 0.05
 
     def test_components_are_independent_draws(self):
         g = TimeGrid(0.0, 1.0, 8)

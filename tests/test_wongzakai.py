@@ -104,15 +104,19 @@ class TestSmoothing:
         assert w.grid.t_max == pytest.approx(0.75)
 
     def test_narrower_windows_track_the_path_closer(self):
-        # RMS over nodes; the sup alone can plateau on a single rough seed.
+        # RMS over nodes and 32 paths: on a single path the node RMS fails
+        # to decrease strictly along the ladder for about 3 paths in 10.
         grid = TimeGrid(0.0, 1.0, 256)
-        path = FbmSampler(grid, FbmParams(H=0.4, d=1, seed=24)).sample(2)
+        sampler = FbmSampler(grid, FbmParams(H=0.4, d=1, seed=24))
+        paths = [sampler.sample(i) for i in range(32)]
         errs = []
         for k in (32, 16, 8, 4, 2):
-            w = w_delta(path, DeltaParam(k, grid.h))
-            n = w.grid.n_steps
-            diff = w.values[: n + 1] - path.values[: n + 1]
-            errs.append(float(np.sqrt((diff**2).mean())))
+            sq = []
+            for path in paths:
+                w = w_delta(path, DeltaParam(k, grid.h))
+                n = w.grid.n_steps
+                sq.append((w.values[: n + 1] - path.values[: n + 1]) ** 2)
+            errs.append(float(np.sqrt(np.mean(sq))))
         assert all(a > b for a, b in zip(errs, errs[1:]))
 
 
