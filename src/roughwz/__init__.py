@@ -4,7 +4,8 @@ Subpackages:
     fbm        grids, exact fractional Brownian sampling, Wiener shift
     lift       level-2 lifts, Chen reconstruction, geometricity diagnostics
     wongzakai  the smooth stationary approximant W_delta and its lift
-    norms      p-variation programs, Hoelder/variation metrics, stopping times
+    norms      the block-function variation kernel, Hoelder/variation
+               metrics, stopping times
     rde        controlled paths, rough integrals, the one-step solver, bounds
     rds        rough-path shifts and cocycle residuals
     expcli     convergence experiments and their command-line front end
@@ -38,9 +39,11 @@ from .norms import (
     RhoVar2DResult,
     StoppingTimes,
     VariationParams,
+    block_variation,
     greedy_stopping_times,
     holder_seminorm,
     homogeneous_pvar_norm,
+    partition_sums,
     pvar_level2,
     pvar_level2_distance,
     pvar_seminorm,

@@ -19,11 +19,11 @@ stopping   displacement of the greedy stopping times of the approximant
            the displacement in >= 90% of seeds; the interval-count bound
            N <= 1 + eta^{-p} |||X|||^p on every run.
 
-Metric evaluation runs on a coarsened comparison grid (every stride-th
-node, level 2 rebuilt through Chen's relation, so the restriction is
-exact).  The default stride is the largest ladder multiple: node gaps then
-start at the largest delta, the regime where the distances separate
-cleanly by delta.
+The noise and stopping experiments compare lifts on a coarsened grid
+(every metric_stride-th node, level 2 rebuilt through Chen's relation, so
+the restriction is exact).  The solution experiment ignores metric_stride:
+its distances run on the full grid_n grid, where its gates (the sup
+ceiling above all) are calibrated.
 
 Reports: a CSV with one row per seed x delta x metric (columns seed,
 delta, metric, value, floats via repr, byte-reproducible for any thread
@@ -41,6 +41,7 @@ import json
 import math
 import sys
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -114,9 +115,10 @@ class ExperimentConfig:
     error plateau and per-seed monotonicity is noise-dominated.
     metric_stride = 0 picks
     max(grid_n/128, 1) node spacing (grid_n/512 for the stopping runs,
-    whose greedy times need a finer grid to move smoothly); the distance
-    comparisons then run on a manageable sub-grid, which measured cleanest
-    for per-seed monotonicity.
+    whose greedy times need a finer grid to move smoothly); the noise and
+    stopping comparisons then run on a manageable sub-grid, which measured
+    cleanest for per-seed monotonicity.  The solution experiment does not
+    use metric_stride: it measures its distances on the full grid.
     The level-1 variation exponent is p = 1/beta throughout.
     """
 
@@ -224,6 +226,8 @@ class ExperimentConfig:
             raise ConfigError("sup_ceiling", f"ceiling must be positive, got {self.sup_ceiling}")
         if self.threads < 1:
             raise ConfigError("threads", f"thread count must be >= 1, got {self.threads}")
+        if self.master_seed < 0:
+            raise ConfigError("master_seed", f"seed must be >= 0, got {self.master_seed}")
         object.__setattr__(self, "delta_ladder", ladder)
         object.__setattr__(self, "y0", tuple(float(v) for v in self.y0))
 
@@ -682,6 +686,20 @@ def run_suite(cfg: ExperimentConfig) -> ConvergenceReport:
     return report
 
 
+# JSON value types accepted for each scalar field type (bool is never one).
+_JSON_SCALARS = {int: (int,), float: (int, float), str: (str,)}
+
+
+def _json_value_fits(value, hint) -> bool:
+    """Whether a decoded JSON value matches an ExperimentConfig field type."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_json_value_fits(v, args[0]) for v in value)
+    if args:  # X | None
+        return value is None or _json_value_fits(value, args[0])
+    return not isinstance(value, bool) and isinstance(value, _JSON_SCALARS[hint])
+
+
 def _config_from_file(path: str) -> dict:
     """Read a JSON config file mirroring ExperimentConfig field names."""
     try:
@@ -697,9 +715,15 @@ def _config_from_file(path: str) -> dict:
     unknown = set(raw) - allowed
     if unknown:
         raise ConfigError("config", f"unknown keys {sorted(unknown)} in {path}")
-    for key in ("delta_ladder", "y0"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
+    hints = typing.get_type_hints(ExperimentConfig)
+    for key, value in raw.items():
+        if not _json_value_fits(value, hints[key]):
+            kind = ExperimentConfig.__dataclass_fields__[key].type
+            raise ConfigError(
+                key, f"expected {kind} (tuples as JSON lists) in {path}, got {json.dumps(value)}"
+            )
+        if isinstance(value, list):
+            raw[key] = tuple(value)
     return raw
 
 

@@ -116,14 +116,6 @@ class GridRoughPath:
         left = v[i_lo:j]
         return a[j] - a[i_lo:j] - left[:, :, None] * (v[j] - left)[:, None, :]
 
-    def level2_by_gap(self, gap: int) -> np.ndarray:
-        """X2 over (i, i + gap) for every start i, shape (n_nodes - gap, d, d)."""
-        a = self._area_prefix
-        v = self.values
-        left = v[:-gap]
-        inc = v[gap:] - left
-        return a[gap:] - a[:-gap] - left[:, :, None] * inc[:, None, :]
-
     # -- derived grids -----------------------------------------------------
 
     def restrict(self, i_lo: int, i_hi: int) -> "GridRoughPath":

@@ -1,38 +1,52 @@
 """Variation norms, Hoelder-type metrics and greedy stopping times.
 
-The central kernel is an exact O(n^2) dynamic program for p-variation on a
-grid: over nodes 0..n the maximal partition sum satisfies
+Every quantity here is measured through one kind of object, a block
+function: block(i_lo, j) returns the blocks over the node pairs (i, j) for
+every i in [i_lo, j), stacked along a leading axis.  Examples are the
+level-1 increments  lambda i_lo, j: pts[j] - pts[i_lo:j],  the level-2
+blocks GridRoughPath.level2_block (rebuilt through Chen's relation), the
+solution remainders ControlledPath.remainder_block, and the difference of
+two such functions.  A block's norm is the Euclidean norm of its flattened
+entries: Euclidean for vectors, Frobenius for matrices.
 
-    best[j] = max_{i < j} ( best[i] + dist(i, j)^p ),
+Two kernels consume block functions.  partition_sums is the exact O(n^2)
+p-variation program: over nodes i_lo..j the maximal partition sum satisfies
 
-because an optimal partition of [0, j] ends with some block [i, j].  The
-same program evaluates level-2 q-variation (blocks rebuilt through Chen's
-relation), variation distances of differences of rough paths, and the
-greedy stopping times  tau_{i+1} = first node past tau_i where the
-homogeneous norm over [tau_i, .] reaches eta.
+    best[j] = max_{i < j} ( best[i] + |block_{i,j}|^p ),
 
-Vector blocks use the Euclidean norm, matrix blocks the Frobenius norm.
+because an optimal partition of [i_lo, j] ends with some block [i, j].  It
+yields best[j] for one right end after another, so greedy stopping can
+exit early; block_variation runs it over a whole node window.  The Hoelder
+sup takes  max |block_{i,j}| / (t_j - t_i)^alpha  over the same blocks, one
+right endpoint at a time.
+
 The homogeneous rough-path norm combines the levels as
 
-    |||X|||_{p-var}^p = ||X1||_{p-var}^p + ||X2||_{q-var}^q,   q = p / 2.
+    |||X|||_{p-var}^p = ||X1||_{p-var}^p + ||X2||_{q-var}^q,   q = p / 2,
+
+and the greedy stopping times  tau_{i+1} = first node past tau_i where it
+reaches eta over [tau_i, .]  read the same running sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .lift import GridRoughPath
 
 __all__ = [
+    "BlockFunction",
     "RhoVar2DResult",
     "StoppingTimes",
     "VariationParams",
+    "block_variation",
     "greedy_stopping_times",
     "holder_seminorm",
     "homogeneous_pvar_norm",
+    "partition_sums",
     "pvar_level2",
     "pvar_level2_distance",
     "pvar_seminorm",
@@ -40,6 +54,9 @@ __all__ = [
     "rho_pvar_metric",
     "rho_var_2d",
 ]
+
+# block(i_lo, j) -> blocks over (i, j) for i in [i_lo, j), shape (j - i_lo, ...).
+BlockFunction = Callable[[int, int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -69,20 +86,49 @@ class VariationParams:
 
 
 # ---------------------------------------------------------------------------
-# dynamic-programming kernel
+# block-function kernels
 # ---------------------------------------------------------------------------
 
 
-def _dp_max_partition(cost_col: Callable[[int], np.ndarray], i_lo: int, i_hi: int) -> float:
-    """Max over partitions of [i_lo, i_hi] of the block cost sum.
+def _block_norms(blocks: np.ndarray) -> np.ndarray:
+    """Norm of each block along the leading axis, trailing axes flattened."""
+    flat = blocks.reshape(blocks.shape[0], -1)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
-    cost_col(j) returns the costs of blocks [i, j] for i in [i_lo, j).
-    """
-    n = i_hi - i_lo
-    best = np.zeros(n + 1)
-    for r in range(1, n + 1):
-        best[r] = np.max(best[:r] + cost_col(i_lo + r))
-    return float(best[n])
+
+def partition_sums(block: BlockFunction, p: float, i_lo: int, i_hi: int) -> Iterator[float]:
+    """Yield max over partitions of [i_lo, j] of sum |block|^p for j = i_lo+1, ..., i_hi."""
+    best = np.zeros(i_hi - i_lo + 1)
+    for r in range(1, i_hi - i_lo + 1):
+        best[r] = (best[:r] + _block_norms(block(i_lo, i_lo + r)) ** p).max()
+        yield float(best[r])
+
+
+def _resolve_window(n_steps: int, i_lo: int, i_hi: int | None) -> tuple[int, int]:
+    if i_hi is None:
+        i_hi = n_steps
+    if not 0 <= i_lo < i_hi <= n_steps:
+        raise ValueError(f"bad node window [{i_lo}, {i_hi}] for {n_steps} steps")
+    return i_lo, i_hi
+
+
+def block_variation(
+    block: BlockFunction, p: float, n_steps: int, i_lo: int = 0, i_hi: int | None = None
+) -> float:
+    """Exact p-variation of a block function over the node window [i_lo, i_hi]."""
+    i_lo, i_hi = _resolve_window(n_steps, i_lo, i_hi)
+    for best in partition_sums(block, p, i_lo, i_hi):
+        pass
+    return best ** (1.0 / p)
+
+
+def _holder_sup(block: BlockFunction, times: np.ndarray, alpha: float) -> float:
+    """sup over node pairs i < j of |block_{i,j}| / (t_j - t_i)^alpha."""
+    out = 0.0
+    for j in range(1, len(times)):
+        ratio = _block_norms(block(0, j)) / (times[j] - times[:j]) ** alpha
+        out = max(out, float(ratio.max()))
+    return out
 
 
 def _as_points(values: np.ndarray) -> np.ndarray:
@@ -94,32 +140,16 @@ def _as_points(values: np.ndarray) -> np.ndarray:
     return pts
 
 
-def _level1_cost(pts: np.ndarray, p: float, i_lo: int) -> Callable[[int], np.ndarray]:
-    def col(j: int) -> np.ndarray:
-        diff = pts[i_lo:j] - pts[j]
-        return np.sqrt(np.einsum("id,id->i", diff, diff)) ** p
-
-    return col
+def _increments(pts: np.ndarray) -> BlockFunction:
+    return lambda i_lo, j: pts[j] - pts[i_lo:j]
 
 
-def _level2_cost(
-    rp_a: GridRoughPath, q: float, i_lo: int, rp_b: GridRoughPath | None = None
-) -> Callable[[int], np.ndarray]:
-    def col(j: int) -> np.ndarray:
-        block = rp_a.level2_block(i_lo, j)
-        if rp_b is not None:
-            block = block - rp_b.level2_block(i_lo, j)
-        return np.sqrt(np.einsum("iab,iab->i", block, block)) ** q
-
-    return col
-
-
-def _resolve_window(n_steps: int, i_lo: int, i_hi: int | None) -> tuple[int, int]:
-    if i_hi is None:
-        i_hi = n_steps
-    if not 0 <= i_lo < i_hi <= n_steps:
-        raise ValueError(f"bad node window [{i_lo}, {i_hi}] for {n_steps} steps")
-    return i_lo, i_hi
+def _homogeneous_sums(rp: GridRoughPath, p: float, i_lo: int, i_hi: int) -> Iterator[float]:
+    """Yield ||X1||_{p-var}^p + ||X2||_{q-var}^q over [i_lo, j] for j = i_lo+1, ..., i_hi."""
+    lvl1 = partition_sums(_increments(rp.values), p, i_lo, i_hi)
+    lvl2 = partition_sums(rp.level2_block, p / 2.0, i_lo, i_hi)
+    for best1, best2 in zip(lvl1, lvl2):
+        yield best1 + best2
 
 
 # ---------------------------------------------------------------------------
@@ -132,17 +162,16 @@ def pvar_seminorm(values: np.ndarray, p: float) -> float:
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     pts = _as_points(values)
-    best = _dp_max_partition(_level1_cost(pts, p, 0), 0, len(pts) - 1)
-    return best ** (1.0 / p)
+    if len(pts) < 2:
+        return 0.0
+    return block_variation(_increments(pts), p, len(pts) - 1)
 
 
 def pvar_level2(rp: GridRoughPath, q: float, i_lo: int = 0, i_hi: int | None = None) -> float:
     """Exact q-variation of the level-2 blocks (Frobenius norm)."""
     if q <= 0.0:
         raise ValueError(f"q must be positive, got {q}")
-    i_lo, i_hi = _resolve_window(rp.n_steps, i_lo, i_hi)
-    best = _dp_max_partition(_level2_cost(rp, q, i_lo), i_lo, i_hi)
-    return best ** (1.0 / q)
+    return block_variation(rp.level2_block, q, rp.n_steps, i_lo, i_hi)
 
 
 def homogeneous_pvar_norm(
@@ -152,9 +181,9 @@ def homogeneous_pvar_norm(
     if p < 2.0:
         raise ValueError(f"homogeneous norm needs p >= 2 so that q = p/2 >= 1, got p={p}")
     i_lo, i_hi = _resolve_window(rp.n_steps, i_lo, i_hi)
-    best1 = _dp_max_partition(_level1_cost(rp.values, p, i_lo), i_lo, i_hi)
-    best2 = _dp_max_partition(_level2_cost(rp, p / 2.0, i_lo), i_lo, i_hi)
-    return (best1 + best2) ** (1.0 / p)
+    for total in _homogeneous_sums(rp, p, i_lo, i_hi):
+        pass
+    return total ** (1.0 / p)
 
 
 def holder_seminorm(times: np.ndarray, values: np.ndarray, alpha: float) -> float:
@@ -163,16 +192,9 @@ def holder_seminorm(times: np.ndarray, values: np.ndarray, alpha: float) -> floa
         raise ValueError(f"alpha must be positive, got {alpha}")
     pts = _as_points(values)
     times = np.asarray(times, dtype=float)
-    n = len(pts)
-    if len(times) != n:
-        raise ValueError(f"{len(times)} times for {n} values")
-    out = 0.0
-    for gap in range(1, n):
-        diff = pts[gap:] - pts[:-gap]
-        num = np.sqrt(np.einsum("id,id->i", diff, diff))
-        den = (times[gap:] - times[:-gap]) ** alpha
-        out = max(out, float(np.max(num / den)))
-    return out
+    if len(times) != len(pts):
+        raise ValueError(f"{len(times)} times for {len(pts)} values")
+    return _holder_sup(_increments(pts), times, alpha)
 
 
 def _check_same_layout(a: GridRoughPath, b: GridRoughPath) -> None:
@@ -189,13 +211,9 @@ def rho_alpha_metric(a: GridRoughPath, b: GridRoughPath, alpha: float) -> float:
     _check_same_layout(a, b)
     times = a.grid.times
     lvl1 = holder_seminorm(times, a.values - b.values, alpha)
-    n = a.grid.n_nodes
-    lvl2 = 0.0
-    for gap in range(1, n):
-        da = a.level2_by_gap(gap) - b.level2_by_gap(gap)
-        num = np.sqrt(np.einsum("iab,iab->i", da, da))
-        den = (times[gap:] - times[:-gap]) ** (2.0 * alpha)
-        lvl2 = max(lvl2, float(np.max(num / den)))
+    lvl2 = _holder_sup(
+        lambda i_lo, j: a.level2_block(i_lo, j) - b.level2_block(i_lo, j), times, 2.0 * alpha
+    )
     return lvl1 + lvl2
 
 
@@ -206,9 +224,9 @@ def pvar_level2_distance(
     if q < 1.0:
         raise ValueError(f"q must be >= 1, got {q}")
     _check_same_layout(a, b)
-    i_lo, i_hi = _resolve_window(a.n_steps, i_lo, i_hi)
-    best = _dp_max_partition(_level2_cost(a, q, i_lo, rp_b=b), i_lo, i_hi)
-    return best ** (1.0 / q)
+    return block_variation(
+        lambda lo, j: a.level2_block(lo, j) - b.level2_block(lo, j), q, a.n_steps, i_lo, i_hi
+    )
 
 
 def rho_pvar_metric(a: GridRoughPath, b: GridRoughPath, p: float) -> float:
@@ -360,26 +378,11 @@ def greedy_stopping_times(
     if p < 2.0:
         raise ValueError(f"homogeneous norm needs p >= 2, got {p}")
     i_lo, i_hi = _resolve_window(rp.n_steps, i_lo, i_hi)
-    q = p / 2.0
     thresh = eta**p
-    pts = rp.values
     indices = [i_lo]
-    start = i_lo
-    while start < i_hi:
-        length = i_hi - start
-        best1 = np.zeros(length + 1)
-        best2 = np.zeros(length + 1)
-        nxt = i_hi
-        col1 = _level1_cost(pts, p, start)
-        col2 = _level2_cost(rp, q, start)
-        for r in range(1, length + 1):
-            j = start + r
-            best1[r] = np.max(best1[:r] + col1(j))
-            best2[r] = np.max(best2[:r] + col2(j))
-            if best1[r] + best2[r] >= thresh:
-                nxt = j
-                break
-        indices.append(nxt)
-        start = nxt
+    while indices[-1] < i_hi:
+        start = indices[-1]
+        sums = enumerate(_homogeneous_sums(rp, p, start, i_hi), start + 1)
+        indices.append(next((j for j, total in sums if total >= thresh), i_hi))
     idx = np.asarray(indices, dtype=int)
     return StoppingTimes(times=rp.grid.times[idx], indices=idx, eta=eta, p=p)

@@ -34,8 +34,7 @@ import numpy as np
 from .fbm import TimeGrid
 from .lift import GridRoughPath
 from .norms import (
-    _dp_max_partition,
-    _resolve_window,
+    block_variation,
     greedy_stopping_times,
     homogeneous_pvar_norm,
     pvar_level2_distance,
@@ -370,12 +369,6 @@ def solve_rde(vf: VectorField, rp: GridRoughPath, y0: np.ndarray) -> ControlledP
 # ---------------------------------------------------------------------------
 
 
-def _row_norms(blocks: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, flattening any trailing axes."""
-    flat = blocks.reshape(blocks.shape[0], -1)
-    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
-
-
 def remainder_norm(
     cp: ControlledPath,
     rp: GridRoughPath,
@@ -386,15 +379,9 @@ def remainder_norm(
     """Exact q-variation of the remainder blocks y_{s,t} - y'_s X1_{s,t}."""
     if q < 1.0:
         raise ValueError(f"q must be >= 1, got {q}")
-    i_lo, i_hi = _resolve_window(rp.grid.n_steps, i_lo, i_hi)
     # Rebind to the given driver; the constructor checks grid compatibility.
     ref = ControlledPath(cp.grid, cp.values, cp.gubinelli, driver=rp)
-
-    def col(j: int) -> np.ndarray:
-        r = ref.remainder_block(i_lo, j)
-        return _row_norms(r) ** q
-
-    return _dp_max_partition(col, i_lo, i_hi) ** (1.0 / q)
+    return block_variation(ref.remainder_block, q, rp.n_steps, i_lo, i_hi)
 
 
 @dataclass(frozen=True)
@@ -406,27 +393,28 @@ class SolutionDistance:
     remainder_qvar: float
 
 
-def solution_distance(a: ControlledPath, b: ControlledPath, p: float) -> SolutionDistance:
+def solution_distance(
+    a: ControlledPath, b: ControlledPath, p: float, i_lo: int = 0, i_hi: int | None = None
+) -> SolutionDistance:
     """Sup distance, p-variation distance and q-variation of R^a - R^b.
 
-    The remainders are taken against each path's own declared driver, so
-    the third part also sees the difference of the drivers.
+    All three parts are taken over the node window [i_lo, i_hi] (default:
+    the whole grid).  The remainders are taken against each path's own
+    declared driver, so the third part also sees the difference of the
+    drivers.
     """
     if a.driver is None or b.driver is None:
         raise ValueError("both controlled paths must declare their drivers")
     if not a.grid.is_compatible(b.grid):
         raise ValueError("controlled paths live on different grids")
-    diff = a.values - b.values
+    n = a.grid.n_steps
+    i_hi = n if i_hi is None else i_hi
+    rem = block_variation(
+        lambda lo, j: a.remainder_block(lo, j) - b.remainder_block(lo, j), p / 2.0, n, i_lo, i_hi
+    )
+    diff = a.values[i_lo : i_hi + 1] - b.values[i_lo : i_hi + 1]
     sup = float(np.sqrt(np.einsum("id,id->i", diff, diff)).max())
     pv = pvar_seminorm(diff, p)
-    q = p / 2.0
-    n = a.grid.n_steps
-
-    def col(j: int) -> np.ndarray:
-        r = a.remainder_block(0, j) - b.remainder_block(0, j)
-        return _row_norms(r) ** q
-
-    rem = _dp_max_partition(col, 0, n) ** (1.0 / q)
     return SolutionDistance(sup=sup, pvar=pv, remainder_qvar=rem)
 
 
@@ -573,15 +561,7 @@ def integral_distance_bound(
     yd_pv = pvar_seminorm(cp_delta.values[sl], p)
     ry_q = remainder_norm(cp_true, rp, q, i, j)
     ryd_q = remainder_norm(cp_delta, rp_d, q, i, j)
-    diff = cp_true.values - cp_delta.values
-    d_sup = float(np.sqrt(np.einsum("id,id->i", diff[sl], diff[sl])).max())
-    d_pv = pvar_seminorm(diff[sl], p)
-
-    def col(jj: int) -> np.ndarray:
-        r = cp_true.remainder_block(i, jj) - cp_delta.remainder_block(i, jj)
-        return _row_norms(r) ** q
-
-    d_rem = _dp_max_partition(col, i, j) ** (1.0 / q)
+    dist = solution_distance(cp_true, cp_delta, p, i, j)
 
     cg = vf.c_g
     term_pair = (
@@ -589,7 +569,7 @@ def integral_distance_bound(
         * c_p
         * max(cg**2 * omega_hom**2, cg * omega_hom)
         * (yd_pv + y_pv + ry_q + 1.0)
-        * (d_pv + d_sup + d_rem)
+        * (dist.pvar + dist.sup + dist.remainder_qvar)
     )
     w1_pv = pvar_seminorm(rp.values[sl], p)
     wd_pv = pvar_seminorm(rp_d.values[sl], p)

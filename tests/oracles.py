@@ -86,6 +86,20 @@ def pvar2_brute(block, q: float, i: int, j: int) -> float:
     return best ** (1.0 / q)
 
 
+def pvar_running_loop(block, p: float, i: int, j: int) -> list[float]:
+    """Best partition sums over [i, k] for k = i+1..j, by the plain O(n^2) loop.
+
+    block(a, b) returns the single block over the node pair (a, b).  Meant
+    for grids too long to enumerate.
+    """
+    best = [0.0]
+    for k in range(i + 1, j + 1):
+        best.append(
+            max(best[a - i] + float(np.linalg.norm(block(a, k))) ** p for a in range(i, k))
+        )
+    return best[1:]
+
+
 @lru_cache(maxsize=None)
 def _partition_block_arrays(n: int):
     """All blocks of all partitions of [0, n], flattened with partition ids."""

@@ -267,6 +267,23 @@ class TestCli:
         cfg_path.write_text(json.dumps(dict(TINY_STOPPING)))
         assert main(["--config", str(cfg_path)]) == 0
 
+    @pytest.mark.parametrize(
+        "name, fields",
+        [
+            ("H", {"H": "0.4"}),
+            ("delta_ladder", {"delta_ladder": 5}),
+            ("n_seeds", {"n_seeds": 2.5}),
+            ("master_seed", {**TINY_STOPPING, "delta_ladder": [8, 4, 2], "master_seed": -1}),
+        ],
+    )
+    def test_bad_config_file_value_is_usage_error(self, capsys, tmp_path, name, fields):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "stopping", **fields}))
+        assert main(["--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(name) in err
+
     def test_config_file_unknown_key(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"experiment": "stopping", "wat": 1}))

@@ -97,9 +97,6 @@ class TestChenReconstruction:
         assert blk.shape == (6, 2, 2)
         for off in range(6):
             assert np.allclose(blk[off], rp.level2(3 + off, 9), atol=1e-14)
-        gap = rp.level2_by_gap(5)
-        for i in range(rp.n_steps - 5 + 1):
-            assert np.allclose(gap[i], rp.level2(i, i + 5), atol=1e-14)
 
     def test_restrict_and_coarsen(self):
         rng = np.random.default_rng(5)

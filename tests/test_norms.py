@@ -12,9 +12,11 @@ from roughwz.lift import GridRoughPath, lift_left_riemann
 from roughwz.norms import (
     StoppingTimes,
     VariationParams,
+    block_variation,
     greedy_stopping_times,
     holder_seminorm,
     homogeneous_pvar_norm,
+    partition_sums,
     pvar_level2,
     pvar_level2_distance,
     pvar_seminorm,
@@ -23,7 +25,14 @@ from roughwz.norms import (
     rho_var_2d,
 )
 
-from oracles import greedy_stops_brute, homogeneous_brute, pvar2_brute, pvar_brute, rho_var_2d_brute
+from oracles import (
+    greedy_stops_brute,
+    homogeneous_brute,
+    pvar2_brute,
+    pvar_brute,
+    pvar_running_loop,
+    rho_var_2d_brute,
+)
 
 
 def linear_lift(n, t_max=1.0):
@@ -74,6 +83,31 @@ class TestLevel1Variation:
         vals = rng.standard_normal((12, 3))
         tv = float(np.linalg.norm(np.diff(vals, axis=0), axis=1).sum())
         assert pvar_seminorm(vals, 1.0) == pytest.approx(tv, rel=1e-12)
+
+
+class TestPartitionSums:
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_running_sums_match_loop_reference(self, level):
+        # Past enumeration sizes, against the plain pairwise loop.
+        rp = random_lift(np.random.default_rng(29), 48)
+        v = rp.values
+        block = (lambda i, j: v[j] - v[i:j]) if level == 1 else rp.level2_block
+        p = 2.8 / level
+        got = list(partition_sums(block, p, 5, 48))
+        want = pvar_running_loop(lambda a, b: block(a, b)[0], p, 5, 48)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_running_sums_are_windowed_variations(self):
+        rp = random_lift(np.random.default_rng(31), 20)
+        running = list(partition_sums(rp.level2_block, 1.4, 3, 20))
+        for j, best in enumerate(running, 4):
+            assert block_variation(rp.level2_block, 1.4, 20, 3, j) == best ** (1.0 / 1.4)
+
+    @pytest.mark.parametrize("window", [(5, 5), (6, 5), (-1, 5), (0, 21)])
+    def test_bad_window_rejected(self, window):
+        rp = random_lift(np.random.default_rng(37), 20)
+        with pytest.raises(ValueError, match="window"):
+            block_variation(rp.level2_block, 1.4, 20, *window)
 
 
 class TestLevel2Variation:

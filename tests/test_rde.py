@@ -24,7 +24,7 @@ from roughwz.rde import (
 )
 from roughwz.wongzakai import DeltaParam, ww_delta
 
-from oracles import fd_jacobian, fit_slope, pvar2_brute, rk4_path_ode
+from oracles import fd_jacobian, fit_slope, pvar2_brute, pvar_brute, rk4_path_ode
 
 
 def linear_lift(n, t_max=1.0):
@@ -266,6 +266,23 @@ class TestDistancesAndBounds:
             pvar2_brute(block, q, 0, 7), rel=1e-12
         )
 
+    @pytest.mark.parametrize("i_lo, i_hi", [(0, 8), (2, 6)])
+    def test_remainder_distance_matches_enumeration(self, i_lo, i_hi):
+        vf = builtin_vector_field("sin-g", 2, 2)
+        a = solve_rde(vf, fbm_lift(8, seed=82, counter=0), np.zeros(2))
+        b = solve_rde(vf, fbm_lift(8, seed=82, counter=1), np.zeros(2))
+        p = 2.8
+        dist = solution_distance(a, b, p, i_lo, i_hi)
+        block = lambda i, j: (a.remainder_block(i, j) - b.remainder_block(i, j))[0]
+        assert dist.remainder_qvar > 0.0
+        assert dist.remainder_qvar == pytest.approx(
+            pvar2_brute(block, p / 2.0, i_lo, i_hi), rel=1e-12
+        )
+        diff = a.values - b.values
+        assert dist.pvar == pytest.approx(pvar_brute(diff, p, i_lo, i_hi), rel=1e-12)
+        sup = max(np.linalg.norm(diff[k]) for k in range(i_lo, i_hi + 1))
+        assert dist.sup == pytest.approx(sup, rel=1e-12)
+
     def test_apriori_trivial_field(self):
         rp = linear_lift(16)
         vf = zero_field()
@@ -319,3 +336,32 @@ class TestDistancesAndBounds:
             assert rep.rhs == pytest.approx(
                 rep.term_pair + rep.term_level1 + rep.term_level2, rel=1e-12
             )
+
+    def test_windowed_integral_distance_matches_restricted_paths(self):
+        # The bound over [s, t] must equal the whole-window bound of the
+        # solutions and drivers cut down to [s, t].
+        grid = TimeGrid(0.0, 1.0, 64).extended(8)
+        vf = builtin_vector_field("sin-g", 2, 2)
+        path = FbmSampler(grid, FbmParams(H=0.45, d=2, seed=34)).sample(0)
+        true_rp = lift_left_riemann(path.restrict(0, 64))
+        wz_rp = ww_delta(path, DeltaParam(4, grid.h)).restrict(0, 64)
+        a = solve_rde(vf, true_rp, np.zeros(2))
+        b = solve_rde(vf, wz_rp, np.zeros(2))
+        i, j = 16, 48
+        rep = integral_distance_bound(vf, a, b, p=2.8, s=0.25, t=0.75)
+
+        def cut(cp):
+            return ControlledPath(
+                cp.grid.window(i, j),
+                cp.values[i : j + 1],
+                cp.gubinelli[i : j + 1],
+                driver=cp.driver.restrict(i, j),
+            )
+
+        whole = integral_distance_bound(vf, cut(a), cut(b), p=2.8)
+        assert rep.satisfied
+        assert rep.lhs == pytest.approx(whole.lhs, rel=1e-12)
+        for name in ("term_pair", "term_level1", "term_level2"):
+            assert getattr(rep, name) == pytest.approx(getattr(whole, name), rel=1e-9)
+        full = integral_distance_bound(vf, a, b, p=2.8)
+        assert rep.rhs < full.rhs
