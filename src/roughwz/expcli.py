@@ -25,12 +25,14 @@ the restriction is exact).  The solution experiment ignores metric_stride:
 its distances run on the full grid_n grid, where its gates (the sup
 ceiling above all) are calibrated.
 
-Reports: a CSV with one row per seed x delta x metric (columns seed,
-delta, metric, value, floats via repr, byte-reproducible for any thread
-count) and a JSON summary (per-delta moments, slopes, gates with their
-tolerance bands and sample sizes, config echo).  Wall time and thread
-count live under the JSON "runtime" key, the single key excluded from the
-reproducibility guarantee.
+Seeds run one after another, each from its own stream
+(master_seed, seed_index).  Reports: a CSV with one row per seed x delta x
+metric (columns seed, delta, metric, value, floats via repr), byte-identical
+across re-runs, and a shorter run's CSV is a prefix of a longer one's; and a
+JSON summary (per-delta moments, slopes, gates with their tolerance bands,
+sample sizes and, for the monotone gates, the failing seeds; config echo).
+Wall time lives under the JSON "runtime" key, the single key excluded from
+the reproducibility guarantee.
 """
 
 from __future__ import annotations
@@ -39,11 +41,11 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import sys
 import time
 import typing
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +103,27 @@ class ConfigError(ValueError):
         super().__init__(f"config field {field_name!r}: {message}")
 
 
+# Values that fit each scalar field type (bool fits none of them).
+_SCALARS = {int: numbers.Integral, float: numbers.Real, str: str}
+
+
+def _as_field_type(value, hint):
+    """value as the ExperimentConfig field type hint; TypeError if it does not fit.
+
+    Integral values (numpy ones too) fit int fields, real values fit float
+    fields, and lists or arrays fit tuple fields.
+    """
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if isinstance(value, (list, tuple, np.ndarray)):
+            return tuple(_as_field_type(v, args[0]) for v in value)
+    elif args:  # X | None
+        return None if value is None else _as_field_type(value, args[0])
+    elif isinstance(value, _SCALARS[hint]) and not isinstance(value, bool):
+        return hint(value)
+    raise TypeError(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment run: problem sizes, exponents, ladder and seeding.
@@ -117,9 +140,12 @@ class ExperimentConfig:
     max(grid_n/128, 1) node spacing (grid_n/512 for the stopping runs,
     whose greedy times need a finer grid to move smoothly); the noise and
     stopping comparisons then run on a manageable sub-grid, which measured
-    cleanest for per-seed monotonicity.  The solution experiment does not
-    use metric_stride: it measures its distances on the full grid.
-    The level-1 variation exponent is p = 1/beta throughout.
+    cleanest for per-seed monotonicity.  The solution experiment neither
+    uses nor checks metric_stride: it measures its distances on the full
+    grid.  The level-1 variation exponent is p = 1/beta throughout.
+    Values are checked against the field types and stored as them: integral
+    values for int fields, real ones for float fields, never bool; lists and
+    arrays for tuple fields.
     """
 
     experiment: str
@@ -142,9 +168,15 @@ class ExperimentConfig:
     sup_ceiling: float = 0.05
     master_seed: int = 20260814
     out_dir: str | None = None
-    threads: int = 1
 
     def __post_init__(self) -> None:
+        for name, hint in typing.get_type_hints(ExperimentConfig).items():
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, _as_field_type(value, hint))
+            except TypeError:
+                kind = self.__dataclass_fields__[name].type
+                raise ConfigError(name, f"expected {kind}, got {value!r}") from None
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(
                 "experiment", f"unknown name {self.experiment!r}; choose from {EXPERIMENTS}"
@@ -186,7 +218,7 @@ class ExperimentConfig:
             object.__setattr__(
                 self, "delta_ladder", tuple(2**k for k in range(default_top.bit_length() - 1, 0, -1))
             )
-        ladder = tuple(sorted({int(k) for k in self.delta_ladder}, reverse=True))
+        ladder = tuple(sorted(set(self.delta_ladder), reverse=True))
         if ladder != tuple(self.delta_ladder):
             raise ConfigError(
                 "delta_ladder",
@@ -218,18 +250,15 @@ class ExperimentConfig:
         if self.eta <= 0.0:
             raise ConfigError("eta", f"eta must be positive, got {self.eta}")
         stride = self.stride
-        if stride < 1 or self.grid_n % stride != 0:
+        if self.experiment != "solution" and (stride < 1 or self.grid_n % stride != 0):
             raise ConfigError(
                 "metric_stride", f"stride {stride} must divide grid_n = {self.grid_n}"
             )
         if self.sup_ceiling <= 0.0:
             raise ConfigError("sup_ceiling", f"ceiling must be positive, got {self.sup_ceiling}")
-        if self.threads < 1:
-            raise ConfigError("threads", f"thread count must be >= 1, got {self.threads}")
         if self.master_seed < 0:
             raise ConfigError("master_seed", f"seed must be >= 0, got {self.master_seed}")
         object.__setattr__(self, "delta_ladder", ladder)
-        object.__setattr__(self, "y0", tuple(float(v) for v in self.y0))
 
     @property
     def p(self) -> float:
@@ -273,6 +302,7 @@ class GateResult:
     value: float
     tolerance: str
     sample_size: int
+    failing_seeds: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -293,7 +323,6 @@ class ConvergenceReport:
 
     def to_json_dict(self, include_runtime: bool = True) -> dict:
         cfg = asdict(self.config)
-        cfg.pop("threads")
         cfg.pop("out_dir")
         out = {
             "experiment": self.experiment,
@@ -304,10 +333,7 @@ class ConvergenceReport:
             "passed": self.passed,
         }
         if include_runtime:
-            out["runtime"] = {
-                "seconds": self.runtime_seconds,
-                "threads": self.config.threads,
-            }
+            out["runtime"] = {"seconds": self.runtime_seconds}
         return out
 
 
@@ -338,17 +364,27 @@ def fit_loglog_slope(deltas, values) -> tuple[float, float] | None:
     return slope, se
 
 
-def _strict_decrease_fraction(per_seed: np.ndarray) -> tuple[float, bool]:
-    """Fraction of rows strictly decreasing left to right; flags all-zero."""
-    if np.all(per_seed == 0.0):
-        return 1.0, True
-    ok = np.all(np.diff(per_seed, axis=1) < 0.0, axis=1)
-    return float(np.mean(ok)), False
+def _monotone_gate(name: str, table: np.ndarray, strict: bool) -> GateResult:
+    """Fraction of seeds (rows of a seed x delta table) falling along the ladder.
 
-
-def _non_increase_fraction(per_seed: np.ndarray) -> float:
-    ok = np.all(np.diff(per_seed, axis=1) <= 0.0, axis=1)
-    return float(np.mean(ok))
+    A strict gate on an all-zero table passes as degenerate.
+    """
+    steps = np.diff(table, axis=1)
+    ok = np.all(steps < 0.0 if strict else steps <= 0.0, axis=1)
+    kind = "strictly decreasing" if strict else "non-increasing"
+    tolerance = f"fraction of seeds {kind} >= {_DECREASE_FRACTION}"
+    if strict and np.all(table == 0.0):
+        ok[:] = True
+        tolerance += "; identically zero, passes as degenerate"
+    frac = float(np.mean(ok))
+    return GateResult(
+        name=name,
+        passed=frac >= _DECREASE_FRACTION,
+        value=frac,
+        tolerance=tolerance,
+        sample_size=len(table),
+        failing_seeds=tuple(int(seed) for seed in np.flatnonzero(~ok)),
+    )
 
 
 def _moments(values: np.ndarray, q: float) -> tuple[float, float, float]:
@@ -361,11 +397,11 @@ def _moments(values: np.ndarray, q: float) -> tuple[float, float, float]:
     return mean, rms, lq
 
 
-def _run_parallel(n_seeds: int, threads: int, fn) -> list:
-    if threads <= 1:
-        return [fn(i) for i in range(n_seeds)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n_seeds)))
+def _seed_tables(cfg: ExperimentConfig, names: list[str], one_seed) -> dict[str, np.ndarray]:
+    """One (seed, delta) table per name, from the (name, delta) arrays that
+    one_seed(idx) returns for the seeds in order."""
+    stacked = np.stack([one_seed(idx) for idx in range(cfg.n_seeds)])
+    return {name: stacked[:, i, :] for i, name in enumerate(names)}
 
 
 def _summarize(
@@ -450,9 +486,8 @@ def run_noise_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
             out[2, col] = rho_pvar_metric(coarse_wz, coarse_true, cfg.p)
         return out
 
-    stacked = np.stack(_run_parallel(cfg.n_seeds, cfg.threads, one_seed))
     names = ["level1_fixed_time", "rho_beta", "rho_pvar"]
-    per_seed = {name: stacked[:, i, :] for i, name in enumerate(names)}
+    per_seed = _seed_tables(cfg, names, one_seed)
     deltas = [dp.delta for dp in dps]
     rate_gap = cfg.H - cfg.beta_prime
     predicted = {
@@ -479,16 +514,7 @@ def run_noise_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
         )
     )
     if len(deltas) >= 2:
-        frac, _ = _strict_decrease_fraction(per_seed["rho_beta"])
-        gates.append(
-            GateResult(
-                name="rho_beta_strict_decrease",
-                passed=frac >= _DECREASE_FRACTION,
-                value=frac,
-                tolerance=f"fraction of seeds strictly decreasing >= {_DECREASE_FRACTION}",
-                sample_size=cfg.n_seeds,
-            )
-        )
+        gates.append(_monotone_gate("rho_beta_strict_decrease", per_seed["rho_beta"], strict=True))
     return ConvergenceReport(
         experiment="noise",
         config=cfg,
@@ -523,31 +549,18 @@ def run_solution_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
             out[:, col] = (dist.sup, dist.pvar, dist.remainder_qvar)
         return out
 
-    stacked = np.stack(_run_parallel(cfg.n_seeds, cfg.threads, one_seed))
     names = ["sup", "pvar", "remainder_qvar"]
-    per_seed = {name: stacked[:, i, :] for i, name in enumerate(names)}
+    per_seed = _seed_tables(cfg, names, one_seed)
     deltas = [dp.delta for dp in dps]
-    n_blowups = int(np.sum(~np.isfinite(stacked[:, 0, :])))
+    n_blowups = int(np.sum(~np.isfinite(per_seed["sup"])))
     rate_gap = cfg.H - cfg.beta_prime
     predicted = {name: rate_gap for name in names}
     summaries, rows = _summarize(cfg, names, per_seed, deltas, predicted)
 
     gates: list[GateResult] = []
-    for name in names:
-        if len(deltas) < 2:
-            continue
-        frac, degenerate = _strict_decrease_fraction(per_seed[name])
-        gates.append(
-            GateResult(
-                name=f"{name}_decrease",
-                passed=frac >= _DECREASE_FRACTION,
-                value=frac,
-                tolerance=(
-                    f"fraction of seeds strictly decreasing >= {_DECREASE_FRACTION}"
-                    + ("; identically zero, passes as degenerate" if degenerate else "")
-                ),
-                sample_size=cfg.n_seeds,
-            )
+    if len(deltas) >= 2:
+        gates.extend(
+            _monotone_gate(f"{name}_decrease", per_seed[name], strict=True) for name in names
         )
     _, rms_small, _ = _moments(per_seed["sup"][:, -1], cfg.q_moment)
     gates.append(
@@ -606,9 +619,8 @@ def run_stopping_time_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
             out[2, col] = st_wz.count
         return out
 
-    stacked = np.stack(_run_parallel(cfg.n_seeds, cfg.threads, one_seed))
     names = ["displacement", "count_bound_margin", "count"]
-    per_seed = {name: stacked[:, i, :] for i, name in enumerate(names)}
+    per_seed = _seed_tables(cfg, names, one_seed)
     deltas = [dp.delta for dp in dps]
     predicted = {name: None for name in names}
     notes = {
@@ -620,15 +632,8 @@ def run_stopping_time_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
 
     gates: list[GateResult] = []
     if len(deltas) >= 2:
-        frac = _non_increase_fraction(per_seed["displacement"])
         gates.append(
-            GateResult(
-                name="displacement_non_increase",
-                passed=frac >= _DECREASE_FRACTION,
-                value=frac,
-                tolerance=f"fraction of seeds non-increasing >= {_DECREASE_FRACTION}",
-                sample_size=cfg.n_seeds,
-            )
+            _monotone_gate("displacement_non_increase", per_seed["displacement"], strict=False)
         )
     min_margin = float(np.min(per_seed["count_bound_margin"]))
     gates.append(
@@ -686,20 +691,6 @@ def run_suite(cfg: ExperimentConfig) -> ConvergenceReport:
     return report
 
 
-# JSON value types accepted for each scalar field type (bool is never one).
-_JSON_SCALARS = {int: (int,), float: (int, float), str: (str,)}
-
-
-def _json_value_fits(value, hint) -> bool:
-    """Whether a decoded JSON value matches an ExperimentConfig field type."""
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is tuple:
-        return isinstance(value, list) and all(_json_value_fits(v, args[0]) for v in value)
-    if args:  # X | None
-        return value is None or _json_value_fits(value, args[0])
-    return not isinstance(value, bool) and isinstance(value, _JSON_SCALARS[hint])
-
-
 def _config_from_file(path: str) -> dict:
     """Read a JSON config file mirroring ExperimentConfig field names."""
     try:
@@ -715,15 +706,6 @@ def _config_from_file(path: str) -> dict:
     unknown = set(raw) - allowed
     if unknown:
         raise ConfigError("config", f"unknown keys {sorted(unknown)} in {path}")
-    hints = typing.get_type_hints(ExperimentConfig)
-    for key, value in raw.items():
-        if not _json_value_fits(value, hints[key]):
-            kind = ExperimentConfig.__dataclass_fields__[key].type
-            raise ConfigError(
-                key, f"expected {kind} (tuples as JSON lists) in {path}, got {json.dumps(value)}"
-            )
-        if isinstance(value, list):
-            raw[key] = tuple(value)
     return raw
 
 
@@ -741,7 +723,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--delta-ladder", metavar="K1,K2,...", help="decreasing grid multiples, comma separated"
     )
     parser.add_argument("--out", metavar="DIR", help="directory for CSV and JSON reports")
-    parser.add_argument("--threads", type=int, help="worker threads (results identical)")
     parser.add_argument(
         "--list", action="store_true", help="list experiments and vector fields, then exit"
     )
@@ -784,8 +765,6 @@ def main(argv: list[str] | None = None) -> int:
             fields["delta_ladder"] = _parse_ladder(args.delta_ladder)
         if args.out is not None:
             fields["out_dir"] = args.out
-        if args.threads is not None:
-            fields["threads"] = args.threads
         cfg = ExperimentConfig(**fields)
         report = run_suite(cfg)
     except ConfigError as exc:
@@ -796,9 +775,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     for gate in report.gates:
         status = "pass" if gate.passed else "FAIL"
+        seeds = ""
+        if not gate.passed and gate.failing_seeds:
+            seeds = f" failing seeds {', '.join(map(str, gate.failing_seeds))}"
         print(
             f"[{status}] {report.experiment}/{gate.name}: value={gate.value:.6g} "
-            f"({gate.tolerance}; n={gate.sample_size})"
+            f"({gate.tolerance}; n={gate.sample_size}){seeds}"
         )
     for metric in report.metrics:
         if metric.slope is not None:

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -64,10 +65,12 @@ class TestConfigValidation:
             ("field_name", {"field_name": "nope"}),
             ("y0", {"y0": (1.0, 2.0, 3.0)}),
             ("eta", {"eta": 0.0}),
-            ("metric_stride", {"metric_stride": 7}),
+            ("metric_stride", {"experiment": "stopping", "metric_stride": 7}),
             ("sup_ceiling", {"sup_ceiling": -1.0}),
-            ("threads", {"threads": 0}),
+            ("n_seeds", {"n_seeds": 2.5}),
             ("field_name", {"field_name": "linear-g", "d": 1, "m": 2}),
+            ("H", {"experiment": "stopping", "H": "0.4"}),
+            ("n_seeds", {"n_seeds": True}),
         ],
     )
     def test_each_field_is_guarded(self, field, kwargs):
@@ -76,6 +79,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig(**base)
         assert exc.value.field == field
+
+    def test_field_values_are_stored_as_field_types(self):
+        cfg = ExperimentConfig(
+            experiment="stopping",
+            H=np.float64(0.45),
+            t_max=1,
+            n_seeds=np.int64(6),
+            delta_ladder=[8, 4, 2],
+            y0=np.array([0, 1]),
+        )
+        assert type(cfg.n_seeds) is int and type(cfg.t_max) is float
+        assert cfg.delta_ladder == (8, 4, 2) and cfg.y0 == (0.0, 1.0)
+        json.dumps(asdict(cfg))
+
+    def test_solution_ignores_metric_stride(self):
+        ExperimentConfig(experiment="solution", grid_n=1024, metric_stride=3)
 
     def test_noise_needs_thirty_seeds(self):
         with pytest.raises(ConfigError, match="n_seeds"):
@@ -154,7 +173,8 @@ class TestReports:
         assert doc["experiment"] == "stopping"
         assert "threads" not in doc["config"]
         assert "out_dir" not in doc["config"]
-        assert doc["runtime"]["seconds"] > 0
+        assert doc["runtime"] == {"seconds": rep.runtime_seconds}
+        assert all(g["failing_seeds"] == () for g in doc["gates"])
         stripped = rep.to_json_dict(include_runtime=False)
         assert "runtime" not in stripped
         json.dumps(stripped)  # must be serializable as-is
@@ -175,23 +195,75 @@ class TestSuiteOutputs:
         doc = json.loads((tmp_path / "stopping.json").read_text())
         assert doc["experiment"] == "stopping"
 
-    def test_thread_count_never_changes_outputs(self, tmp_path):
-        out1, out4 = tmp_path / "t1", tmp_path / "t4"
-        run_suite(ExperimentConfig(**TINY_STOPPING, out_dir=str(out1), threads=1))
-        run_suite(ExperimentConfig(**TINY_STOPPING, out_dir=str(out4), threads=4))
-        assert (out1 / "stopping.csv").read_bytes() == (out4 / "stopping.csv").read_bytes()
+    def test_rerun_gives_identical_outputs(self, tmp_path):
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        run_suite(ExperimentConfig(**TINY_STOPPING, out_dir=str(out1)))
+        run_suite(ExperimentConfig(**TINY_STOPPING, out_dir=str(out2)))
+        assert (out1 / "stopping.csv").read_bytes() == (out2 / "stopping.csv").read_bytes()
         doc1 = json.loads((out1 / "stopping.json").read_text())
-        doc4 = json.loads((out4 / "stopping.json").read_text())
-        doc1.pop("runtime"), doc4.pop("runtime")
-        assert doc1 == doc4
+        doc2 = json.loads((out2 / "stopping.json").read_text())
+        doc1.pop("runtime"), doc2.pop("runtime")
+        assert doc1 == doc2
 
-    def test_solution_suite_threads_agree_too(self, tmp_path):
-        kw = dict(experiment="solution", n_seeds=4, grid_n=128, delta_ladder=(8, 4, 2))
-        run_suite(ExperimentConfig(**kw, out_dir=str(tmp_path / "a"), threads=1))
-        run_suite(ExperimentConfig(**kw, out_dir=str(tmp_path / "b"), threads=3))
-        assert (tmp_path / "a" / "solution.csv").read_bytes() == (
-            tmp_path / "b" / "solution.csv"
-        ).read_bytes()
+    def test_solution_shorter_run_is_csv_prefix(self, tmp_path):
+        kw = dict(experiment="solution", grid_n=128, delta_ladder=(8, 4, 2))
+        run_suite(ExperimentConfig(**kw, n_seeds=4, out_dir=str(tmp_path / "a")))
+        run_suite(ExperimentConfig(**kw, n_seeds=2, out_dir=str(tmp_path / "b")))
+        full = (tmp_path / "a" / "solution.csv").read_bytes()
+        short = (tmp_path / "b" / "solution.csv").read_bytes()
+        assert len(short) < len(full) and full.startswith(short)
+
+
+# Monotone gates: name -> (metric, whether consecutive values along the
+# ladder must fall strictly).
+MONOTONE_GATES = {
+    "noise": {"rho_beta_strict_decrease": ("rho_beta", True)},
+    "solution": {f"{m}_decrease": (m, True) for m in ("sup", "pvar", "remainder_qvar")},
+    "stopping": {"displacement_non_increase": ("displacement", False)},
+}
+
+
+class TestFailingSeeds:
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(experiment="noise", n_seeds=30, grid_n=256, delta_ladder=(8, 4, 2)),
+            dict(experiment="solution", n_seeds=4, grid_n=64, delta_ladder=(32, 16, 8, 4, 2, 1)),
+            dict(experiment="stopping", n_seeds=6, grid_n=64, delta_ladder=(8, 4, 2)),
+        ],
+        ids=EXPERIMENTS,
+    )
+    def test_monotone_gates_name_the_seeds_that_break_them(self, kw):
+        rep = run_suite(ExperimentConfig(**kw))
+        monotone = MONOTONE_GATES[kw["experiment"]]
+        named = set()
+        for gate in rep.gates:
+            if gate.name not in monotone:
+                assert gate.failing_seeds == ()
+                continue
+            metric, strict = monotone[gate.name]
+            expected = []
+            for seed in range(kw["n_seeds"]):
+                values = [v for s, _, name, v in rep.rows if s == seed and name == metric]
+                steps = zip(values, values[1:])
+                if not all(b < a if strict else b <= a for a, b in steps):
+                    expected.append(seed)
+            assert gate.failing_seeds == tuple(expected), gate.name
+            named.update(expected)
+        assert named, "the run should break at least one monotone gate"
+
+    def test_failing_gate_line_lists_the_seeds(self, capsys):
+        kw = dict(experiment="stopping", n_seeds=6, grid_n=64, delta_ladder=(8, 4, 2))
+        gates = {g.name: g for g in run_suite(ExperimentConfig(**kw)).gates}
+        gate = gates["displacement_non_increase"]
+        assert not gate.passed and gate.failing_seeds
+        argv = ["--experiment", "stopping", "--seeds", "6", "--grid-n", "64"]
+        assert main(argv + ["--delta-ladder", "8,4,2"]) == 1
+        line = next(
+            ln for ln in capsys.readouterr().out.splitlines() if "displacement_non_increase" in ln
+        )
+        assert line.startswith("[FAIL]")
+        assert line.endswith(" failing seeds " + ", ".join(map(str, gate.failing_seeds)))
 
 
 class TestCli:
@@ -200,6 +272,12 @@ class TestCli:
         out = capsys.readouterr().out
         for name in EXPERIMENTS + ("sin-g", "additive"):
             assert name in out
+
+    def test_threads_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--experiment", "stopping", "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_missing_experiment_is_usage_error(self, capsys):
         assert main([]) == 2
