@@ -20,25 +20,18 @@ from .fbm import (
     TimeGrid,
     fbm_covariance,
     path_rng,
-    sample_fbm,
     wiener_shift,
 )
 from .lift import (
     GridRoughPath,
     Level2Value,
-    SigmaConcavityReport,
     chen_combine,
-    geometricity_defect_entrywise,
     geometricity_residual,
     lift_left_riemann,
     lift_smooth_quadrature,
-    reconstruct,
-    sigma_concavity_check,
 )
 from .norms import (
-    RhoVar2DResult,
     StoppingTimes,
-    VariationParams,
     block_variation,
     greedy_stopping_times,
     holder_seminorm,
@@ -49,7 +42,6 @@ from .norms import (
     pvar_seminorm,
     rho_alpha_metric,
     rho_pvar_metric,
-    rho_var_2d,
 )
 from .rde import (
     AprioriBoundReport,
@@ -82,6 +74,6 @@ from .expcli import (
     run_suite,
 )
 from .rds import CocycleProbe, cocycle_residual, shift_rough_path
-from .wongzakai import DeltaParam, g_delta, w_delta, ww_delta, x_delta
+from .wongzakai import DeltaParam, g_delta, w_delta, ww_delta
 
 __version__ = "0.1.0"

@@ -30,7 +30,8 @@ Seeds run one after another, each from its own stream
 metric (columns seed, delta, metric, value, floats via repr), byte-identical
 across re-runs, and a shorter run's CSV is a prefix of a longer one's; and a
 JSON summary (per-delta moments, slopes, gates with their tolerance bands,
-sample sizes and, for the monotone gates, the failing seeds; config echo).
+sample sizes and, for the monotone gates, the failing seeds; the seed,
+delta, node and time of every caught solver blow-up; config echo).
 Wall time lives under the JSON "runtime" key, the single key excluded from
 the reproducibility guarantee.
 """
@@ -57,7 +58,7 @@ from .fbm import (
     GridAlignmentError,
     TimeGrid,
 )
-from .lift import GridRoughPath, lift_left_riemann
+from .lift import lift_left_riemann
 from .norms import (
     greedy_stopping_times,
     homogeneous_pvar_norm,
@@ -111,7 +112,8 @@ def _as_field_type(value, hint):
     """value as the ExperimentConfig field type hint; TypeError if it does not fit.
 
     Integral values (numpy ones too) fit int fields, real values fit float
-    fields, and lists or arrays fit tuple fields.
+    fields, and lists or arrays fit tuple fields.  A float that is NaN or
+    infinite raises ValueError (OverflowError for an int too large for one).
     """
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
@@ -120,7 +122,10 @@ def _as_field_type(value, hint):
     elif args:  # X | None
         return None if value is None else _as_field_type(value, args[0])
     elif isinstance(value, _SCALARS[hint]) and not isinstance(value, bool):
-        return hint(value)
+        value = hint(value)
+        if hint is float and not math.isfinite(value):
+            raise ValueError(value)
+        return value
     raise TypeError(value)
 
 
@@ -144,8 +149,8 @@ class ExperimentConfig:
     uses nor checks metric_stride: it measures its distances on the full
     grid.  The level-1 variation exponent is p = 1/beta throughout.
     Values are checked against the field types and stored as them: integral
-    values for int fields, real ones for float fields, never bool; lists and
-    arrays for tuple fields.
+    values for int fields, finite real ones for float fields (y0 entries
+    too), never bool; lists and arrays for tuple fields.
     """
 
     experiment: str
@@ -177,6 +182,8 @@ class ExperimentConfig:
             except TypeError:
                 kind = self.__dataclass_fields__[name].type
                 raise ConfigError(name, f"expected {kind}, got {value!r}") from None
+            except (ValueError, OverflowError):
+                raise ConfigError(name, f"floats must be finite, got {value!r}") from None
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(
                 "experiment", f"unknown name {self.experiment!r}; choose from {EXPERIMENTS}"
@@ -249,6 +256,14 @@ class ExperimentConfig:
             raise ConfigError("y0", f"y0 has {len(self.y0)} entries for m = {self.m}")
         if self.eta <= 0.0:
             raise ConfigError("eta", f"eta must be positive, got {self.eta}")
+        try:
+            threshold = self.eta**self.p
+        except OverflowError:
+            threshold = math.inf
+        if not 0.0 < threshold < math.inf:
+            raise ConfigError(
+                "eta", f"threshold eta ** p = {self.eta} ** {self.p:.4g} is not a positive float"
+            )
         stride = self.stride
         if self.experiment != "solution" and (stride < 1 or self.grid_n % stride != 0):
             raise ConfigError(
@@ -314,27 +329,31 @@ class ConvergenceReport:
     metrics: tuple[MetricSummary, ...]
     gates: tuple[GateResult, ...]
     rows: tuple[tuple[int, float, str, float], ...]
-    n_blowups: int = 0
+    # (seed, delta, node, time) of each caught solver blow-up, in run order.
+    blowups: tuple[tuple[int, float, int, float], ...] = ()
     runtime_seconds: float = 0.0
 
     @property
     def passed(self) -> bool:
         return all(g.passed for g in self.gates)
 
-    def to_json_dict(self, include_runtime: bool = True) -> dict:
+    @property
+    def n_blowups(self) -> int:
+        return len(self.blowups)
+
+    def to_json_dict(self) -> dict:
         cfg = asdict(self.config)
         cfg.pop("out_dir")
-        out = {
+        return {
             "experiment": self.experiment,
             "config": cfg,
             "metrics": [asdict(m) for m in self.metrics],
             "gates": [asdict(g) for g in self.gates],
+            "blowups": [dict(zip(("seed", "delta", "node", "time"), b)) for b in self.blowups],
             "n_blowups": self.n_blowups,
             "passed": self.passed,
+            "runtime": {"seconds": self.runtime_seconds},
         }
-        if include_runtime:
-            out["runtime"] = {"seconds": self.runtime_seconds}
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +552,7 @@ def run_solution_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
     n = cfg.grid_n
     n_delta = len(dps)
     y0 = np.asarray(cfg.y0)
+    blowups: list[tuple[int, float, int, float]] = []
 
     def one_seed(idx: int) -> np.ndarray:
         path = sampler.sample(idx)
@@ -543,7 +563,8 @@ def run_solution_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
             wz_lift = ww_delta(path, dp).restrict(0, n)
             try:
                 sol_wz = solve_rde(vf, wz_lift, y0)
-            except SolverBlowUpError:
+            except SolverBlowUpError as exc:
+                blowups.append((idx, dp.delta, exc.node_index, exc.time))
                 continue
             dist = solution_distance(sol_wz, sol_true, cfg.p)
             out[:, col] = (dist.sup, dist.pvar, dist.remainder_qvar)
@@ -552,7 +573,6 @@ def run_solution_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
     names = ["sup", "pvar", "remainder_qvar"]
     per_seed = _seed_tables(cfg, names, one_seed)
     deltas = [dp.delta for dp in dps]
-    n_blowups = int(np.sum(~np.isfinite(per_seed["sup"])))
     rate_gap = cfg.H - cfg.beta_prime
     predicted = {name: rate_gap for name in names}
     summaries, rows = _summarize(cfg, names, per_seed, deltas, predicted)
@@ -575,8 +595,8 @@ def run_solution_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
     gates.append(
         GateResult(
             name="no_blowups",
-            passed=n_blowups == 0,
-            value=float(n_blowups),
+            passed=not blowups,
+            value=float(len(blowups)),
             tolerance="solver blow-up count == 0",
             sample_size=cfg.n_seeds * n_delta,
         )
@@ -587,7 +607,7 @@ def run_solution_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
         metrics=tuple(summaries),
         gates=tuple(gates),
         rows=tuple(rows),
-        n_blowups=n_blowups,
+        blowups=tuple(blowups),
         runtime_seconds=time.perf_counter() - t0,
     )
 
@@ -709,8 +729,15 @@ def _config_from_file(path: str) -> dict:
     return raw
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Argument errors print one `error:` line, without the usage block, and exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="roughwz",
         description="Convergence experiments for the smooth-noise approximation.",
     )

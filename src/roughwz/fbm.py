@@ -31,7 +31,6 @@ __all__ = [
     "GridAlignmentError",
     "fbm_covariance",
     "path_rng",
-    "sample_fbm",
     "wiener_shift",
 ]
 
@@ -262,11 +261,6 @@ class FbmSampler:
         for i in range(n_paths):
             out[i] = self._values(start_counter + i)
         return out
-
-
-def sample_fbm(grid: TimeGrid, params: FbmParams, counter: int = 0) -> SamplePath:
-    """One exact draw; for repeated draws on one grid use FbmSampler."""
-    return FbmSampler(grid, params).sample(counter)
 
 
 # ---------------------------------------------------------------------------

@@ -30,14 +30,10 @@ from .fbm import SamplePath, TimeGrid
 __all__ = [
     "GridRoughPath",
     "Level2Value",
-    "SigmaConcavityReport",
     "chen_combine",
     "geometricity_residual",
-    "geometricity_defect_entrywise",
     "lift_left_riemann",
     "lift_smooth_quadrature",
-    "reconstruct",
-    "sigma_concavity_check",
 ]
 
 _TIME_TOL = 1e-9
@@ -157,24 +153,9 @@ def chen_combine(
     return Level2Value(a.s, b.t, a.matrix + b.matrix + np.outer(x_su, x_ut))
 
 
-def reconstruct(rp: GridRoughPath, s: float, t: float) -> tuple[np.ndarray, Level2Value]:
-    """Level-1 increment and level-2 block over the node pair (s, t)."""
-    i = rp.grid.index_of(s)
-    j = rp.grid.index_of(t)
-    if j < i:
-        raise ValueError(f"need s <= t, got s={s}, t={t}")
-    return rp.level1(i, j), Level2Value(s, t, rp.level2(i, j))
-
-
 # ---------------------------------------------------------------------------
 # lifts
 # ---------------------------------------------------------------------------
-
-
-def _geometric_completion(inc1: np.ndarray, area: np.ndarray | None = None) -> np.ndarray:
-    """Per-interval level-2 data with exact symmetric part inc (x) inc / 2."""
-    sym = 0.5 * inc1[:, :, None] * inc1[:, None, :]
-    return sym if area is None else sym + area
 
 
 def lift_left_riemann(path: SamplePath) -> GridRoughPath:
@@ -194,32 +175,26 @@ def lift_left_riemann(path: SamplePath) -> GridRoughPath:
     return GridRoughPath(path.grid, inc1, inc2)
 
 
-def lift_smooth_quadrature(path: SamplePath, derivative: np.ndarray | None = None) -> GridRoughPath:
+def lift_smooth_quadrature(path: SamplePath, derivative: np.ndarray) -> GridRoughPath:
     """Lift of a C^1 path from derivative samples at the nodes.
 
     The symmetric part of each per-interval block is the exact geometric
     identity inc (x) inc / 2; the antisymmetric part is the trapezoid rule
     for int_{t_k}^{t_{k+1}} X_{t_k, r} (x) dX_r, whose integrand vanishes
     at the left endpoint.  Exact for linear paths, second order in the mesh
-    for smooth ones.  Without derivative samples, central differences of
-    the values are used (one-sided at the ends).
+    for smooth ones.
     """
     v = path.values
     h = path.grid.h
-    if derivative is None:
-        derivative = np.gradient(v, h, axis=0)
-    else:
-        derivative = np.asarray(derivative, dtype=float)
-        if derivative.ndim == 1:
-            derivative = derivative[:, None]
-        if derivative.shape != v.shape:
-            raise ValueError(
-                f"derivative shape {derivative.shape} does not match values {v.shape}"
-            )
+    derivative = np.asarray(derivative, dtype=float)
+    if derivative.ndim == 1:
+        derivative = derivative[:, None]
+    if derivative.shape != v.shape:
+        raise ValueError(f"derivative shape {derivative.shape} does not match values {v.shape}")
     inc1 = np.diff(v, axis=0)
     trap = 0.5 * h * (inc1[:, :, None] * derivative[1:, None, :])
     area = 0.5 * (trap - np.swapaxes(trap, 1, 2))
-    return GridRoughPath(path.grid, inc1, _geometric_completion(inc1, area))
+    return GridRoughPath(path.grid, inc1, 0.5 * inc1[:, :, None] * inc1[:, None, :] + area)
 
 
 # ---------------------------------------------------------------------------
@@ -227,95 +202,14 @@ def lift_smooth_quadrature(path: SamplePath, derivative: np.ndarray | None = Non
 # ---------------------------------------------------------------------------
 
 
-def _defect_prefix(rp: GridRoughPath) -> np.ndarray:
-    """Prefix sums of the per-interval symmetric defects (they add over pairs)."""
+def geometricity_residual(rp: GridRoughPath) -> float:
+    """max over node pairs and entries of |Sym(X2)_{s,t} - (X1 (x) X1)_{s,t} / 2|.
+
+    The per-interval symmetric defects add over node pairs, so every pair's
+    defect is a difference of their prefix sums.
+    """
     sym = 0.5 * (rp.inc2 + np.swapaxes(rp.inc2, 1, 2))
     defect = sym - 0.5 * rp.inc1[:, :, None] * rp.inc1[:, None, :]
-    out = np.zeros((rp.grid.n_nodes, rp.d, rp.d))
-    np.cumsum(defect, axis=0, out=out[1:])
-    return out
-
-
-def geometricity_defect_entrywise(rp: GridRoughPath) -> np.ndarray:
-    """Per entry: max over node pairs of |Sym(X2)_{s,t} - (X1 (x) X1)_{s,t} / 2|."""
-    p = _defect_prefix(rp)
-    return p.max(axis=0) - p.min(axis=0)
-
-
-def geometricity_residual(rp: GridRoughPath) -> float:
-    """Largest entry of the symmetric defect over all node pairs."""
-    return float(geometricity_defect_entrywise(rp).max())
-
-
-@dataclass(frozen=True)
-class SigmaConcavityReport:
-    """Empirical increment variances on a lag set, with shape diagnostics.
-
-    Estimates sigma^2(u) = E |x_{t+u} - x_t|^2 per component, pooled over
-    all valid grid positions t, with the path ensemble supplying the
-    averaging.  Violations are lag indices where monotonicity (sigma^2
-    non-decreasing) or concavity (difference quotients non-increasing)
-    fails by more than `tolerance_sd` standard errors.  Diagnostic only; no
-    pass or fail is implied.
-    """
-
-    lags: np.ndarray
-    sigma2: np.ndarray
-    stderr: np.ndarray
-    n_paths: int
-    monotonicity_violations: tuple[int, ...]
-    concavity_violations: tuple[int, ...]
-    tolerance_sd: float
-
-
-def sigma_concavity_check(
-    values: np.ndarray,
-    grid: TimeGrid,
-    lag_multiples: "list[int] | np.ndarray",
-    tolerance_sd: float = 4.0,
-) -> SigmaConcavityReport:
-    """Increment-variance shape diagnostic for an ensemble on one grid.
-
-    values has shape (n_paths, n_nodes, d) with n_paths >= 1000 so the
-    standard errors are meaningful; components are pooled.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 3 or values.shape[1] != grid.n_nodes:
-        raise ValueError(f"expected (n_paths, {grid.n_nodes}, d) ensemble, got {values.shape}")
-    n_paths = values.shape[0]
-    if n_paths < 1000:
-        raise ValueError(f"need at least 1000 paths for stable variance estimates, got {n_paths}")
-    lag_multiples = np.asarray(lag_multiples, dtype=int)
-    if np.any(lag_multiples < 1) or np.any(lag_multiples > grid.n_steps):
-        raise ValueError(f"lag multiples must lie in [1, {grid.n_steps}]")
-
-    sigma2 = np.empty(len(lag_multiples))
-    stderr = np.empty(len(lag_multiples))
-    for idx, k in enumerate(lag_multiples):
-        sq = (values[:, k:, :] - values[:, :-k, :]) ** 2
-        per_path = sq.mean(axis=(1, 2))  # pooled over positions and components
-        sigma2[idx] = per_path.mean()
-        stderr[idx] = per_path.std(ddof=1) / np.sqrt(n_paths)
-
-    lags = lag_multiples * grid.h
-    mono = tuple(
-        int(i + 1)
-        for i in range(len(lags) - 1)
-        if sigma2[i + 1] < sigma2[i] - tolerance_sd * (stderr[i] + stderr[i + 1])
-    )
-    slopes = np.diff(sigma2) / np.diff(lags)
-    slope_err = (stderr[:-1] + stderr[1:]) / np.diff(lags)
-    concave = tuple(
-        int(i + 1)
-        for i in range(len(slopes) - 1)
-        if slopes[i + 1] > slopes[i] + tolerance_sd * (slope_err[i] + slope_err[i + 1])
-    )
-    return SigmaConcavityReport(
-        lags=lags,
-        sigma2=sigma2,
-        stderr=stderr,
-        n_paths=n_paths,
-        monotonicity_violations=mono,
-        concavity_violations=concave,
-        tolerance_sd=tolerance_sd,
-    )
+    prefix = np.zeros((rp.grid.n_nodes, rp.d, rp.d))
+    np.cumsum(defect, axis=0, out=prefix[1:])
+    return float((prefix.max(axis=0) - prefix.min(axis=0)).max())

@@ -39,9 +39,7 @@ from .lift import GridRoughPath
 
 __all__ = [
     "BlockFunction",
-    "RhoVar2DResult",
     "StoppingTimes",
-    "VariationParams",
     "block_variation",
     "greedy_stopping_times",
     "holder_seminorm",
@@ -52,37 +50,10 @@ __all__ = [
     "pvar_seminorm",
     "rho_alpha_metric",
     "rho_pvar_metric",
-    "rho_var_2d",
 ]
 
 # block(i_lo, j) -> blocks over (i, j) for i in [i_lo, j), shape (j - i_lo, ...).
 BlockFunction = Callable[[int, int], np.ndarray]
-
-
-@dataclass(frozen=True)
-class VariationParams:
-    """Exponent bundle: level-1 p, level-2 q = p/2, Hoelder alpha, 2D rho."""
-
-    p: float
-    alpha: float | None = None
-    rho: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.p < 1.0:
-            raise ValueError(f"p must be >= 1, got {self.p}")
-        if self.alpha is not None and not (1.0 / 3.0 < self.alpha < 0.5):
-            raise ValueError(f"alpha must lie in (1/3, 1/2), got {self.alpha}")
-        if not (1.0 <= self.rho < 2.0):
-            raise ValueError(f"rho must lie in [1, 2), got {self.rho}")
-
-    @property
-    def q(self) -> float:
-        return self.p / 2.0
-
-    @classmethod
-    def from_holder(cls, alpha: float, rho: float = 1.0) -> "VariationParams":
-        """p = 1/alpha, the variation exponent matching Hoelder regularity alpha."""
-        return cls(p=1.0 / alpha, alpha=alpha, rho=rho)
 
 
 # ---------------------------------------------------------------------------
@@ -236,106 +207,6 @@ def rho_pvar_metric(a: GridRoughPath, b: GridRoughPath, p: float) -> float:
     _check_same_layout(a, b)
     lvl1 = pvar_seminorm(a.values - b.values, p)
     return lvl1 + pvar_level2_distance(a, b, p / 2.0)
-
-
-# ---------------------------------------------------------------------------
-# 2D rho-variation of a covariance
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RhoVar2DResult:
-    """Value of the 2D rho-variation; exact only for small node counts."""
-
-    value: float
-    exact: bool
-    rho: float
-
-
-def _rect_cost_table(k_mat: np.ndarray, bounds: np.ndarray, rho: float) -> np.ndarray:
-    """c[u, v] = sum_j |R([u, v] x B_j)|^rho for blocks B_j given by bounds."""
-    cols = k_mat[:, bounds[1:]] - k_mat[:, bounds[:-1]]  # (n, n_blocks)
-    rect = cols[None, :, :] - cols[:, None, :]  # (n, n, n_blocks): rect[u, v, j]
-    return (np.abs(rect) ** rho).sum(axis=2)
-
-
-def _dp_from_cost(c: np.ndarray) -> tuple[float, np.ndarray]:
-    """Max partition sum over one axis plus the maximising node set."""
-    n = c.shape[0] - 1
-    best = np.zeros(n + 1)
-    arg = np.zeros(n + 1, dtype=int)
-    for j in range(1, n + 1):
-        cand = best[:j] + c[:j, j]
-        arg[j] = int(np.argmax(cand))
-        best[j] = cand[arg[j]]
-    nodes = [n]
-    while nodes[-1] > 0:
-        nodes.append(int(arg[nodes[-1]]))
-    return float(best[n]), np.array(nodes[::-1], dtype=int)
-
-
-_EXACT_2D_NODE_LIMIT = 12
-
-
-def rho_var_2d(
-    cov, times: np.ndarray, rho: float = 1.0, exact: bool | None = None
-) -> RhoVar2DResult:
-    """2D rho-variation of a covariance over the square window of a node set.
-
-    cov is either a broadcasting callable R(s, t) or a precomputed node
-    matrix.  The value is  sup_{P, P'} ( sum |R(rect)|^rho )^{1/rho}  over
-    pairs of partitions.  Up to 12 nodes the sup is exact: the first
-    partition is enumerated and the second optimised by dynamic
-    programming.  Beyond that a coordinate-ascent sweep between the two
-    axes is used and the result is a certified lower bound (exact=False).
-    """
-    if not 1.0 <= rho < 2.0:
-        raise ValueError(f"rho must lie in [1, 2), got {rho}")
-    times = np.asarray(times, dtype=float)
-    n_nodes = len(times)
-    if n_nodes < 2:
-        raise ValueError("need at least 2 nodes")
-    k_mat = cov(times[:, None], times[None, :]) if callable(cov) else np.asarray(cov, dtype=float)
-    if k_mat.shape != (n_nodes, n_nodes):
-        raise ValueError(f"covariance matrix must be ({n_nodes}, {n_nodes}), got {k_mat.shape}")
-
-    if exact is None:
-        exact = n_nodes <= _EXACT_2D_NODE_LIMIT
-    n = n_nodes - 1
-
-    if exact:
-        if n_nodes > _EXACT_2D_NODE_LIMIT + 4:
-            raise ValueError(f"exact mode is infeasible beyond {_EXACT_2D_NODE_LIMIT + 4} nodes")
-        # Enumerate partitions of one axis; the inner sup over the other
-        # axis is a plain partition optimisation, which the DP solves
-        # exactly, so the overall sup is exact.
-        interior = n_nodes - 2
-        best = 0.0
-        for mask in range(1 << interior):
-            bounds = [0]
-            bounds.extend(i + 1 for i in range(interior) if mask >> i & 1)
-            bounds.append(n)
-            c = _rect_cost_table(k_mat, np.asarray(bounds), rho)
-            val, _ = _dp_from_cost(c)
-            best = max(best, val)
-        return RhoVar2DResult(best ** (1.0 / rho), True, rho)
-
-    # Coordinate ascent from the finest partition: fix the partition of one
-    # axis, optimise the other exactly, swap roles (transposing so the DP
-    # axis alternates).  The value never decreases, so this is a certified
-    # lower bound of the sup.
-    bounds = np.arange(n_nodes)
-    k_use = k_mat
-    best = 0.0
-    for sweep in range(6):
-        c = _rect_cost_table(k_use, bounds, rho)
-        val, bounds = _dp_from_cost(c)
-        k_use = k_use.T
-        if sweep > 0 and val <= best * (1.0 + 1e-12):
-            best = max(best, val)
-            break
-        best = max(best, val)
-    return RhoVar2DResult(best ** (1.0 / rho), False, rho)
 
 
 # ---------------------------------------------------------------------------

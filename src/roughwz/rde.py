@@ -112,20 +112,6 @@ class VectorField:
     def drift(self, y: np.ndarray) -> np.ndarray:
         return self.a_mat @ y + self.f(y)
 
-    def check_gubinelli_derivative(self, points: np.ndarray, step: float = 1e-6) -> float:
-        """Max relative error of dg against central differences of g."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        worst = 0.0
-        for y in points:
-            ana = self.dg(y)
-            scale = max(1.0, float(np.abs(ana).max()))
-            for e in range(self.m):
-                bump = np.zeros(self.m)
-                bump[e] = step
-                num = (self.g(y + bump) - self.g(y - bump)) / (2.0 * step)
-                worst = max(worst, float(np.abs(ana[:, :, e] - num).max()) / scale)
-        return worst
-
 
 def _sin_g_field(m: int, d: int, amp: float, drift: float) -> VectorField:
     phase = 2.0 * math.pi * np.arange(m * d).reshape(m, d) / (m * d + 1)

@@ -9,8 +9,7 @@ difference quotient  G_delta(t) = (w(t + delta) - w(t)) / delta:
 evaluated by trapezoid quadrature on the grid, which is exact for piecewise
 linear w, vanishes at t = 0 and needs the path on the extended window
 [t_min, t_max + delta].  Its level-2 enhancement is the quadrature lift
-driven by the derivative samples G_delta, and  X_delta = w - W_delta  is
-the approximation residual.
+driven by the derivative samples G_delta.
 
 All widths are exact grid multiples so that every delta of a ladder acts
 on one shared sampled path and comparisons across deltas are paired.
@@ -30,7 +29,6 @@ __all__ = [
     "g_delta",
     "w_delta",
     "ww_delta",
-    "x_delta",
 ]
 
 
@@ -71,26 +69,15 @@ def _check_width(path: SamplePath, dp: DeltaParam) -> int:
     return k
 
 
-def g_delta(path: SamplePath, dp: DeltaParam, t: float | None = None) -> np.ndarray:
-    """Difference quotient (w(t + delta) - w(t)) / delta.
+def g_delta(path: SamplePath, dp: DeltaParam) -> np.ndarray:
+    """Difference quotient (w(t + delta) - w(t)) / delta at every valid node.
 
-    Without t, returns the quotient at every valid node: row i is the value
-    at node i of the path's grid, covering nodes 0 .. n_steps - multiple,
-    i.e. the grid of w_delta(path, dp).  With t, returns the single d-vector
-    at that node; t + delta must stay inside the sampled domain.
+    Row i is the value at node i of the path's grid, covering nodes
+    0 .. n_steps - multiple, i.e. the grid of w_delta(path, dp).
     """
     k = _check_width(path, dp)
     v = path.values
-    quot = (v[k:] - v[:-k]) / dp.delta
-    if t is None:
-        return quot
-    i = path.grid.index_of(t)
-    if i >= len(quot):
-        raise ValueError(
-            f"t + delta = {t + dp.delta} is outside the sampled domain "
-            f"[{path.grid.t_min}, {path.grid.t_max}]"
-        )
-    return quot[i]
+    return (v[k:] - v[:-k]) / dp.delta
 
 
 def w_delta(path: SamplePath, dp: DeltaParam) -> SamplePath:
@@ -116,9 +103,3 @@ def ww_delta(path: SamplePath, dp: DeltaParam) -> GridRoughPath:
     """Level-2 enhancement of W_delta: quadrature lift with derivative G_delta."""
     w = w_delta(path, dp)
     return lift_smooth_quadrature(w, g_delta(path, dp))
-
-
-def x_delta(path: SamplePath, dp: DeltaParam) -> SamplePath:
-    """Residual path w - W_delta on the grid of W_delta."""
-    w = w_delta(path, dp)
-    return SamplePath(w.grid, path.values[: len(w.values)] - w.values)

@@ -128,25 +128,6 @@ def table_pvar_brute(table: np.ndarray, p: float) -> float:
     return float(sums.max() ** (1.0 / p))
 
 
-def rho_var_2d_brute(cov, times: np.ndarray, rho: float) -> float:
-    """2D rho-variation of a covariance by enumerating partition pairs."""
-    n = len(times) - 1
-
-    def rect(si, ti, ui, vi):
-        s, t, u, v = times[si], times[ti], times[ui], times[vi]
-        return cov(t, v) - cov(t, u) - cov(s, v) + cov(s, u)
-
-    best = 0.0
-    for part_a in partitions_between(0, n):
-        for part_b in partitions_between(0, n):
-            total = 0.0
-            for si, ti in zip(part_a[:-1], part_a[1:]):
-                for ui, vi in zip(part_b[:-1], part_b[1:]):
-                    total += abs(rect(si, ti, ui, vi)) ** rho
-            best = max(best, total)
-    return best ** (1.0 / rho)
-
-
 def homogeneous_brute(values: np.ndarray, block, p: float, i: int, j: int) -> float:
     v1 = pvar_brute(values, p, i, j)
     v2 = pvar2_brute(block, p / 2.0, i, j)

@@ -19,6 +19,7 @@ from roughwz.expcli import (
     run_suite,
 )
 from roughwz.fbm import CovarianceFactorizationError
+from roughwz.rde import SolverBlowUpError, solve_rde
 
 TINY_STOPPING = dict(experiment="stopping", n_seeds=6, grid_n=256, delta_ladder=(8, 4, 2))
 
@@ -71,6 +72,15 @@ class TestConfigValidation:
             ("field_name", {"field_name": "linear-g", "d": 1, "m": 2}),
             ("H", {"experiment": "stopping", "H": "0.4"}),
             ("n_seeds", {"n_seeds": True}),
+            ("fixed_time", {"experiment": "noise", "fixed_time": math.nan}),
+            ("y0", {"y0": (math.nan, 0.0)}),
+            ("eta", {"experiment": "stopping", "eta": math.nan}),
+            ("eta", {"experiment": "stopping", "eta": 1e-300}),
+            ("eta", {"experiment": "stopping", "eta": 1e300}),
+            ("sup_ceiling", {"sup_ceiling": math.nan}),
+            ("q_moment", {"q_moment": math.inf}),
+            ("t_max", {"t_max": 10**400}),
+            ("beta", {"beta": math.nan}),
         ],
     )
     def test_each_field_is_guarded(self, field, kwargs):
@@ -155,6 +165,37 @@ class TestReports:
         assert "no_blowups" in names and "smallest_delta_sup_ceiling" in names
         assert [m.metric for m in rep.metrics] == ["sup", "pvar", "remainder_qvar"]
 
+    def test_solution_report_records_blowups(self, monkeypatch, tmp_path):
+        # Per seed the runner solves the true lift first, then one driver
+        # per delta: the fifth solve is seed 1 at the first delta.
+        calls = []
+
+        def solve_or_blow_up(vf, rp, y0):
+            calls.append(rp)
+            if len(calls) == 5:
+                raise SolverBlowUpError(7, float(rp.grid.times[7]))
+            return solve_rde(vf, rp, y0)
+
+        monkeypatch.setattr("roughwz.expcli.solve_rde", solve_or_blow_up)
+        cfg = ExperimentConfig(
+            experiment="solution", n_seeds=2, grid_n=64, delta_ladder=(4, 2), out_dir=str(tmp_path)
+        )
+        rep = run_suite(cfg)
+        delta = 4 * cfg.grid.h
+        assert len(calls) == 6
+        assert rep.blowups == ((1, delta, 7, cfg.grid.times[7]),)
+        assert rep.n_blowups == 1
+        gate = next(g for g in rep.gates if g.name == "no_blowups")
+        assert not gate.passed and gate.value == 1.0
+        doc = json.loads((tmp_path / "solution.json").read_text())
+        record = {"seed": 1, "delta": delta, "node": 7, "time": cfg.grid.times[7]}
+        assert doc["blowups"] == [record]
+        assert doc["n_blowups"] == 1
+        lines = (tmp_path / "solution.csv").read_text().splitlines()[1:]
+        blown = [ln for ln in lines if ln.startswith(f"1,{delta!r},")]
+        assert [ln.rsplit(",", 1)[1] for ln in blown] == ["nan", "nan", "nan"]
+        assert sum(ln.endswith(",nan") for ln in lines) == 3
+
     def test_noise_report_predictions(self):
         cfg = ExperimentConfig(experiment="noise", n_seeds=30, grid_n=256, delta_ladder=(8, 4, 2))
         rep = run_noise_convergence(cfg)
@@ -175,9 +216,9 @@ class TestReports:
         assert "out_dir" not in doc["config"]
         assert doc["runtime"] == {"seconds": rep.runtime_seconds}
         assert all(g["failing_seeds"] == () for g in doc["gates"])
-        stripped = rep.to_json_dict(include_runtime=False)
-        assert "runtime" not in stripped
-        json.dumps(stripped)  # must be serializable as-is
+        assert doc["blowups"] == [] and doc["n_blowups"] == 0
+        del doc["runtime"]
+        json.dumps(doc)  # the deterministic body must be serializable as-is
 
 
 class TestSuiteOutputs:
@@ -277,7 +318,31 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["--experiment", "stopping", "--threads", "2"])
         assert exc.value.code == 2
-        assert "--threads" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--threads" in err
+
+    @pytest.mark.parametrize(
+        "argv, culprit",
+        [
+            (["--experiment", "stopping", "--bogus"], "--bogus"),
+            (["--experiment", "stopping", "--seeds", "x"], "'x'"),
+            (["--experiment", "nope"], "'nope'"),
+        ],
+    )
+    def test_argument_errors_print_one_line(self, capsys, argv, culprit):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert culprit in err
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: roughwz")
 
     def test_missing_experiment_is_usage_error(self, capsys):
         assert main([]) == 2
@@ -352,6 +417,7 @@ class TestCli:
             ("delta_ladder", {"delta_ladder": 5}),
             ("n_seeds", {"n_seeds": 2.5}),
             ("master_seed", {**TINY_STOPPING, "delta_ladder": [8, 4, 2], "master_seed": -1}),
+            ("fixed_time", {"fixed_time": math.nan}),
         ],
     )
     def test_bad_config_file_value_is_usage_error(self, capsys, tmp_path, name, fields):

@@ -11,7 +11,6 @@ from roughwz.fbm import (
     TimeGrid,
     fbm_covariance,
     path_rng,
-    sample_fbm,
     wiener_shift,
 )
 
@@ -182,7 +181,7 @@ class TestSampler:
 
     def test_components_are_independent_draws(self):
         g = TimeGrid(0.0, 1.0, 8)
-        p = sample_fbm(g, FbmParams(H=0.5, d=3, seed=1))
+        p = FbmSampler(g, FbmParams(H=0.5, d=3, seed=1)).sample(0)
         assert p.values.shape == (9, 3)
         assert not np.allclose(p.values[:, 0], p.values[:, 1])
 
@@ -212,7 +211,7 @@ class TestSampler:
 class TestWienerShift:
     def test_shift_is_increment_recentring(self):
         g = TimeGrid(-1.0, 1.0, 8)
-        p = sample_fbm(g, FbmParams(H=0.45, d=2, seed=5), counter=3)
+        p = FbmSampler(g, FbmParams(H=0.45, d=2, seed=5)).sample(3)
         sh = wiener_shift(p, 0.5)
         i0 = g.index_of(0.5)
         assert sh.grid.t_min == pytest.approx(-1.5)
@@ -221,19 +220,19 @@ class TestWienerShift:
 
     def test_zero_shift_is_identity(self):
         g = TimeGrid(-1.0, 1.0, 8)
-        p = sample_fbm(g, FbmParams(H=0.4, d=1, seed=6))
+        p = FbmSampler(g, FbmParams(H=0.4, d=1, seed=6)).sample(0)
         sh = wiener_shift(p, 0.0)
         assert np.array_equal(sh.values, p.values)
 
     def test_off_grid_shift_rejected(self):
         g = TimeGrid(-1.0, 1.0, 8)
-        p = sample_fbm(g, FbmParams(H=0.4, d=1, seed=6))
+        p = FbmSampler(g, FbmParams(H=0.4, d=1, seed=6)).sample(0)
         with pytest.raises(GridAlignmentError):
             wiener_shift(p, 0.3)
 
     def test_two_shifts_compose(self):
         g = TimeGrid(-2.0, 2.0, 16)
-        p = sample_fbm(g, FbmParams(H=0.45, d=1, seed=9))
+        p = FbmSampler(g, FbmParams(H=0.45, d=1, seed=9)).sample(0)
         once = wiener_shift(wiener_shift(p, 0.5), 0.25)
         both = wiener_shift(p, 0.75)
         assert once.grid.t_min == pytest.approx(both.grid.t_min)

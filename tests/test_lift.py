@@ -3,17 +3,14 @@
 import numpy as np
 import pytest
 
-from roughwz.fbm import FbmParams, FbmSampler, GridAlignmentError, SamplePath, TimeGrid
+from roughwz.fbm import SamplePath, TimeGrid
 from roughwz.lift import (
     GridRoughPath,
     Level2Value,
     chen_combine,
-    geometricity_defect_entrywise,
     geometricity_residual,
     lift_left_riemann,
     lift_smooth_quadrature,
-    reconstruct,
-    sigma_concavity_check,
 )
 
 from oracles import chen_fold, fit_slope, level2_ordered_pairs
@@ -41,6 +38,11 @@ def monomial_pair_path(n):
     grid = TimeGrid(0.0, 1.0, n)
     r = grid.times
     return SamplePath(grid, np.column_stack([r, r**2]))
+
+
+def monomial_pair_derivative(path):
+    """(1, 2r) at the nodes of monomial_pair_path."""
+    return np.column_stack([np.ones(path.grid.n_nodes), 2 * path.grid.times])
 
 
 class TestChenReconstruction:
@@ -78,16 +80,6 @@ class TestChenReconstruction:
         x = np.zeros(2)
         with pytest.raises(ValueError):
             chen_combine(Level2Value(0.0, 0.3, m), Level2Value(0.4, 1.0, m), x, x)
-
-    def test_reconstruct_at_times(self):
-        rng = np.random.default_rng(3)
-        rp = random_rough_path(rng, n=8)
-        x, lv = reconstruct(rp, 0.25, 0.875)
-        assert np.allclose(x, rp.level1(2, 7), atol=1e-15)
-        assert np.allclose(lv.matrix, rp.level2(2, 7), atol=1e-15)
-        assert (lv.s, lv.t) == (0.25, 0.875)
-        with pytest.raises(GridAlignmentError):
-            reconstruct(rp, 0.1, 0.875)
 
     def test_block_and_gap_views_agree(self):
         rng = np.random.default_rng(4)
@@ -130,8 +122,7 @@ class TestLeftRiemannLift:
     def test_generic_blocks_have_nonzero_defect(self):
         rng = np.random.default_rng(8)
         rp = random_rough_path(rng, n=10, d=2)
-        defect = geometricity_defect_entrywise(rp)
-        assert defect.max() > 0.1
+        assert geometricity_residual(rp) > 0.1
         # Defect of one step recomputed directly.
         a = rp.level2(3, 4)
         x = rp.level1(3, 4)
@@ -150,7 +141,8 @@ class TestLeftRiemannLift:
 
 class TestQuadratureLift:
     def test_exact_on_linear_paths(self):
-        rp = lift_smooth_quadrature(linear_path([2.0, 5.0]))
+        path = linear_path([2.0, 5.0])
+        rp = lift_smooth_quadrature(path, np.broadcast_to([2.0, 5.0], path.values.shape))
         n = rp.n_steps
         assert np.allclose(rp.level1(0, n), [2.0, 5.0], atol=1e-14)
         # X^{ab} = v^a v^b / 2 for straight lines.
@@ -161,36 +153,14 @@ class TestQuadratureLift:
         ns = [32, 64, 128, 256]
         for n in ns:
             path = monomial_pair_path(n)
-            deriv = np.column_stack([np.ones(n + 1), 2 * path.grid.times])
-            rp = lift_smooth_quadrature(path, derivative=deriv)
+            rp = lift_smooth_quadrature(path, monomial_pair_derivative(path))
             errs12.append(abs(rp.level2(0, n)[0, 1] - 2.0 / 3.0))
             errs21.append(abs(rp.level2(0, n)[1, 0] - 1.0 / 3.0))
         assert fit_slope([1.0 / n for n in ns], errs12) > 1.9
         assert fit_slope([1.0 / n for n in ns], errs21) > 1.9
         assert errs12[-1] < 1e-5
 
-    def test_gradient_fallback_close_to_supplied_derivative(self):
-        path = monomial_pair_path(128)
-        with_fd = lift_smooth_quadrature(path)
-        assert abs(with_fd.level2(0, 128)[0, 1] - 2.0 / 3.0) < 1e-4
-
     def test_exactly_geometric_too(self):
-        rp = lift_smooth_quadrature(monomial_pair_path(64))
+        path = monomial_pair_path(64)
+        rp = lift_smooth_quadrature(path, monomial_pair_derivative(path))
         assert geometricity_residual(rp) == 0.0
-
-
-def test_sigma_concavity_on_fbm_ensemble():
-    grid = TimeGrid(0.0, 1.0, 16)
-    vals = FbmSampler(grid, FbmParams(H=0.45, d=1, seed=4)).sample_values(2000)
-    rep = sigma_concavity_check(vals, grid, [1, 2, 4, 8])
-    assert rep.monotonicity_violations == ()
-    assert rep.concavity_violations == ()
-    assert rep.n_paths == 2000
-    # sigma^2(kh) = (kh)^{2H} for stationary-increment sampling.
-    expected = (np.array([1, 2, 4, 8]) * grid.h) ** 0.9
-    assert np.allclose(rep.sigma2, expected, rtol=0.1)
-
-
-def test_sigma_concavity_needs_large_ensemble():
-    with pytest.raises(ValueError):
-        sigma_concavity_check(np.zeros((100, 9, 1)), TimeGrid(0.0, 1.0, 8), [1, 2])

@@ -1,6 +1,7 @@
 """Modules of the package use each other only through public names."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import roughwz
@@ -33,3 +34,36 @@ def test_no_module_imports_private_names_of_another():
     assert len(paths) >= 8
     hits = [hit for path in paths for hit in private_imports(path.read_text(), path.name)]
     assert hits == []
+
+
+def submodules():
+    return [
+        importlib.import_module(f"roughwz.{path.stem}")
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if not path.stem.startswith("__")
+    ]
+
+
+def test_every_exported_name_exists():
+    modules = submodules()
+    assert len(modules) >= 7
+    missing = [
+        f"{mod.__name__}.{name}"
+        for mod in modules
+        for name in mod.__all__
+        if not hasattr(mod, name)
+    ]
+    assert missing == []
+
+
+def test_package_imports_only_exported_names():
+    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert imports
+    unexported = [
+        f"{node.module}.{alias.name}"
+        for node in imports
+        for alias in node.names
+        if alias.name not in importlib.import_module(f"roughwz.{node.module}").__all__
+    ]
+    assert unexported == []

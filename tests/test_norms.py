@@ -1,4 +1,4 @@
-"""Variation norms, metrics, 2D rho-variation and greedy threshold times.
+"""Variation norms, metrics and greedy threshold times.
 
 Every dynamic-programming result is checked against exhaustive partition
 enumeration from oracles.py on instances small enough to enumerate.
@@ -11,7 +11,6 @@ from roughwz.fbm import FbmParams, FbmSampler, SamplePath, TimeGrid
 from roughwz.lift import GridRoughPath, lift_left_riemann
 from roughwz.norms import (
     StoppingTimes,
-    VariationParams,
     block_variation,
     greedy_stopping_times,
     holder_seminorm,
@@ -22,7 +21,6 @@ from roughwz.norms import (
     pvar_seminorm,
     rho_alpha_metric,
     rho_pvar_metric,
-    rho_var_2d,
 )
 
 from oracles import (
@@ -31,7 +29,6 @@ from oracles import (
     pvar2_brute,
     pvar_brute,
     pvar_running_loop,
-    rho_var_2d_brute,
 )
 
 
@@ -43,22 +40,6 @@ def linear_lift(n, t_max=1.0):
 def random_lift(rng, n, d=2):
     vals = np.vstack([np.zeros(d), rng.standard_normal((n, d)).cumsum(axis=0)])
     return lift_left_riemann(SamplePath(TimeGrid(0.0, 1.0, n), vals))
-
-
-class TestVariationParams:
-    def test_q_is_half_p(self):
-        vp = VariationParams(p=2.5)
-        assert vp.q == pytest.approx(1.25)
-
-    def test_from_holder_inverts_alpha(self):
-        vp = VariationParams.from_holder(0.4)
-        assert vp.p == pytest.approx(2.5)
-        assert vp.alpha == pytest.approx(0.4)
-
-    @pytest.mark.parametrize("kwargs", [{"p": 0.5}, {"p": 2, "alpha": 0.6}, {"p": 2, "rho": 2.5}])
-    def test_rejects_out_of_range(self, kwargs):
-        with pytest.raises(ValueError):
-            VariationParams(**kwargs)
 
 
 class TestLevel1Variation:
@@ -227,44 +208,6 @@ class TestRoughMetrics:
             diff = lambda i, j: ra.level2(i, j) - rb.level2(i, j)
             got = pvar_level2_distance(ra, rb, 1.5)
             assert got == pytest.approx(pvar2_brute(diff, 1.5, 0, n), rel=1e-12)
-
-
-class TestRhoVar2D:
-    def test_min_kernel_is_unit(self):
-        res = rho_var_2d(np.minimum, np.linspace(0.0, 1.0, 5))
-        assert res.exact
-        assert res.value == pytest.approx(1.0, rel=1e-12)
-
-    def test_product_kernel_is_unit(self):
-        res = rho_var_2d(lambda s, t: s * t, np.linspace(0.0, 1.0, 5))
-        assert res.value == pytest.approx(1.0, rel=1e-12)
-
-    def test_constant_kernel_vanishes(self):
-        res = rho_var_2d(lambda s, t: np.ones_like(s * t), np.linspace(0.0, 1.0, 5))
-        assert res.value == 0.0
-
-    @pytest.mark.parametrize("rho", [1.0, 1.4])
-    def test_matches_pair_enumeration(self, rho):
-        rng = np.random.default_rng(int(47 * rho))
-        times = np.linspace(0.0, 1.0, 5)
-        mat = rng.standard_normal((5, 5))
-        mat = mat + mat.T
-        cov = lambda s, t: mat[np.asarray(s * 4, int), np.asarray(t * 4, int)]
-        got = rho_var_2d(cov, times, rho=rho)
-        want = rho_var_2d_brute(lambda s, t: float(mat[int(s * 4), int(t * 4)]), times, rho)
-        assert got.exact
-        assert got.value == pytest.approx(want, rel=1e-12)
-
-    def test_large_grids_fall_back_to_lower_bound(self):
-        times = np.linspace(0.0, 1.0, 40)
-        res = rho_var_2d(np.minimum, times)
-        assert not res.exact
-        assert res.value <= 1.0 + 1e-12
-        assert res.value > 0.9
-
-    def test_exact_mode_capped(self):
-        with pytest.raises(ValueError):
-            rho_var_2d(np.minimum, np.linspace(0.0, 1.0, 18), exact=True)
 
 
 class TestGreedyStopping:

@@ -5,7 +5,7 @@ import pytest
 
 from roughwz.fbm import FbmParams, FbmSampler, SamplePath, TimeGrid
 from roughwz.lift import geometricity_residual, lift_left_riemann
-from roughwz.wongzakai import DeltaParam, g_delta, w_delta, ww_delta, x_delta
+from roughwz.wongzakai import DeltaParam, g_delta, w_delta, ww_delta
 
 from oracles import fit_slope, smoothed_value
 
@@ -47,16 +47,6 @@ class TestDifferenceQuotient:
         assert gd.shape == (3, 1)
         assert np.allclose(gd.ravel(), [4.0, 8.0, -4.0])
 
-    def test_single_node_lookup(self):
-        p = hand_path()
-        dp = DeltaParam(1, 0.25)
-        assert g_delta(p, dp, t=0.25) == pytest.approx(8.0)
-
-    def test_out_of_domain_rejected(self):
-        p = hand_path()
-        with pytest.raises(ValueError):
-            g_delta(p, DeltaParam(1, 0.25), t=0.75)
-
     def test_constant_on_linear_paths(self):
         p = linear_path([2.0, -1.0])
         gd = g_delta(p, DeltaParam(4, p.grid.h))
@@ -68,10 +58,6 @@ class TestSmoothing:
         w = w_delta(hand_path(), DeltaParam(1, 0.25))
         assert w.grid.t_max == pytest.approx(0.5)
         assert np.allclose(w.values.ravel(), [0.0, 1.5, 2.0], atol=1e-15)
-
-    def test_residual_hand_case(self):
-        x = x_delta(hand_path(), DeltaParam(1, 0.25))
-        assert np.allclose(x.values.ravel(), [0.0, -0.5, 1.0], atol=1e-15)
 
     def test_anchored_at_zero_exactly(self):
         grid = TimeGrid(-0.5, 1.0, 24)
