@@ -45,7 +45,9 @@ from .norms import (
 )
 from .rde import (
     AprioriBoundReport,
+    BatchSolution,
     ControlledPath,
+    DriverBatch,
     IntegralDistanceReport,
     SolutionDistance,
     SolverBlowUpError,

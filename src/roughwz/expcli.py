@@ -10,10 +10,13 @@ noise      level-1 and metric distances between the smooth approximant
            [0.8 H, 1.2 H]; strict per-seed decrease of the Hoelder-type
            metric along the ladder in >= 90% of seeds.
 solution   distances between the RDE solution driven by the true lift and
-           by the smooth approximant, same noise.  Gates: per-seed decrease
-           of all three distance components in >= 90% of seeds (a metric
-           that is identically zero passes as degenerate); RMS sup distance
-           at the smallest delta below a configured ceiling.
+           by the smooth approximant, same noise.  Per seed the true lift
+           and the ladder's approximants form one DriverBatch: one solve
+           and one batched distance program per part.  Gates: per-seed
+           decrease of all three distance components in >= 90% of seeds (a
+           metric that is identically zero passes as degenerate); RMS sup
+           distance at the smallest delta below a configured ceiling; no
+           solver blow-ups.
 stopping   displacement of the greedy stopping times of the approximant
            against those of the true lift.  Gates: per-seed non-increase of
            the displacement in >= 90% of seeds; the interval-count bound
@@ -31,7 +34,9 @@ metric (columns seed, delta, metric, value, floats via repr), byte-identical
 across re-runs, and a shorter run's CSV is a prefix of a longer one's; and a
 JSON summary (per-delta moments, slopes, gates with their tolerance bands,
 sample sizes and, for the monotone gates, the failing seeds; the seed,
-delta, node and time of every caught solver blow-up; config echo).
+delta, node and time of every caught solver blow-up, delta 0.0 standing
+for the true driver, whose blow-up leaves its seed's rows NaN; config
+echo).
 Wall time lives under the JSON "runtime" key, the single key excluded from
 the reproducibility guarantee.
 """
@@ -67,7 +72,7 @@ from .norms import (
 )
 from .rde import (
     VECTOR_FIELD_CATALOG,
-    SolverBlowUpError,
+    DriverBatch,
     builtin_vector_field,
     solution_distance,
     solve_rde,
@@ -329,7 +334,8 @@ class ConvergenceReport:
     metrics: tuple[MetricSummary, ...]
     gates: tuple[GateResult, ...]
     rows: tuple[tuple[int, float, str, float], ...]
-    # (seed, delta, node, time) of each caught solver blow-up, in run order.
+    # (seed, delta, node, time) of each caught solver blow-up, in run order;
+    # delta 0.0 is the true driver.
     blowups: tuple[tuple[int, float, int, float], ...] = ()
     runtime_seconds: float = 0.0
 
@@ -386,9 +392,11 @@ def fit_loglog_slope(deltas, values) -> tuple[float, float] | None:
 def _monotone_gate(name: str, table: np.ndarray, strict: bool) -> GateResult:
     """Fraction of seeds (rows of a seed x delta table) falling along the ladder.
 
-    A strict gate on an all-zero table passes as degenerate.
+    A strict gate on an all-zero table passes as degenerate; a seed with a
+    NaN or infinite entry fails.
     """
-    steps = np.diff(table, axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        steps = np.diff(table, axis=1)
     ok = np.all(steps < 0.0 if strict else steps <= 0.0, axis=1)
     kind = "strictly decreasing" if strict else "non-increasing"
     tolerance = f"fraction of seeds {kind} >= {_DECREASE_FRACTION}"
@@ -554,21 +562,22 @@ def run_solution_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
     y0 = np.asarray(cfg.y0)
     blowups: list[tuple[int, float, int, float]] = []
 
+    # Batch member 0 is the true lift, member k the k-th delta's approximant.
+    member_deltas = [0.0] + [dp.delta for dp in dps]
+
     def one_seed(idx: int) -> np.ndarray:
         path = sampler.sample(idx)
-        true_lift = lift_left_riemann(path.restrict(0, n))
-        sol_true = solve_rde(vf, true_lift, y0)
-        out = np.full((3, n_delta), np.nan)
-        for col, dp in enumerate(dps):
-            wz_lift = ww_delta(path, dp).restrict(0, n)
-            try:
-                sol_wz = solve_rde(vf, wz_lift, y0)
-            except SolverBlowUpError as exc:
-                blowups.append((idx, dp.delta, exc.node_index, exc.time))
-                continue
-            dist = solution_distance(sol_wz, sol_true, cfg.p)
-            out[:, col] = (dist.sup, dist.pvar, dist.remainder_qvar)
-        return out
+        drivers = DriverBatch(
+            (lift_left_riemann(path.restrict(0, n)),)
+            + tuple(ww_delta(path, dp).restrict(0, n) for dp in dps)
+        )
+        solved = solve_rde(vf, drivers, y0)
+        blowups.extend((idx, member_deltas[k], node, t) for k, node, t in solved.blowups)
+        if any(k == 0 for k, _, _ in solved.blowups):
+            return np.full((3, n_delta), np.nan)
+        # A blown-up approximant's path is NaN, and so are its distances.
+        dists = solution_distance(solved.members(1), solved.member(0), cfg.p)
+        return np.array([[d.sup, d.pvar, d.remainder_qvar] for d in dists]).T
 
     names = ["sup", "pvar", "remainder_qvar"]
     per_seed = _seed_tables(cfg, names, one_seed)
@@ -598,7 +607,7 @@ def run_solution_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
             passed=not blowups,
             value=float(len(blowups)),
             tolerance="solver blow-up count == 0",
-            sample_size=cfg.n_seeds * n_delta,
+            sample_size=cfg.n_seeds * len(member_deltas),
         )
     )
     return ConvergenceReport(

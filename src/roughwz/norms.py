@@ -16,9 +16,11 @@ p-variation program: over nodes i_lo..j the maximal partition sum satisfies
 
 because an optimal partition of [i_lo, j] ends with some block [i, j].  It
 yields best[j] for one right end after another, so greedy stopping can
-exit early; block_variation runs it over a whole node window.  The Hoelder
-sup takes  max |block_{i,j}| / (t_j - t_i)^alpha  over the same blocks, one
-right endpoint at a time.
+exit early; block_variation runs it over a whole node window.  A batched
+block function puts a batch axis right after the pair axis, shape
+(j - i_lo, B, ...); the same program then runs B variations at once.  The
+Hoelder sup takes  max |block_{i,j}| / (t_j - t_i)^alpha  over the same
+blocks, one right endpoint at a time.
 
 The homogeneous rough-path norm combines the levels as
 
@@ -61,18 +63,26 @@ BlockFunction = Callable[[int, int], np.ndarray]
 # ---------------------------------------------------------------------------
 
 
-def _block_norms(blocks: np.ndarray) -> np.ndarray:
-    """Norm of each block along the leading axis, trailing axes flattened."""
-    flat = blocks.reshape(blocks.shape[0], -1)
-    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
+def _block_norms(blocks: np.ndarray, batched: bool = False) -> np.ndarray:
+    """Norm of each block along the pair (and batch) axis, trailing axes flattened."""
+    flat = blocks.reshape(blocks.shape[: 1 + batched] + (-1,))
+    return np.sqrt(np.einsum("...j,...j->...", flat, flat))
 
 
-def partition_sums(block: BlockFunction, p: float, i_lo: int, i_hi: int) -> Iterator[float]:
-    """Yield max over partitions of [i_lo, j] of sum |block|^p for j = i_lo+1, ..., i_hi."""
-    best = np.zeros(i_hi - i_lo + 1)
+def partition_sums(
+    block: BlockFunction, p: float, i_lo: int, i_hi: int, batched: bool = False
+) -> Iterator[float | np.ndarray]:
+    """Yield max over partitions of [i_lo, j] of sum |block|^p for j = i_lo+1, ..., i_hi.
+
+    batched: blocks carry a batch axis after the pair axis, and each yield
+    is the (B,) array of the members' sums.
+    """
     for r in range(1, i_hi - i_lo + 1):
-        best[r] = (best[:r] + _block_norms(block(i_lo, i_lo + r)) ** p).max()
-        yield float(best[r])
+        terms = _block_norms(block(i_lo, i_lo + r), batched) ** p
+        if r == 1:
+            best = np.zeros((i_hi - i_lo + 1,) + terms.shape[1:])
+        best[r] = (best[:r] + terms).max(axis=0)
+        yield best[r] if batched else float(best[r])
 
 
 def _resolve_window(n_steps: int, i_lo: int, i_hi: int | None) -> tuple[int, int]:
@@ -84,11 +94,19 @@ def _resolve_window(n_steps: int, i_lo: int, i_hi: int | None) -> tuple[int, int
 
 
 def block_variation(
-    block: BlockFunction, p: float, n_steps: int, i_lo: int = 0, i_hi: int | None = None
-) -> float:
-    """Exact p-variation of a block function over the node window [i_lo, i_hi]."""
+    block: BlockFunction,
+    p: float,
+    n_steps: int,
+    i_lo: int = 0,
+    i_hi: int | None = None,
+    batched: bool = False,
+) -> float | np.ndarray:
+    """Exact p-variation of a block function over the node window [i_lo, i_hi].
+
+    batched: see partition_sums; the result is then a (B,) array.
+    """
     i_lo, i_hi = _resolve_window(n_steps, i_lo, i_hi)
-    for best in partition_sums(block, p, i_lo, i_hi):
+    for best in partition_sums(block, p, i_lo, i_hi, batched):
         pass
     return best ** (1.0 / p)
 
@@ -128,14 +146,21 @@ def _homogeneous_sums(rp: GridRoughPath, p: float, i_lo: int, i_hi: int) -> Iter
 # ---------------------------------------------------------------------------
 
 
-def pvar_seminorm(values: np.ndarray, p: float) -> float:
-    """Exact p-variation of a discrete path, any dimension."""
+def pvar_seminorm(values: np.ndarray, p: float) -> float | np.ndarray:
+    """Exact p-variation of a discrete path, any dimension.
+
+    An (n, B, d) array holds B paths on the same nodes and gives their B
+    variations as an array, from one batched program.
+    """
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    pts = _as_points(values)
+    pts = np.asarray(values, dtype=float)
+    batched = pts.ndim == 3
+    if not batched:
+        pts = _as_points(pts)
     if len(pts) < 2:
-        return 0.0
-    return block_variation(_increments(pts), p, len(pts) - 1)
+        return np.zeros(pts.shape[1]) if batched else 0.0
+    return block_variation(_increments(pts), p, len(pts) - 1, batched=batched)
 
 
 def pvar_level2(rp: GridRoughPath, q: float, i_lo: int = 0, i_hi: int | None = None) -> float:

@@ -19,7 +19,7 @@ from roughwz.expcli import (
     run_suite,
 )
 from roughwz.fbm import CovarianceFactorizationError
-from roughwz.rde import SolverBlowUpError, solve_rde
+from roughwz.rde import BatchSolution, ControlledPath, solution_distance, solve_rde
 
 TINY_STOPPING = dict(experiment="stopping", n_seeds=6, grid_n=256, delta_ladder=(8, 4, 2))
 
@@ -166,23 +166,28 @@ class TestReports:
         assert [m.metric for m in rep.metrics] == ["sup", "pvar", "remainder_qvar"]
 
     def test_solution_report_records_blowups(self, monkeypatch, tmp_path):
-        # Per seed the runner solves the true lift first, then one driver
-        # per delta: the fifth solve is seed 1 at the first delta.
+        # Per seed the runner solves one batch: the true lift, then one driver
+        # per delta.  Seed 1's first-delta member (member 1) is made to blow up.
         calls = []
 
-        def solve_or_blow_up(vf, rp, y0):
-            calls.append(rp)
-            if len(calls) == 5:
-                raise SolverBlowUpError(7, float(rp.grid.times[7]))
-            return solve_rde(vf, rp, y0)
+        def solve_and_blow_up(vf, drivers, y0):
+            calls.append(drivers)
+            solved = solve_rde(vf, drivers, y0)
+            if len(calls) != 2:
+                return solved
+            path = solved.path
+            values, gub = path.values.copy(), path.gubinelli.copy()
+            values[:, 1] = gub[:, 1] = np.nan
+            blown = ControlledPath(path.grid, values, gub, driver=drivers)
+            return BatchSolution(blown, ((1, 7, float(drivers.grid.times[7])),))
 
-        monkeypatch.setattr("roughwz.expcli.solve_rde", solve_or_blow_up)
+        monkeypatch.setattr("roughwz.expcli.solve_rde", solve_and_blow_up)
         cfg = ExperimentConfig(
             experiment="solution", n_seeds=2, grid_n=64, delta_ladder=(4, 2), out_dir=str(tmp_path)
         )
         rep = run_suite(cfg)
         delta = 4 * cfg.grid.h
-        assert len(calls) == 6
+        assert [len(drivers.members) for drivers in calls] == [3, 3]
         assert rep.blowups == ((1, delta, 7, cfg.grid.times[7]),)
         assert rep.n_blowups == 1
         gate = next(g for g in rep.gates if g.name == "no_blowups")
@@ -195,6 +200,61 @@ class TestReports:
         blown = [ln for ln in lines if ln.startswith(f"1,{delta!r},")]
         assert [ln.rsplit(",", 1)[1] for ln in blown] == ["nan", "nan", "nan"]
         assert sum(ln.endswith(",nan") for ln in lines) == 3
+
+    def test_true_driver_blow_up_fails_the_gate_without_traceback(self, capsys, tmp_path):
+        # y0 near the float limit makes the linear field overflow under the
+        # true lift of seed 1 (and under two approximants, one of seed 1).
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "experiment": "solution",
+                    "field_name": "linear-g",
+                    "d": 2,
+                    "m": 2,
+                    "y0": [1e308, 1e308],
+                    "n_seeds": 2,
+                    "grid_n": 64,
+                    "delta_ladder": [4, 2],
+                    "out_dir": str(tmp_path / "out"),
+                }
+            )
+        )
+        assert main(["--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "[FAIL] solution/no_blowups" in captured.out
+        doc = json.loads((tmp_path / "out" / "solution.json").read_text())
+        true_blowups = [b for b in doc["blowups"] if b["delta"] == 0.0]
+        assert [b["seed"] for b in true_blowups] == [1]
+        assert 1 <= true_blowups[0]["node"] <= 64
+        assert doc["n_blowups"] == len(doc["blowups"])
+        gate = next(g for g in doc["gates"] if g["name"] == "no_blowups")
+        assert not gate["passed"] and gate["sample_size"] == 2 * 3
+        lines = (tmp_path / "out" / "solution.csv").read_text().splitlines()[1:]
+        seed1 = [ln for ln in lines if ln.startswith("1,")]
+        assert len(seed1) == 6 and all(ln.endswith(",nan") for ln in seed1)
+
+    def test_layer_calls_that_the_benchmark_traces_are_reached(self, monkeypatch):
+        # The benchmark's tracer wraps expcli.solve_rde and
+        # expcli.solution_distance by name and counts solver steps from the
+        # n_steps of solve_rde's second argument.
+        seen = {"solve": [], "distance": 0}
+
+        def counting_solve(vf, drivers, y0):
+            seen["solve"].append(drivers.n_steps)
+            return solve_rde(vf, drivers, y0)
+
+        def counting_distance(*args, **kwargs):
+            seen["distance"] += 1
+            return solution_distance(*args, **kwargs)
+
+        monkeypatch.setattr("roughwz.expcli.solve_rde", counting_solve)
+        monkeypatch.setattr("roughwz.expcli.solution_distance", counting_distance)
+        cfg = ExperimentConfig(experiment="solution", n_seeds=2, grid_n=32, delta_ladder=(4, 2))
+        rep = run_suite(cfg)
+        assert seen == {"solve": [32, 32], "distance": 2}
+        assert all(np.isfinite(value) for *_, value in rep.rows)
 
     def test_noise_report_predictions(self):
         cfg = ExperimentConfig(experiment="noise", n_seeds=30, grid_n=256, delta_ladder=(8, 4, 2))

@@ -59,6 +59,21 @@ class TestLevel1Variation:
             vals = rng.standard_normal((n + 1, 2))
             assert pvar_seminorm(vals, p) == pytest.approx(pvar_brute(vals, p), rel=1e-12)
 
+    def test_batched_paths_match_their_own_variations(self):
+        # (n, B, d) holds B paths; each value is that path's own program up
+        # to the final root, which numpy's vector power may round one ulp
+        # away from the scalar power.
+        rng = np.random.default_rng(47)
+        for n, batch in ((1, 1), (8, 3), (30, 6)):
+            vals = rng.standard_normal((n + 1, batch, 2))
+            got = pvar_seminorm(vals, 2.8)
+            assert got.shape == (batch,)
+            for k in range(batch):
+                assert got[k] == pytest.approx(pvar_seminorm(vals[:, k], 2.8), rel=1e-15)
+                if n <= 8:
+                    assert got[k] == pytest.approx(pvar_brute(vals[:, k], 2.8), rel=1e-12)
+        assert np.array_equal(pvar_seminorm(np.zeros((1, 4, 2)), 2.8), np.zeros(4))
+
     def test_p_one_is_total_variation(self):
         rng = np.random.default_rng(41)
         vals = rng.standard_normal((12, 3))
@@ -83,6 +98,44 @@ class TestPartitionSums:
         running = list(partition_sums(rp.level2_block, 1.4, 3, 20))
         for j, best in enumerate(running, 4):
             assert block_variation(rp.level2_block, 1.4, 20, 3, j) == best ** (1.0 / 1.4)
+
+    def test_batched_sums_match_per_member_programs(self):
+        # A batch axis after the pair axis runs one program per member: the
+        # running sums are bit-identical to each member's own program, on
+        # random windows and at both levels.  Only the final root may differ,
+        # by one ulp (numpy's vector power against the scalar power).
+        rng = np.random.default_rng(43)
+        for _ in range(8):
+            n = int(rng.integers(2, 40))
+            i_lo = int(rng.integers(0, n))
+            i_hi = int(rng.integers(i_lo + 1, n + 1))
+            lifts = [random_lift(rng, n) for _ in range(int(rng.integers(1, 7)))]
+            pts = np.stack([rp.values for rp in lifts], axis=1)
+            level1 = (
+                lambda i, j: pts[j] - pts[i:j],
+                lambda rp: lambda i, j: rp.values[j] - rp.values[i:j],
+            )
+            level2 = (
+                lambda i, j: np.stack([rp.level2_block(i, j) for rp in lifts], axis=1),
+                lambda rp: rp.level2_block,
+            )
+            for p, (batched, solo) in ((2.8, level1), (1.4, level2)):
+                got = np.array(list(partition_sums(batched, p, i_lo, i_hi, batched=True)))
+                var = block_variation(batched, p, n, i_lo, i_hi, batched=True)
+                for k, rp in enumerate(lifts):
+                    assert np.array_equal(got[:, k], list(partition_sums(solo(rp), p, i_lo, i_hi)))
+                    want = block_variation(solo(rp), p, n, i_lo, i_hi)
+                    assert var[k] == pytest.approx(want, rel=1e-15)
+
+    def test_batched_variation_matches_enumeration(self):
+        rng = np.random.default_rng(53)
+        lifts = [random_lift(rng, 8) for _ in range(4)]
+        block = lambda i, j: np.stack([rp.level2_block(i, j) for rp in lifts], axis=1)
+        for i_lo, i_hi in ((0, 8), (1, 6), (3, 4)):
+            got = block_variation(block, 1.4, 8, i_lo, i_hi, batched=True)
+            for k, rp in enumerate(lifts):
+                want = pvar2_brute(lambda a, b: rp.level2_block(a, b)[0], 1.4, i_lo, i_hi)
+                assert got[k] == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("window", [(5, 5), (6, 5), (-1, 5), (0, 21)])
     def test_bad_window_rejected(self, window):

@@ -7,10 +7,11 @@ import pytest
 
 from roughwz.fbm import FbmParams, FbmSampler, SamplePath, TimeGrid
 from roughwz.lift import lift_left_riemann, lift_smooth_quadrature
-from roughwz.norms import pvar_seminorm
+from roughwz.norms import block_variation, pvar_seminorm
 from roughwz.rde import (
     VECTOR_FIELD_CATALOG,
     ControlledPath,
+    DriverBatch,
     SolverBlowUpError,
     VectorField,
     apriori_bound_check,
@@ -173,6 +174,65 @@ class TestSolverOracles:
         assert 0.0 < exc.value.time <= 1.0
 
 
+def overflowing_lift(n, node, seed=86):
+    """An fBm lift whose increment into `node` is so large that its level 2 is infinite."""
+    grid = TimeGrid(0.0, 1.0, n)
+    vals = FbmSampler(grid, FbmParams(H=0.45, d=2, seed=seed)).sample(0).values.copy()
+    vals[node:] += 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        return lift_left_riemann(SamplePath(grid, vals))
+
+
+class TestBatchedSolver:
+    # The batched step runs the same numpy operations on stacked states as
+    # the single-driver step does on one state, so results are bit-identical.
+    @pytest.mark.parametrize(
+        "name, m", [("additive", 3), ("drift-only", 2), ("linear-g", 2), ("sin-g", 2), ("sin-g", 3)]
+    )
+    @pytest.mark.parametrize("size", [1, 6])
+    def test_batch_matches_per_driver_solves(self, name, m, size):
+        vf = builtin_vector_field(name, m, 2)
+        y0 = np.linspace(0.4, -0.3, m)
+        members = [fbm_lift(64, seed=85, counter=k) for k in range(size)]
+        solved = solve_rde(vf, DriverBatch(members), y0)
+        assert solved.blowups == ()
+        assert solved.path.values.shape == (65, size, m)
+        for k, rp in enumerate(members):
+            cp = solved.member(k)
+            solo = solve_rde(vf, rp, y0)
+            assert cp.driver is rp
+            assert np.array_equal(cp.values, solo.values)
+            assert np.array_equal(cp.gubinelli, solo.gubinelli)
+
+    def test_blown_up_member_is_masked_and_located(self):
+        vf = builtin_vector_field("linear-g", 2, 2)
+        y0 = np.array([1.0, -0.5])
+        members = [fbm_lift(32, seed=87, counter=k) for k in range(6)]
+        members[3] = overflowing_lift(32, node=12)
+        solved = solve_rde(vf, DriverBatch(members), y0)
+        with pytest.raises(SolverBlowUpError) as exc:
+            solve_rde(vf, members[3], y0)
+        assert exc.value.node_index == 12
+        assert solved.blowups == ((3, exc.value.node_index, exc.value.time),)
+        assert np.isnan(solved.member(3).values).all()
+        assert np.isnan(solved.member(3).gubinelli).all()
+        for k in (0, 1, 2, 4, 5):
+            solo = solve_rde(vf, members[k], y0)
+            assert np.array_equal(solved.member(k).values, solo.values)
+            assert np.array_equal(solved.member(k).gubinelli, solo.gubinelli)
+
+    def test_batch_members_must_share_grid_and_dimension(self):
+        with pytest.raises(ValueError):
+            DriverBatch(())
+        with pytest.raises(ValueError):
+            DriverBatch((fbm_lift(16, seed=88), fbm_lift(32, seed=88)))
+        with pytest.raises(ValueError):
+            DriverBatch((fbm_lift(16, seed=88), fbm_lift(16, seed=88, d=1)))
+        pair = DriverBatch((fbm_lift(16, seed=88), fbm_lift(16, seed=88, counter=1)))
+        with pytest.raises(ValueError, match="member axis"):
+            ControlledPath(pair.grid, np.zeros((17, 3, 2)), np.zeros((17, 3, 2, 2)), driver=pair)
+
+
 class TestControlledPaths:
     def test_remainder_block_hand_case(self):
         grid = TimeGrid(0.0, 0.5, 2)
@@ -284,6 +344,57 @@ class TestDistancesAndBounds:
         assert dist.pvar == pytest.approx(pvar_brute(diff, p, i_lo, i_hi), rel=1e-12)
         sup = max(np.linalg.norm(diff[k]) for k in range(i_lo, i_hi + 1))
         assert dist.sup == pytest.approx(sup, rel=1e-12)
+
+    def test_batched_distances_match_per_member_path(self):
+        # Reference per member: the one-pair path, a DP over the difference
+        # of the two remainders (by the einsum formula the batched blocks
+        # replace) and the level-1 seminorm of the value gap.  Their blocks
+        # are bit-identical at d = 2; the batched p-th root is numpy's
+        # vector power, which may round one ulp away from the scalar power.
+        def einsum_remainder(cp, lo, j):
+            x = cp.driver.values
+            lin = np.einsum("i...d,id->i...", cp.gubinelli[lo:j], x[j] - x[lo:j])
+            return cp.values[j] - cp.values[lo:j] - lin
+
+        rng = np.random.default_rng(83)
+        vf = builtin_vector_field("sin-g", 2, 2)
+        n, p = 40, 2.8
+        members = [fbm_lift(n, seed=84, counter=k) for k in range(6)]
+        solved = solve_rde(vf, DriverBatch(members), np.zeros(2))
+        b = solved.member(0)
+        rest = [solved.member(k) for k in range(1, 6)]
+        for _ in range(4):
+            i_lo = int(rng.integers(0, n))
+            i_hi = int(rng.integers(i_lo + 1, n + 1))
+            got = solution_distance(solved.members(1), b, p, i_lo, i_hi)
+            assert len(got) == len(rest)
+            for a, dist in zip(rest, got):
+                gap = lambda lo, j: einsum_remainder(a, lo, j) - einsum_remainder(b, lo, j)
+                batched_gap = a.remainder_block(i_lo, i_hi) - b.remainder_block(i_lo, i_hi)
+                assert np.array_equal(gap(i_lo, i_hi), batched_gap)
+                rem = block_variation(gap, p / 2.0, n, i_lo, i_hi)
+                diff = a.values[i_lo : i_hi + 1] - b.values[i_lo : i_hi + 1]
+                assert dist.sup == float(np.sqrt(np.einsum("id,id->i", diff, diff)).max())
+                assert dist.pvar == pytest.approx(pvar_seminorm(diff, p), rel=1e-15)
+                assert dist.remainder_qvar == pytest.approx(rem, rel=1e-15)
+                assert solution_distance(a, b, p, i_lo, i_hi) == dist
+
+    @pytest.mark.parametrize("i_lo, i_hi", [(0, 8), (2, 6)])
+    def test_batched_remainder_distance_matches_enumeration(self, i_lo, i_hi):
+        vf = builtin_vector_field("sin-g", 2, 2)
+        members = [fbm_lift(8, seed=82, counter=k) for k in range(4)]
+        solved = solve_rde(vf, DriverBatch(members), np.zeros(2))
+        b = solved.member(0)
+        rest = [solved.member(k) for k in (1, 2, 3)]
+        p = 2.8
+        for a, dist in zip(rest, solution_distance(solved.members(1), b, p, i_lo, i_hi)):
+            block = lambda i, j: (a.remainder_block(i, j) - b.remainder_block(i, j))[0]
+            assert dist.remainder_qvar == pytest.approx(
+                pvar2_brute(block, p / 2.0, i_lo, i_hi), rel=1e-12
+            )
+            assert dist.pvar == pytest.approx(
+                pvar_brute(a.values - b.values, p, i_lo, i_hi), rel=1e-12
+            )
 
     def test_apriori_trivial_field(self):
         rp = linear_lift(16)
