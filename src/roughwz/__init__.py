@@ -4,7 +4,7 @@ Subpackages:
     fbm        grids, exact fractional Brownian sampling, Wiener shift
     lift       level-2 lifts, Chen reconstruction, geometricity diagnostics
     wongzakai  the smooth stationary approximant W_delta and its lift
-    norms      the block-function variation kernel, Hoelder/variation
+    norms      the pair-norm variation kernel, Hoelder/variation
                metrics, stopping times
     rde        controlled paths, rough integrals, the one-step solver, bounds
     rds        rough-path shifts and cocycle residuals
@@ -33,6 +33,8 @@ from .lift import (
 from .norms import (
     StoppingTimes,
     block_variation,
+    euclidean_norms,
+    frobenius_norms,
     greedy_stopping_times,
     holder_seminorm,
     homogeneous_pvar_norm,
@@ -45,9 +47,7 @@ from .norms import (
 )
 from .rde import (
     AprioriBoundReport,
-    BatchSolution,
     ControlledPath,
-    DriverBatch,
     IntegralDistanceReport,
     SolutionDistance,
     SolverBlowUpError,

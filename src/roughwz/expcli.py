@@ -11,8 +11,8 @@ noise      level-1 and metric distances between the smooth approximant
            metric along the ladder in >= 90% of seeds.
 solution   distances between the RDE solution driven by the true lift and
            by the smooth approximant, same noise.  Per seed the true lift
-           and the ladder's approximants form one DriverBatch: one solve
-           and one batched distance program per part.  Gates: per-seed
+           and the ladder's approximants form one stacked driver: one
+           solve and one distance program per part.  Gates: per-seed
            decrease of all three distance components in >= 90% of seeds (a
            metric that is identically zero passes as degenerate); RMS sup
            distance at the smallest delta below a configured ceiling; no
@@ -63,7 +63,7 @@ from .fbm import (
     GridAlignmentError,
     TimeGrid,
 )
-from .lift import lift_left_riemann
+from .lift import GridRoughPath, lift_left_riemann
 from .norms import (
     greedy_stopping_times,
     homogeneous_pvar_norm,
@@ -72,7 +72,6 @@ from .norms import (
 )
 from .rde import (
     VECTOR_FIELD_CATALOG,
-    DriverBatch,
     builtin_vector_field,
     solution_distance,
     solve_rde,
@@ -300,13 +299,18 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class MetricSummary:
-    """Per-delta moments and the fitted rate of one measured distance."""
+    """Per-delta moments and the fitted rate of one measured distance.
+
+    The moments leave out non-finite values; n_nonfinite counts them per
+    delta.
+    """
 
     metric: str
     deltas: tuple[float, ...]
     mean: tuple[float, ...]
     rms: tuple[float, ...]
     moment_q: tuple[float, ...]
+    n_nonfinite: tuple[int, ...]
     slope: float | None
     slope_se: float | None
     predicted_exponent: float | None
@@ -452,6 +456,7 @@ def _summarize(
             means.append(mean)
             rmss.append(rms)
             lqs.append(lq)
+        n_nonfinite = np.count_nonzero(~np.isfinite(table), axis=0)
         fit = None if short_ladder else fit_loglog_slope(deltas, rmss)
         note = notes.get(name, "")
         if short_ladder:
@@ -465,6 +470,7 @@ def _summarize(
                 mean=tuple(means),
                 rms=tuple(rmss),
                 moment_q=tuple(lqs),
+                n_nonfinite=tuple(int(k) for k in n_nonfinite),
                 slope=None if fit is None else fit[0],
                 slope_se=None if fit is None else fit[1],
                 predicted_exponent=predicted.get(name),
@@ -562,22 +568,29 @@ def run_solution_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
     y0 = np.asarray(cfg.y0)
     blowups: list[tuple[int, float, int, float]] = []
 
-    # Batch member 0 is the true lift, member k the k-th delta's approximant.
+    # Stack member 0 is the true lift, member k the k-th delta's approximant.
     member_deltas = [0.0] + [dp.delta for dp in dps]
 
     def one_seed(idx: int) -> np.ndarray:
         path = sampler.sample(idx)
-        drivers = DriverBatch(
-            (lift_left_riemann(path.restrict(0, n)),)
-            + tuple(ww_delta(path, dp).restrict(0, n) for dp in dps)
+        drivers = GridRoughPath.stack(
+            [lift_left_riemann(path.restrict(0, n))]
+            + [ww_delta(path, dp).restrict(0, n) for dp in dps]
         )
         solved = solve_rde(vf, drivers, y0)
-        blowups.extend((idx, member_deltas[k], node, t) for k, node, t in solved.blowups)
-        if any(k == 0 for k, _, _ in solved.blowups):
+        # A member that blew up is NaN from its blow-up node on, and its start
+        # state is finite; record each onset in (node, member) order.
+        nan = np.isnan(solved.values).any(axis=-1)
+        nodes, ks = np.nonzero(np.diff(nan, axis=0, prepend=False))
+        times = solved.grid.times
+        blowups.extend(
+            (idx, member_deltas[k], int(node), float(times[node])) for node, k in zip(nodes, ks)
+        )
+        if nan[:, 0].any():
             return np.full((3, n_delta), np.nan)
-        # A blown-up approximant's path is NaN, and so are its distances.
-        dists = solution_distance(solved.members(1), solved.member(0), cfg.p)
-        return np.array([[d.sup, d.pvar, d.remainder_qvar] for d in dists]).T
+        # A blown-up approximant's distances are NaN.
+        dist = solution_distance(solved.member(slice(1, None)), solved.member(slice(0, 1)), cfg.p)
+        return np.array([dist.sup, dist.pvar, dist.remainder_qvar])
 
     names = ["sup", "pvar", "remainder_qvar"]
     per_seed = _seed_tables(cfg, names, one_seed)

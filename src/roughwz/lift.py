@@ -7,6 +7,9 @@ relation
     X2_{s,t} = X2_{s,u} + X2_{u,t} + X1_{s,u} (x) X1_{u,t},
 
 which the prefix-sum representation below evaluates in O(1) per pair.
+One GridRoughPath holds one rough path or a stack of them on one grid: the
+member axes sit right after the interval axis, and everything built from
+the increments carries them along.
 
 Two constructions are provided.  The canonical lift of a sampled path uses
 left-point Riemann sums for the upper-triangle entries at the path's own
@@ -50,48 +53,74 @@ class Level2Value:
 
 @dataclass(frozen=True)
 class GridRoughPath:
-    """Per-interval increments and level-2 blocks on a uniform grid."""
+    """Per-interval increments and level-2 blocks on a uniform grid.
+
+    A stack has member axes after the interval axis; one path has none.
+    """
 
     grid: TimeGrid
-    inc1: np.ndarray  # (n_steps, d)
-    inc2: np.ndarray  # (n_steps, d, d)
+    inc1: np.ndarray  # (n_steps, *members, d)
+    inc2: np.ndarray  # (n_steps, *members, d, d)
 
     def __post_init__(self) -> None:
         inc1 = np.asarray(self.inc1, dtype=float)
         inc2 = np.asarray(self.inc2, dtype=float)
         n = self.grid.n_steps
-        if inc1.ndim != 2 or inc1.shape[0] != n:
-            raise ValueError(f"inc1 must have shape ({n}, d), got {inc1.shape}")
-        d = inc1.shape[1]
-        if inc2.shape != (n, d, d):
-            raise ValueError(f"inc2 must have shape ({n}, {d}, {d}), got {inc2.shape}")
+        if inc1.ndim < 2 or inc1.shape[0] != n:
+            raise ValueError(f"inc1 must have shape ({n}, *members, d), got {inc1.shape}")
+        if inc2.shape != inc1.shape + inc1.shape[-1:]:
+            raise ValueError(f"inc2 must have shape {inc1.shape} + (d,), got {inc2.shape}")
         object.__setattr__(self, "inc1", inc1)
         object.__setattr__(self, "inc2", inc2)
 
     @property
     def d(self) -> int:
-        return self.inc1.shape[1]
+        return self.inc1.shape[-1]
 
     @property
     def n_steps(self) -> int:
         return self.grid.n_steps
 
+    @staticmethod
+    def stack(paths) -> "GridRoughPath":
+        """Rough paths of one grid and shape as one stack; member k is paths[k]."""
+        paths = tuple(paths)
+        if not paths:
+            raise ValueError("a stack needs at least one rough path")
+        first = paths[0]
+        if any(
+            rp.inc1.shape != first.inc1.shape or not rp.grid.is_compatible(first.grid)
+            for rp in paths
+        ):
+            raise ValueError("stacked rough paths live on different grids or dimensions")
+        return GridRoughPath(
+            first.grid,
+            np.stack([rp.inc1 for rp in paths], axis=1),
+            np.stack([rp.inc2 for rp in paths], axis=1),
+        )
+
+    def member(self, k: int | slice) -> "GridRoughPath":
+        """Member k of a stack, k an index or a slice of the first member axis (views)."""
+        if self.inc1.ndim < 3:
+            raise ValueError("member() needs a stack of rough paths")
+        return GridRoughPath(self.grid, self.inc1[:, k], self.inc2[:, k])
+
     # -- prefix representation -------------------------------------------
 
     @cached_property
     def values(self) -> np.ndarray:
-        """Level-1 partial sums from the first node, shape (n_nodes, d)."""
-        out = np.zeros((self.grid.n_nodes, self.d))
+        """Level-1 partial sums from the first node, shape (n_nodes, *members, d)."""
+        out = np.zeros((self.grid.n_nodes,) + self.inc1.shape[1:])
         np.cumsum(self.inc1, axis=0, out=out[1:])
         out.setflags(write=False)
         return out
 
     @cached_property
     def _area_prefix(self) -> np.ndarray:
-        """A[k] = X2 over [node 0, node k], shape (n_nodes, d, d)."""
+        """A[k] = X2 over [node 0, node k], shape (n_nodes, *members, d, d)."""
         # Chen fold left to right: A[k+1] = A[k] + inc2[k] + X1_{0,k} (x) inc1[k].
-        cross = self.values[:-1, :, None] * self.inc1[:, None, :]
-        out = np.zeros((self.grid.n_nodes, self.d, self.d))
+        cross = self.values[:-1, ..., :, None] * self.inc1[..., None, :]
+        out = np.zeros((self.grid.n_nodes,) + self.inc2.shape[1:])
         np.cumsum(self.inc2 + cross, axis=0, out=out[1:])
         out.setflags(write=False)
         return out
@@ -103,14 +132,14 @@ class GridRoughPath:
         """X2 over node pair (i, j), i <= j, by Chen's relation."""
         a = self._area_prefix
         v = self.values
-        return a[j] - a[i] - np.outer(v[i], v[j] - v[i])
+        return a[j] - a[i] - v[i][..., :, None] * (v[j] - v[i])[..., None, :]
 
     def level2_block(self, i_lo: int, j: int) -> np.ndarray:
-        """X2 over (i, j) for every i in [i_lo, j), shape (j - i_lo, d, d)."""
+        """X2 over (i, j) for every i in [i_lo, j), shape (j - i_lo, *members, d, d)."""
         a = self._area_prefix
         v = self.values
         left = v[i_lo:j]
-        return a[j] - a[i_lo:j] - left[:, :, None] * (v[j] - left)[:, None, :]
+        return a[j] - a[i_lo:j] - left[..., :, None] * (v[j] - left)[..., None, :]
 
     # -- derived grids -----------------------------------------------------
 
@@ -133,7 +162,7 @@ class GridRoughPath:
         v = self.values[nodes]
         a = self._area_prefix[nodes]
         inc1 = np.diff(v, axis=0)
-        inc2 = a[1:] - a[:-1] - v[:-1, :, None] * inc1[:, None, :]
+        inc2 = a[1:] - a[:-1] - v[:-1, ..., :, None] * inc1[..., None, :]
         g = self.grid
         coarse = TimeGrid(g.t_min, g.t_max, n // stride)
         return GridRoughPath(coarse, inc1, inc2)

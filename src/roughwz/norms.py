@@ -1,26 +1,28 @@
 """Variation norms, Hoelder-type metrics and greedy stopping times.
 
-Every quantity here is measured through one kind of object, a block
-function: block(i_lo, j) returns the blocks over the node pairs (i, j) for
-every i in [i_lo, j), stacked along a leading axis.  Examples are the
-level-1 increments  lambda i_lo, j: pts[j] - pts[i_lo:j],  the level-2
-blocks GridRoughPath.level2_block (rebuilt through Chen's relation), the
-solution remainders ControlledPath.remainder_block, and the difference of
-two such functions.  A block's norm is the Euclidean norm of its flattened
-entries: Euclidean for vectors, Frobenius for matrices.
+Every quantity here is measured through one kind of object, a pair-norm
+function: norms(i_lo, j) returns the norms of the blocks over the node
+pairs (i, j) for every i in [i_lo, j), stacked along a leading axis.  The
+code that builds a block also takes its norm: euclidean_norms of the
+level-1 increments  pts[j] - pts[i_lo:j]  and of the solution remainders
+ControlledPath.remainder_block, frobenius_norms of the level-2 blocks
+GridRoughPath.level2_block (rebuilt through Chen's relation), and the
+same norm of the difference of two such blocks.  Blocks
+of stacked paths carry member axes right after the pair axis; their norms
+then have shape (j - i_lo, *members).
 
-Two kernels consume block functions.  partition_sums is the exact O(n^2)
-p-variation program: over nodes i_lo..j the maximal partition sum satisfies
+Two kernels consume pair-norm functions.  partition_sums is the exact
+O(n^2) p-variation program: over nodes i_lo..j the maximal partition sum
+satisfies
 
     best[j] = max_{i < j} ( best[i] + |block_{i,j}|^p ),
 
 because an optimal partition of [i_lo, j] ends with some block [i, j].  It
 yields best[j] for one right end after another, so greedy stopping can
-exit early; block_variation runs it over a whole node window.  A batched
-block function puts a batch axis right after the pair axis, shape
-(j - i_lo, B, ...); the same program then runs B variations at once.  The
-Hoelder sup takes  max |block_{i,j}| / (t_j - t_i)^alpha  over the same
-blocks, one right endpoint at a time.
+exit early; block_variation runs it over a whole node window.  Over member
+axes the same program runs one variation per member.  The Hoelder sup takes
+max |block_{i,j}| / (t_j - t_i)^alpha  over the same pairs, one right
+endpoint at a time.
 
 The homogeneous rough-path norm combines the levels as
 
@@ -40,9 +42,11 @@ import numpy as np
 from .lift import GridRoughPath
 
 __all__ = [
-    "BlockFunction",
+    "PairNorms",
     "StoppingTimes",
     "block_variation",
+    "euclidean_norms",
+    "frobenius_norms",
     "greedy_stopping_times",
     "holder_seminorm",
     "homogeneous_pvar_norm",
@@ -54,35 +58,38 @@ __all__ = [
     "rho_pvar_metric",
 ]
 
-# block(i_lo, j) -> blocks over (i, j) for i in [i_lo, j), shape (j - i_lo, ...).
-BlockFunction = Callable[[int, int], np.ndarray]
+# norms(i_lo, j) -> block norms over (i, j) for i in [i_lo, j), shape (j - i_lo, *members).
+PairNorms = Callable[[int, int], np.ndarray]
 
 
 # ---------------------------------------------------------------------------
-# block-function kernels
+# pair-norm kernels
 # ---------------------------------------------------------------------------
 
 
-def _block_norms(blocks: np.ndarray, batched: bool = False) -> np.ndarray:
-    """Norm of each block along the pair (and batch) axis, trailing axes flattened."""
-    flat = blocks.reshape(blocks.shape[: 1 + batched] + (-1,))
-    return np.sqrt(np.einsum("...j,...j->...", flat, flat))
+def euclidean_norms(blocks: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis: level-1 blocks and remainders."""
+    return np.sqrt(np.einsum("...j,...j->...", blocks, blocks))
+
+
+def frobenius_norms(blocks: np.ndarray) -> np.ndarray:
+    """Frobenius norm over the last two axes: level-2 blocks."""
+    return euclidean_norms(blocks.reshape(blocks.shape[:-2] + (-1,)))
 
 
 def partition_sums(
-    block: BlockFunction, p: float, i_lo: int, i_hi: int, batched: bool = False
+    norms: PairNorms, p: float, i_lo: int, i_hi: int
 ) -> Iterator[float | np.ndarray]:
     """Yield max over partitions of [i_lo, j] of sum |block|^p for j = i_lo+1, ..., i_hi.
 
-    batched: blocks carry a batch axis after the pair axis, and each yield
-    is the (B,) array of the members' sums.
+    Each yield is a float, or an array over the member axes of the norms.
     """
     for r in range(1, i_hi - i_lo + 1):
-        terms = _block_norms(block(i_lo, i_lo + r), batched) ** p
+        terms = norms(i_lo, i_lo + r) ** p
         if r == 1:
             best = np.zeros((i_hi - i_lo + 1,) + terms.shape[1:])
         best[r] = (best[:r] + terms).max(axis=0)
-        yield best[r] if batched else float(best[r])
+        yield best[r]
 
 
 def _resolve_window(n_steps: int, i_lo: int, i_hi: int | None) -> tuple[int, int]:
@@ -94,49 +101,50 @@ def _resolve_window(n_steps: int, i_lo: int, i_hi: int | None) -> tuple[int, int
 
 
 def block_variation(
-    block: BlockFunction,
-    p: float,
-    n_steps: int,
-    i_lo: int = 0,
-    i_hi: int | None = None,
-    batched: bool = False,
+    norms: PairNorms, p: float, n_steps: int, i_lo: int = 0, i_hi: int | None = None
 ) -> float | np.ndarray:
-    """Exact p-variation of a block function over the node window [i_lo, i_hi].
-
-    batched: see partition_sums; the result is then a (B,) array.
-    """
+    """Exact p-variation of the blocks behind a pair-norm function over [i_lo, i_hi]."""
     i_lo, i_hi = _resolve_window(n_steps, i_lo, i_hi)
-    for best in partition_sums(block, p, i_lo, i_hi, batched):
+    for best in partition_sums(norms, p, i_lo, i_hi):
         pass
     return best ** (1.0 / p)
 
 
-def _holder_sup(block: BlockFunction, times: np.ndarray, alpha: float) -> float:
+def _holder_sup(norms: PairNorms, times: np.ndarray, alpha: float) -> float:
     """sup over node pairs i < j of |block_{i,j}| / (t_j - t_i)^alpha."""
     out = 0.0
     for j in range(1, len(times)):
-        ratio = _block_norms(block(0, j)) / (times[j] - times[:j]) ** alpha
+        ratio = norms(0, j) / (times[j] - times[:j]) ** alpha
         out = max(out, float(ratio.max()))
     return out
 
 
 def _as_points(values: np.ndarray) -> np.ndarray:
+    """Points as (n, *members, d); a 1-D array is one scalar path."""
     pts = np.asarray(values, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    if pts.ndim != 2:
-        raise ValueError(f"expected point array of shape (n,) or (n, d), got {pts.shape}")
+    if pts.ndim < 2:
+        raise ValueError(f"expected points of shape (n,) or (n, *members, d), got {pts.shape}")
     return pts
 
 
-def _increments(pts: np.ndarray) -> BlockFunction:
-    return lambda i_lo, j: pts[j] - pts[i_lo:j]
+def _increment_norms(pts: np.ndarray) -> PairNorms:
+    return lambda i_lo, j: euclidean_norms(pts[j] - pts[i_lo:j])
+
+
+def _level2_norms(rp: GridRoughPath) -> PairNorms:
+    return lambda i_lo, j: frobenius_norms(rp.level2_block(i_lo, j))
+
+
+def _level2_gap_norms(a: GridRoughPath, b: GridRoughPath) -> PairNorms:
+    return lambda i_lo, j: frobenius_norms(a.level2_block(i_lo, j) - b.level2_block(i_lo, j))
 
 
 def _homogeneous_sums(rp: GridRoughPath, p: float, i_lo: int, i_hi: int) -> Iterator[float]:
     """Yield ||X1||_{p-var}^p + ||X2||_{q-var}^q over [i_lo, j] for j = i_lo+1, ..., i_hi."""
-    lvl1 = partition_sums(_increments(rp.values), p, i_lo, i_hi)
-    lvl2 = partition_sums(rp.level2_block, p / 2.0, i_lo, i_hi)
+    lvl1 = partition_sums(_increment_norms(rp.values), p, i_lo, i_hi)
+    lvl2 = partition_sums(_level2_norms(rp), p / 2.0, i_lo, i_hi)
     for best1, best2 in zip(lvl1, lvl2):
         yield best1 + best2
 
@@ -149,25 +157,23 @@ def _homogeneous_sums(rp: GridRoughPath, p: float, i_lo: int, i_hi: int) -> Iter
 def pvar_seminorm(values: np.ndarray, p: float) -> float | np.ndarray:
     """Exact p-variation of a discrete path, any dimension.
 
-    An (n, B, d) array holds B paths on the same nodes and gives their B
-    variations as an array, from one batched program.
+    Axes between the node axis and the last one are member axes: an
+    (n, B, d) array holds B paths on the same nodes and gives the array of
+    their B variations.
     """
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    pts = np.asarray(values, dtype=float)
-    batched = pts.ndim == 3
-    if not batched:
-        pts = _as_points(pts)
+    pts = _as_points(values)
     if len(pts) < 2:
-        return np.zeros(pts.shape[1]) if batched else 0.0
-    return block_variation(_increments(pts), p, len(pts) - 1, batched=batched)
+        return np.zeros(pts.shape[1:-1])[()]
+    return block_variation(_increment_norms(pts), p, len(pts) - 1)
 
 
 def pvar_level2(rp: GridRoughPath, q: float, i_lo: int = 0, i_hi: int | None = None) -> float:
     """Exact q-variation of the level-2 blocks (Frobenius norm)."""
     if q <= 0.0:
         raise ValueError(f"q must be positive, got {q}")
-    return block_variation(rp.level2_block, q, rp.n_steps, i_lo, i_hi)
+    return block_variation(_level2_norms(rp), q, rp.n_steps, i_lo, i_hi)
 
 
 def homogeneous_pvar_norm(
@@ -187,10 +193,12 @@ def holder_seminorm(times: np.ndarray, values: np.ndarray, alpha: float) -> floa
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     pts = _as_points(values)
+    if pts.ndim != 2:
+        raise ValueError(f"expected one path of shape (n,) or (n, d), got {pts.shape}")
     times = np.asarray(times, dtype=float)
     if len(times) != len(pts):
         raise ValueError(f"{len(times)} times for {len(pts)} values")
-    return _holder_sup(_increments(pts), times, alpha)
+    return _holder_sup(_increment_norms(pts), times, alpha)
 
 
 def _check_same_layout(a: GridRoughPath, b: GridRoughPath) -> None:
@@ -207,9 +215,7 @@ def rho_alpha_metric(a: GridRoughPath, b: GridRoughPath, alpha: float) -> float:
     _check_same_layout(a, b)
     times = a.grid.times
     lvl1 = holder_seminorm(times, a.values - b.values, alpha)
-    lvl2 = _holder_sup(
-        lambda i_lo, j: a.level2_block(i_lo, j) - b.level2_block(i_lo, j), times, 2.0 * alpha
-    )
+    lvl2 = _holder_sup(_level2_gap_norms(a, b), times, 2.0 * alpha)
     return lvl1 + lvl2
 
 
@@ -220,9 +226,7 @@ def pvar_level2_distance(
     if q < 1.0:
         raise ValueError(f"q must be >= 1, got {q}")
     _check_same_layout(a, b)
-    return block_variation(
-        lambda lo, j: a.level2_block(lo, j) - b.level2_block(lo, j), q, a.n_steps, i_lo, i_hi
-    )
+    return block_variation(_level2_gap_norms(a, b), q, a.n_steps, i_lo, i_hi)
 
 
 def rho_pvar_metric(a: GridRoughPath, b: GridRoughPath, p: float) -> float:

@@ -22,17 +22,18 @@ carries a trailing driver axis; compensated sums contract that axis with
 X1 and the last two Gubinelli axes (value-component axis c, then direction
 axis b) with X2.
 
-An ensemble of drivers on one grid is a DriverBatch.  solve_rde advances
-all of its members in one step loop, the builtin fields acting on states
-of shape (B, m), and solution_distance measures the solutions of a batch
-against one reference through one batched variation program per part.
+A driver may be a stack of grid rough paths on one grid (GridRoughPath
+with member axes).  solve_rde advances all of its members in one step
+loop, the builtin fields acting on states of shape (*members, m), and the
+solution carries the same member axes right after the node axis;
+solution_distance broadcasts the member axes of its two solutions and
+measures every pair through one variation program per part.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -41,6 +42,7 @@ from .fbm import TimeGrid
 from .lift import GridRoughPath
 from .norms import (
     block_variation,
+    euclidean_norms,
     greedy_stopping_times,
     homogeneous_pvar_norm,
     pvar_level2_distance,
@@ -49,9 +51,7 @@ from .norms import (
 
 __all__ = [
     "AprioriBoundReport",
-    "BatchSolution",
     "ControlledPath",
-    "DriverBatch",
     "IntegralDistanceReport",
     "SolutionDistance",
     "SolverBlowUpError",
@@ -95,10 +95,10 @@ class VectorField:
     (math.nan when unbounded; such fields only feed the solver, not the
     bound evaluators).
 
-    The builtin fields, and drift, also take states with leading batch
+    The builtin fields, and drift, also take states with leading member
     axes, shape (..., m), and return (..., m), (..., m, d) and
-    (..., m, d, m).  A custom field needs that only to be solved over a
-    DriverBatch; single-state callables serve every other use.
+    (..., m, d, m).  A custom field needs that only to be solved against a
+    stacked driver; single-state callables serve every other use.
     """
 
     m: int
@@ -241,74 +241,21 @@ def builtin_vector_field(name: str, m: int = 2, d: int = 2, **params) -> VectorF
 
 
 @dataclass(frozen=True)
-class DriverBatch:
-    """Grid rough paths on one grid, solved and measured as one ensemble.
-
-    The stacked arrays put the member axis right after the node or interval
-    axis: values (n_nodes, B, d), inc1 (n_steps, B, d) and inc2
-    (n_steps, B, d, d).  Blocks over node pairs then carry the member axis
-    right after the pair axis, the layout of a batched variation program.
-    """
-
-    members: tuple[GridRoughPath, ...]
-
-    def __post_init__(self) -> None:
-        members = tuple(self.members)
-        if not members:
-            raise ValueError("a driver batch needs at least one member")
-        first = members[0]
-        if any(rp.d != first.d or not rp.grid.is_compatible(first.grid) for rp in members):
-            raise ValueError("batched drivers live on different grids or dimensions")
-        object.__setattr__(self, "members", members)
-
-    @property
-    def grid(self) -> TimeGrid:
-        return self.members[0].grid
-
-    @property
-    def d(self) -> int:
-        return self.members[0].d
-
-    @property
-    def n_steps(self) -> int:
-        return self.grid.n_steps
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        """Level-1 partial sums, shape (n_nodes, B, d).
-
-        Cumulated from the stacked increments exactly as GridRoughPath.values
-        is, so no member caches a copy of its own.
-        """
-        out = np.zeros((self.grid.n_nodes, len(self.members), self.d))
-        np.cumsum(self.inc1, axis=0, out=out[1:])
-        return out
-
-    # Stacked on each access, not kept: the solver reads them once per solve.
-    @property
-    def inc1(self) -> np.ndarray:
-        return np.stack([rp.inc1 for rp in self.members], axis=1)
-
-    @property
-    def inc2(self) -> np.ndarray:
-        return np.stack([rp.inc2 for rp in self.members], axis=1)
-
-
-@dataclass(frozen=True)
 class ControlledPath:
     """Node values with a Gubinelli derivative against a declared driver.
 
     values has shape (n_nodes, *value_shape); gubinelli appends one driver
     axis, shape (n_nodes, *value_shape, d).  Solutions store value_shape
     (m,); integrands of rough integrals store (m, d), the trailing axis
-    being the one contracted with the driver.  Against a DriverBatch the
-    first value axis is the member axis: B solutions store (B, m).
+    being the one contracted with the driver.  Against a stacked driver the
+    value shape starts with the driver's member axes: B solutions store
+    (B, m).
     """
 
     grid: TimeGrid
     values: np.ndarray
     gubinelli: np.ndarray
-    driver: GridRoughPath | DriverBatch | None = field(default=None, compare=False)
+    driver: GridRoughPath | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -324,27 +271,33 @@ class ControlledPath:
                 raise ValueError(
                     f"gubinelli driver axis {gub.shape[-1]} != driver dimension {self.driver.d}"
                 )
-            batch = self.driver.members if isinstance(self.driver, DriverBatch) else None
-            if batch is not None and v.shape[1:2] != (len(batch),):
-                raise ValueError(f"values shape {v.shape} has no member axis of {len(batch)}")
+            members = self.driver.inc1.shape[1:-1]
+            if v.shape[1 : 1 + len(members)] != members:
+                raise ValueError(f"values shape {v.shape} lacks the member axes {members}")
             if not self.grid.is_compatible(self.driver.grid):
                 raise ValueError("controlled path and driver live on different grids")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "gubinelli", gub)
+
+    def member(self, k: int | slice) -> "ControlledPath":
+        """Member k of a path against a stacked driver, k an index or a slice (views)."""
+        return ControlledPath(
+            self.grid, self.values[:, k], self.gubinelli[:, k], driver=self.driver.member(k)
+        )
 
     def remainder_block(self, i_lo: int, j: int) -> np.ndarray:
         """R_{i,j} = y_{i,j} - y'_i X1_{i,j} for all i in [i_lo, j)."""
         if self.driver is None:
             raise ValueError("remainders need a declared driver")
         x = self.driver.values
-        # A batch driver's member axis pairs with the first value axis; the
+        # A stacked driver's member axes pair with the first value axes; the
         # remaining value axes broadcast against X1.
         x = x.reshape(x.shape[:-1] + (1,) * (self.gubinelli.ndim - x.ndim) + x.shape[-1:])
         w1 = x[j] - x[i_lo:j]
         gub = self.gubinelli[i_lo:j]
         # y'_i X1_{i,j}, summed over the driver axis in index order: one
         # ufunc pass per component stays fast on the strided member views of
-        # a batch, where einsum is several times slower.
+        # a stack, where einsum is several times slower.
         lin = gub[..., 0] * w1[..., 0]
         for e in range(1, w1.shape[-1]):
             lin += gub[..., e] * w1[..., e]
@@ -399,61 +352,27 @@ def rough_integral(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BatchSolution:
-    """solve_rde over a DriverBatch.
-
-    path holds every member's solution as one ControlledPath against the
-    batch: values (n_nodes, B, m), gubinelli (n_nodes, B, m, d).  A member
-    whose state became non-finite is all NaN there and has one (member,
-    node, time) record in blowups, at the node where it first left the
-    finite range.
-    """
-
-    path: ControlledPath
-    blowups: tuple[tuple[int, int, float], ...]
-
-    def member(self, k: int) -> ControlledPath:
-        """Member k's solution against its own driver (a view)."""
-        p = self.path
-        return ControlledPath(p.grid, p.values[:, k], p.gubinelli[:, k], driver=p.driver.members[k])
-
-    def members(self, start: int) -> ControlledPath:
-        """Members start, start + 1, ... against their sub-batch (a view)."""
-        p = self.path
-        return ControlledPath(
-            p.grid,
-            p.values[:, start:],
-            p.gubinelli[:, start:],
-            driver=DriverBatch(p.driver.members[start:]),
-        )
-
-
-def solve_rde(
-    vf: VectorField, rp: GridRoughPath | DriverBatch, y0: np.ndarray
-) -> ControlledPath | BatchSolution:
+def solve_rde(vf: VectorField, rp: GridRoughPath, y0: np.ndarray) -> ControlledPath:
     """Explicit one-step solution over the driver's whole window.
 
-    One driver gives a ControlledPath and raises SolverBlowUpError at the
-    first non-finite state.  A DriverBatch advances every member from y0
-    in one step loop, the field's callables seeing states of shape (B, m);
-    a member that blows up is masked to NaN and recorded while the others
-    carry on.
+    A single driver raises SolverBlowUpError at the first non-finite state.
+    A stacked driver advances every member from y0 in one step loop, the
+    field's callables seeing states of shape (*members, m); a member whose
+    state leaves the finite range is NaN from that node on while the others
+    carry on, so its first NaN node locates its blow-up.
     """
     if vf.d != rp.d:
         raise ValueError(f"field expects d={vf.d} driver components, driver has {rp.d}")
-    batch = (len(rp.members),) if isinstance(rp, DriverBatch) else ()
-    y = np.broadcast_to(np.asarray(y0, dtype=float).reshape(vf.m), batch + (vf.m,))
+    members = rp.inc1.shape[1:-1]
+    y = np.broadcast_to(np.asarray(y0, dtype=float).reshape(vf.m), members + (vf.m,))
     n = rp.n_steps
     h = rp.grid.h
-    values = np.empty((n + 1, *batch, vf.m))
-    gub = np.empty((n + 1, *batch, vf.m, vf.d))
+    values = np.empty((n + 1, *members, vf.m))
+    gub = np.empty((n + 1, *members, vf.m, vf.d))
     values[0] = y
     inc1 = rp.inc1
     inc2 = rp.inc2
-    alive = np.ones(batch, dtype=bool)
-    blowups = []
-    # Escaping iterates surface as blow-ups, not as numpy warnings.
+    # Escaping iterates surface as blow-ups or NaN, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for u in range(n):
             gy = vf.g(y)
@@ -465,21 +384,15 @@ def solve_rde(
                 + (gy @ inc1[u][..., None])[..., 0]
                 + np.einsum("...ace,...ec->...a", vf.dg(y), gw)
             )
-            finite = np.isfinite(y).all(axis=-1)
-            if not finite.all():
-                t = float(rp.grid.times[u + 1])
-                if not batch:
-                    raise SolverBlowUpError(u + 1, t)
-                # A blown-up member stays non-finite: each step adds to its state.
-                blowups.extend((int(k), u + 1, t) for k in np.flatnonzero(alive & ~finite))
-                alive &= finite
+            if not members and not np.isfinite(y).all():
+                raise SolverBlowUpError(u + 1, float(rp.grid.times[u + 1]))
             values[u + 1] = y
-    gub[n] = vf.g(y)
-    if not batch:
-        return ControlledPath(rp.grid, values, gub, driver=rp)
-    values[:, ~alive] = np.nan
-    gub[:, ~alive] = np.nan
-    return BatchSolution(ControlledPath(rp.grid, values, gub, driver=rp), tuple(blowups))
+        gub[n] = vf.g(y)
+    if members:
+        dead = np.logical_or.accumulate(~np.isfinite(values).all(axis=-1), axis=0)
+        values[dead] = np.nan
+        gub[dead] = np.nan
+    return ControlledPath(rp.grid, values, gub, driver=rp)
 
 
 # ---------------------------------------------------------------------------
@@ -499,56 +412,49 @@ def remainder_norm(
         raise ValueError(f"q must be >= 1, got {q}")
     # Rebind to the given driver; the constructor checks grid compatibility.
     ref = ControlledPath(cp.grid, cp.values, cp.gubinelli, driver=rp)
-    return block_variation(ref.remainder_block, q, rp.n_steps, i_lo, i_hi)
+    return block_variation(
+        lambda lo, j: euclidean_norms(ref.remainder_block(lo, j)), q, rp.n_steps, i_lo, i_hi
+    )
 
 
 @dataclass(frozen=True)
 class SolutionDistance:
-    """Three-part distance between two solutions on one grid."""
+    """Three-part distance between two solutions on one grid.
 
-    sup: float
-    pvar: float
-    remainder_qvar: float
+    Each part is a float, or an array over the member axes of stacked
+    solutions.
+    """
+
+    sup: float | np.ndarray
+    pvar: float | np.ndarray
+    remainder_qvar: float | np.ndarray
 
 
 def solution_distance(
     a: ControlledPath, b: ControlledPath, p: float, i_lo: int = 0, i_hi: int | None = None
-) -> SolutionDistance | list[SolutionDistance]:
+) -> SolutionDistance:
     """Sup distance, p-variation distance and q-variation of R^a - R^b.
 
     All three parts are taken over the node window [i_lo, i_hi] (default:
     the whole grid).  The remainders are taken against each path's own
     declared driver, so the third part also sees the difference of the
-    drivers.  a may also hold a batch of paths, against a DriverBatch (b
-    stays a single path); one batched variation program per part then
-    measures each member against b, and the distances come back as a list
-    in member order.
+    drivers.  The member axes of stacked solutions broadcast against each
+    other (a stack of one, member(slice(0, 1)), against any stack), and one
+    variation program per part measures every pair.
     """
     if a.driver is None or b.driver is None:
         raise ValueError("both controlled paths must declare their drivers")
     if not a.grid.is_compatible(b.grid):
         raise ValueError("controlled paths live on different grids")
-    if isinstance(b.driver, DriverBatch):
-        raise ValueError("the reference path b must be a single path")
-    solo = not isinstance(a.driver, DriverBatch)
-    if solo:
-        a = ControlledPath(
-            a.grid, a.values[:, None], a.gubinelli[:, None], driver=DriverBatch((a.driver,))
-        )
 
-    def remainder_gap(lo: int, j: int) -> np.ndarray:
-        r = a.remainder_block(lo, j)
-        r -= b.remainder_block(lo, j)[:, None]
-        return r
+    def remainder_gap_norms(lo: int, j: int) -> np.ndarray:
+        return euclidean_norms(a.remainder_block(lo, j) - b.remainder_block(lo, j))
 
     n = b.grid.n_steps
     i_hi = n if i_hi is None else i_hi
-    rem = block_variation(remainder_gap, p / 2.0, n, i_lo, i_hi, batched=True)
-    diff = a.values[i_lo : i_hi + 1] - b.values[i_lo : i_hi + 1, None]
-    sup = np.sqrt(np.einsum("ibm,ibm->ib", diff, diff)).max(axis=0)
-    pv = pvar_seminorm(diff, p)
-    out = [SolutionDistance(float(s), float(v), float(r)) for s, v, r in zip(sup, pv, rem)]
-    return out[0] if solo else out
+    rem = block_variation(remainder_gap_norms, p / 2.0, n, i_lo, i_hi)
+    diff = a.values[i_lo : i_hi + 1] - b.values[i_lo : i_hi + 1]
+    return SolutionDistance(euclidean_norms(diff).max(axis=0), pvar_seminorm(diff, p), rem)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Config validation, report structure, reproducibility and the CLI shell."""
 
+import importlib.util
 import json
 import math
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +20,21 @@ from roughwz.expcli import (
     run_stopping_time_convergence,
     run_suite,
 )
-from roughwz.fbm import CovarianceFactorizationError
-from roughwz.rde import BatchSolution, ControlledPath, solution_distance, solve_rde
+from roughwz.fbm import CovarianceFactorizationError, TimeGrid
+from roughwz.lift import GridRoughPath
+from roughwz.rde import ControlledPath, builtin_vector_field, solution_distance, solve_rde
+from roughwz.wongzakai import ww_delta
+
+BLOW_UP_CONFIG = {
+    "experiment": "solution",
+    "field_name": "linear-g",
+    "d": 2,
+    "m": 2,
+    "y0": [1e308, 1e308],
+    "n_seeds": 2,
+    "grid_n": 64,
+    "delta_ladder": [4, 2],
+}
 
 TINY_STOPPING = dict(experiment="stopping", n_seeds=6, grid_n=256, delta_ladder=(8, 4, 2))
 
@@ -166,8 +181,9 @@ class TestReports:
         assert [m.metric for m in rep.metrics] == ["sup", "pvar", "remainder_qvar"]
 
     def test_solution_report_records_blowups(self, monkeypatch, tmp_path):
-        # Per seed the runner solves one batch: the true lift, then one driver
-        # per delta.  Seed 1's first-delta member (member 1) is made to blow up.
+        # Per seed the runner solves one stack: the true lift, then one driver
+        # per delta.  Seed 1's first-delta member (member 1) is made NaN from
+        # node 7 on, as the solver leaves a member that blows up there.
         calls = []
 
         def solve_and_blow_up(vf, drivers, y0):
@@ -175,11 +191,9 @@ class TestReports:
             solved = solve_rde(vf, drivers, y0)
             if len(calls) != 2:
                 return solved
-            path = solved.path
-            values, gub = path.values.copy(), path.gubinelli.copy()
-            values[:, 1] = gub[:, 1] = np.nan
-            blown = ControlledPath(path.grid, values, gub, driver=drivers)
-            return BatchSolution(blown, ((1, 7, float(drivers.grid.times[7])),))
+            values, gub = solved.values.copy(), solved.gubinelli.copy()
+            values[7:, 1] = gub[7:, 1] = np.nan
+            return ControlledPath(solved.grid, values, gub, driver=drivers)
 
         monkeypatch.setattr("roughwz.expcli.solve_rde", solve_and_blow_up)
         cfg = ExperimentConfig(
@@ -187,7 +201,7 @@ class TestReports:
         )
         rep = run_suite(cfg)
         delta = 4 * cfg.grid.h
-        assert [len(drivers.members) for drivers in calls] == [3, 3]
+        assert [drivers.inc1.shape[1] for drivers in calls] == [3, 3]
         assert rep.blowups == ((1, delta, 7, cfg.grid.times[7]),)
         assert rep.n_blowups == 1
         gate = next(g for g in rep.gates if g.name == "no_blowups")
@@ -203,37 +217,79 @@ class TestReports:
 
     def test_true_driver_blow_up_fails_the_gate_without_traceback(self, capsys, tmp_path):
         # y0 near the float limit makes the linear field overflow under the
-        # true lift of seed 1 (and under two approximants, one of seed 1).
+        # true lift of seed 1 and under both of its approximants.
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(
-            json.dumps(
-                {
-                    "experiment": "solution",
-                    "field_name": "linear-g",
-                    "d": 2,
-                    "m": 2,
-                    "y0": [1e308, 1e308],
-                    "n_seeds": 2,
-                    "grid_n": 64,
-                    "delta_ladder": [4, 2],
-                    "out_dir": str(tmp_path / "out"),
-                }
-            )
-        )
+        cfg_path.write_text(json.dumps({**BLOW_UP_CONFIG, "out_dir": str(tmp_path / "out")}))
         assert main(["--config", str(cfg_path)]) == 1
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
         assert "[FAIL] solution/no_blowups" in captured.out
         doc = json.loads((tmp_path / "out" / "solution.json").read_text())
-        true_blowups = [b for b in doc["blowups"] if b["delta"] == 0.0]
-        assert [b["seed"] for b in true_blowups] == [1]
-        assert 1 <= true_blowups[0]["node"] <= 64
-        assert doc["n_blowups"] == len(doc["blowups"])
+        # (seed, delta, node) in run order: by node, then member.
+        h = 1.0 / 64
+        assert [(b["seed"], b["delta"], b["node"], b["time"]) for b in doc["blowups"]] == [
+            (1, 2 * h, 7, 7 * h),
+            (1, 0.0, 9, 9 * h),
+            (1, 4 * h, 12, 12 * h),
+        ]
+        assert doc["n_blowups"] == 3
         gate = next(g for g in doc["gates"] if g["name"] == "no_blowups")
         assert not gate["passed"] and gate["sample_size"] == 2 * 3
         lines = (tmp_path / "out" / "solution.csv").read_text().splitlines()[1:]
         seed1 = [ln for ln in lines if ln.startswith("1,")]
         assert len(seed1) == 6 and all(ln.endswith(",nan") for ln in seed1)
+
+    def test_nonfinite_values_are_counted(self):
+        # In the near-overflow run seed 0 solves without a blow-up, but its
+        # distances overflow to inf; seed 1's rows are NaN.  The moments
+        # leave both out and n_nonfinite counts them per delta.
+        rep = run_solution_convergence(ExperimentConfig(**BLOW_UP_CONFIG))
+        rows = {(seed, delta, name): value for seed, delta, name, value in rep.rows}
+        for m in rep.metrics:
+            assert all(math.isinf(rows[0, delta, m.metric]) for delta in m.deltas)
+            assert all(math.isnan(rows[1, delta, m.metric]) for delta in m.deltas)
+            assert m.n_nonfinite == (2, 2)
+            assert all(math.isnan(v) for v in m.mean + m.rms + m.moment_q)
+        doc = rep.to_json_dict()
+        assert [m["n_nonfinite"] for m in doc["metrics"]] == [(2, 2)] * 3
+        finite = run_solution_convergence(
+            ExperimentConfig(experiment="solution", n_seeds=2, grid_n=32, delta_ladder=(4, 2))
+        )
+        assert all(m.n_nonfinite == (0, 0) for m in finite.metrics)
+
+    def test_blowup_records_follow_node_then_member_order(self, monkeypatch):
+        # In every seed the third delta's driver overflows at node 5 and the
+        # second delta's at node 9: records come by seed, then node, not in
+        # member order, and only the blown-up rows are NaN.
+        cfg = ExperimentConfig(
+            experiment="solution",
+            field_name="linear-g",
+            d=2,
+            m=2,
+            y0=(0.1, 0.1),
+            n_seeds=2,
+            grid_n=32,
+            delta_ladder=(8, 4, 2),
+        )
+        h = cfg.grid.h
+        overflow_node = {4: 9, 2: 5}
+
+        def overflowing_ww_delta(path, dp):
+            rp = ww_delta(path, dp)
+            if dp.multiple not in overflow_node:
+                return rp
+            inc2 = rp.inc2.copy()
+            inc2[overflow_node[dp.multiple] - 1] = np.inf
+            return GridRoughPath(rp.grid, rp.inc1, inc2)
+
+        monkeypatch.setattr("roughwz.expcli.ww_delta", overflowing_ww_delta)
+        rep = run_solution_convergence(cfg)
+        assert rep.blowups == tuple(
+            (seed, k * h, node, node * h) for seed in (0, 1) for k, node in ((2, 5), (4, 9))
+        )
+        nan_rows = {(seed, delta) for seed, delta, _, value in rep.rows if math.isnan(value)}
+        assert nan_rows == {(seed, k * h) for seed in (0, 1) for k in (4, 2)}
+        assert all(math.isfinite(value) for _, delta, _, value in rep.rows if delta == 8 * h)
 
     def test_layer_calls_that_the_benchmark_traces_are_reached(self, monkeypatch):
         # The benchmark's tracer wraps expcli.solve_rde and
@@ -255,6 +311,27 @@ class TestReports:
         rep = run_suite(cfg)
         assert seen == {"solve": [32, 32], "distance": 2}
         assert all(np.isfinite(value) for *_, value in rep.rows)
+
+    def test_benchmark_span_targets_resolve(self):
+        # perfbench/spans.py wraps program attributes by name and reads the
+        # solver's step count from solve_rde's second argument; a renamed or
+        # deleted target breaks every traced benchmark run.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        for owner, attr, _, _ in spans._layer_calls():
+            assert callable(getattr(owner, attr)), f"{owner}.{attr}"
+        vf = builtin_vector_field("sin-g", 2, 2)
+        rp = GridRoughPath(TimeGrid(0.0, 1.0, 16), np.zeros((16, 3, 2)), np.zeros((16, 3, 2, 2)))
+        assert spans._solver_steps(vf, rp, np.zeros(2)) == 16
+        tracer = spans.Tracer()
+        cfg = ExperimentConfig(experiment="solution", n_seeds=1, grid_n=32, delta_ladder=(4, 2))
+        with spans.instrument(tracer):
+            run_suite(cfg)
+        metrics = tracer.layer_metrics()
+        assert metrics["rde.steps"] == 32
+        assert metrics["norms.pvar_s"] > 0.0 and metrics["rde.distance_s"] > 0.0
 
     def test_noise_report_predictions(self):
         cfg = ExperimentConfig(experiment="noise", n_seeds=30, grid_n=256, delta_ladder=(8, 4, 2))

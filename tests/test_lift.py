@@ -104,6 +104,56 @@ class TestChenReconstruction:
         assert np.allclose(co.level2(1, 5), rp.level2(4, 20), atol=1e-13)
 
 
+class TestStacks:
+    # A stack runs the same numpy operations on every member as the member's
+    # own path does, so everything rebuilt from stacked increments is
+    # bit-identical to the member's own.
+    def test_members_match_their_own_paths(self):
+        rng = np.random.default_rng(6)
+        for _ in range(12):
+            n = int(rng.choice([2, 3, 8, 12, 24, 30]))
+            d = int(rng.integers(1, 4))
+            geometric = bool(rng.integers(2))
+            paths = [random_rough_path(rng, n, d, geometric) for _ in range(rng.integers(1, 6))]
+            stack = GridRoughPath.stack(paths)
+            assert stack.inc1.shape == (n, len(paths), d) and stack.d == d
+            i_lo = int(rng.integers(0, n))
+            j = int(rng.integers(i_lo + 1, n + 1))
+            stride = int(rng.choice([s for s in range(1, n + 1) if n % s == 0]))
+            window = stack.restrict(i_lo, j)
+            coarse = stack.coarsen(stride)
+            for k, rp in enumerate(paths):
+                member = stack.member(k)
+                assert np.shares_memory(member.inc1, stack.inc1)
+                assert np.shares_memory(member.inc2, stack.inc2)
+                assert np.array_equal(member.values, rp.values)
+                assert np.array_equal(stack.values[:, k], rp.values)
+                assert np.array_equal(stack.level2_block(i_lo, j)[:, k], rp.level2_block(i_lo, j))
+                assert np.array_equal(stack.level2(i_lo, j)[k], rp.level2(i_lo, j))
+                for got, want in ((window.member(k), rp.restrict(i_lo, j)),
+                                  (coarse.member(k), rp.coarsen(stride))):
+                    assert got.grid == want.grid
+                    assert np.array_equal(got.inc1, want.inc1)
+                    assert np.array_equal(got.inc2, want.inc2)
+                    assert np.array_equal(got.values, want.values)
+            tail = stack.member(slice(1, None))
+            assert np.array_equal(tail.values, stack.values[:, 1:])
+            assert np.array_equal(tail.level2_block(i_lo, j), stack.level2_block(i_lo, j)[:, 1:])
+
+    def test_stack_rejects_empty_and_mixed_paths(self):
+        rng = np.random.default_rng(7)
+        rp = random_rough_path(rng, n=12, d=2)
+        other_window = GridRoughPath(TimeGrid(0.0, 2.0, 12), rp.inc1, rp.inc2)
+        for paths in ([], [rp, random_rough_path(rng, n=16, d=2)], [rp, other_window],
+                      [rp, random_rough_path(rng, n=12, d=1)]):
+            with pytest.raises(ValueError):
+                GridRoughPath.stack(paths)
+        with pytest.raises(ValueError, match="stack"):
+            rp.member(0)
+        with pytest.raises(ValueError):
+            GridRoughPath(rp.grid, rp.inc1[:, None], rp.inc2)
+
+
 class TestLeftRiemannLift:
     def test_matches_ordered_pair_sum(self):
         rng = np.random.default_rng(6)

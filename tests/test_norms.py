@@ -12,6 +12,8 @@ from roughwz.lift import GridRoughPath, lift_left_riemann
 from roughwz.norms import (
     StoppingTimes,
     block_variation,
+    euclidean_norms,
+    frobenius_norms,
     greedy_stopping_times,
     holder_seminorm,
     homogeneous_pvar_norm,
@@ -35,6 +37,10 @@ from oracles import (
 def linear_lift(n, t_max=1.0):
     grid = TimeGrid(0.0, t_max, n)
     return lift_left_riemann(SamplePath(grid, grid.times[:, None].copy()))
+
+
+def level2_norms(rp):
+    return lambda i, j: frobenius_norms(rp.level2_block(i, j))
 
 
 def random_lift(rng, n, d=2):
@@ -65,14 +71,17 @@ class TestLevel1Variation:
         # away from the scalar power.
         rng = np.random.default_rng(47)
         for n, batch in ((1, 1), (8, 3), (30, 6)):
-            vals = rng.standard_normal((n + 1, batch, 2))
-            got = pvar_seminorm(vals, 2.8)
-            assert got.shape == (batch,)
-            for k in range(batch):
-                assert got[k] == pytest.approx(pvar_seminorm(vals[:, k], 2.8), rel=1e-15)
-                if n <= 8:
-                    assert got[k] == pytest.approx(pvar_brute(vals[:, k], 2.8), rel=1e-12)
+            for _ in range(3):
+                d = int(rng.integers(1, 4))
+                vals = rng.standard_normal((n + 1, batch, d))
+                got = pvar_seminorm(vals, 2.8)
+                assert got.shape == (batch,)
+                for k in range(batch):
+                    assert got[k] == pytest.approx(pvar_seminorm(vals[:, k], 2.8), rel=1e-15)
+                    if n <= 8:
+                        assert got[k] == pytest.approx(pvar_brute(vals[:, k], 2.8), rel=1e-12)
         assert np.array_equal(pvar_seminorm(np.zeros((1, 4, 2)), 2.8), np.zeros(4))
+        assert pvar_seminorm(np.zeros((1, 2)), 2.8) == 0.0
 
     def test_p_one_is_total_variation(self):
         rng = np.random.default_rng(41)
@@ -89,39 +98,39 @@ class TestPartitionSums:
         v = rp.values
         block = (lambda i, j: v[j] - v[i:j]) if level == 1 else rp.level2_block
         p = 2.8 / level
-        got = list(partition_sums(block, p, 5, 48))
+        norms = euclidean_norms if level == 1 else frobenius_norms
+        got = list(partition_sums(lambda i, j: norms(block(i, j)), p, 5, 48))
         want = pvar_running_loop(lambda a, b: block(a, b)[0], p, 5, 48)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_running_sums_are_windowed_variations(self):
         rp = random_lift(np.random.default_rng(31), 20)
-        running = list(partition_sums(rp.level2_block, 1.4, 3, 20))
+        norms = level2_norms(rp)
+        running = list(partition_sums(norms, 1.4, 3, 20))
         for j, best in enumerate(running, 4):
-            assert block_variation(rp.level2_block, 1.4, 20, 3, j) == best ** (1.0 / 1.4)
+            assert block_variation(norms, 1.4, 20, 3, j) == best ** (1.0 / 1.4)
 
     def test_batched_sums_match_per_member_programs(self):
-        # A batch axis after the pair axis runs one program per member: the
-        # running sums are bit-identical to each member's own program, on
-        # random windows and at both levels.  Only the final root may differ,
-        # by one ulp (numpy's vector power against the scalar power).
+        # Norms with a member axis after the pair axis run one program per
+        # member: the running sums of a stack are bit-identical to each
+        # member's own program, on random windows and at both levels.  Only
+        # the final root may differ, by one ulp (numpy's vector power
+        # against the scalar power).
         rng = np.random.default_rng(43)
         for _ in range(8):
             n = int(rng.integers(2, 40))
             i_lo = int(rng.integers(0, n))
             i_hi = int(rng.integers(i_lo + 1, n + 1))
             lifts = [random_lift(rng, n) for _ in range(int(rng.integers(1, 7)))]
-            pts = np.stack([rp.values for rp in lifts], axis=1)
+            stack = GridRoughPath.stack(lifts)
+            pts = stack.values
             level1 = (
-                lambda i, j: pts[j] - pts[i:j],
-                lambda rp: lambda i, j: rp.values[j] - rp.values[i:j],
+                lambda i, j: euclidean_norms(pts[j] - pts[i:j]),
+                lambda rp: lambda i, j: euclidean_norms(rp.values[j] - rp.values[i:j]),
             )
-            level2 = (
-                lambda i, j: np.stack([rp.level2_block(i, j) for rp in lifts], axis=1),
-                lambda rp: rp.level2_block,
-            )
-            for p, (batched, solo) in ((2.8, level1), (1.4, level2)):
-                got = np.array(list(partition_sums(batched, p, i_lo, i_hi, batched=True)))
-                var = block_variation(batched, p, n, i_lo, i_hi, batched=True)
+            for p, (stacked, solo) in ((2.8, level1), (1.4, (level2_norms(stack), level2_norms))):
+                got = np.array(list(partition_sums(stacked, p, i_lo, i_hi)))
+                var = block_variation(stacked, p, n, i_lo, i_hi)
                 for k, rp in enumerate(lifts):
                     assert np.array_equal(got[:, k], list(partition_sums(solo(rp), p, i_lo, i_hi)))
                     want = block_variation(solo(rp), p, n, i_lo, i_hi)
@@ -130,9 +139,9 @@ class TestPartitionSums:
     def test_batched_variation_matches_enumeration(self):
         rng = np.random.default_rng(53)
         lifts = [random_lift(rng, 8) for _ in range(4)]
-        block = lambda i, j: np.stack([rp.level2_block(i, j) for rp in lifts], axis=1)
+        norms = level2_norms(GridRoughPath.stack(lifts))
         for i_lo, i_hi in ((0, 8), (1, 6), (3, 4)):
-            got = block_variation(block, 1.4, 8, i_lo, i_hi, batched=True)
+            got = block_variation(norms, 1.4, 8, i_lo, i_hi)
             for k, rp in enumerate(lifts):
                 want = pvar2_brute(lambda a, b: rp.level2_block(a, b)[0], 1.4, i_lo, i_hi)
                 assert got[k] == pytest.approx(want, rel=1e-12)
@@ -141,7 +150,7 @@ class TestPartitionSums:
     def test_bad_window_rejected(self, window):
         rp = random_lift(np.random.default_rng(37), 20)
         with pytest.raises(ValueError, match="window"):
-            block_variation(rp.level2_block, 1.4, 20, *window)
+            block_variation(level2_norms(rp), 1.4, 20, *window)
 
 
 class TestLevel2Variation:
@@ -204,6 +213,9 @@ class TestHolderSeminorm:
         times = np.array([0.0, 0.1])
         vals = np.array([[0.0], [1.0]])
         assert holder_seminorm(times, vals, 0.4) == pytest.approx(0.1 ** (-0.4), rel=1e-12)
+        # A stack of paths has no single Hoelder sup.
+        with pytest.raises(ValueError, match="one path"):
+            holder_seminorm(times, vals[:, None], 0.4)
 
     def test_linear_path_attains_at_full_gap(self):
         times = np.linspace(0.0, 1.0, 11)

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from roughwz.fbm import FbmParams, FbmSampler, SamplePath, TimeGrid
-from roughwz.lift import lift_left_riemann, lift_smooth_quadrature
-from roughwz.norms import block_variation, pvar_seminorm
+from roughwz.lift import GridRoughPath, lift_left_riemann, lift_smooth_quadrature
+from roughwz.norms import euclidean_norms, block_variation, pvar_seminorm
 from roughwz.rde import (
     VECTOR_FIELD_CATALOG,
     ControlledPath,
-    DriverBatch,
     SolverBlowUpError,
     VectorField,
     apriori_bound_check,
@@ -184,7 +183,7 @@ def overflowing_lift(n, node, seed=86):
 
 
 class TestBatchedSolver:
-    # The batched step runs the same numpy operations on stacked states as
+    # The stacked step runs the same numpy operations on stacked states as
     # the single-driver step does on one state, so results are bit-identical.
     @pytest.mark.parametrize(
         "name, m", [("additive", 3), ("drift-only", 2), ("linear-g", 2), ("sin-g", 2), ("sin-g", 3)]
@@ -194,13 +193,13 @@ class TestBatchedSolver:
         vf = builtin_vector_field(name, m, 2)
         y0 = np.linspace(0.4, -0.3, m)
         members = [fbm_lift(64, seed=85, counter=k) for k in range(size)]
-        solved = solve_rde(vf, DriverBatch(members), y0)
-        assert solved.blowups == ()
-        assert solved.path.values.shape == (65, size, m)
+        solved = solve_rde(vf, GridRoughPath.stack(members), y0)
+        assert solved.values.shape == (65, size, m)
+        assert np.isfinite(solved.values).all()
         for k, rp in enumerate(members):
             cp = solved.member(k)
             solo = solve_rde(vf, rp, y0)
-            assert cp.driver is rp
+            assert np.array_equal(cp.driver.values, rp.values)
             assert np.array_equal(cp.values, solo.values)
             assert np.array_equal(cp.gubinelli, solo.gubinelli)
 
@@ -209,28 +208,48 @@ class TestBatchedSolver:
         y0 = np.array([1.0, -0.5])
         members = [fbm_lift(32, seed=87, counter=k) for k in range(6)]
         members[3] = overflowing_lift(32, node=12)
-        solved = solve_rde(vf, DriverBatch(members), y0)
+        solved = solve_rde(vf, GridRoughPath.stack(members), y0)
         with pytest.raises(SolverBlowUpError) as exc:
             solve_rde(vf, members[3], y0)
         assert exc.value.node_index == 12
-        assert solved.blowups == ((3, exc.value.node_index, exc.value.time),)
-        assert np.isnan(solved.member(3).values).all()
-        assert np.isnan(solved.member(3).gubinelli).all()
+        blown = solved.member(3)
+        assert np.isnan(blown.values[12:]).all()
+        assert np.isnan(blown.gubinelli[12:]).all()
+        # Before the blow-up the member is its own solve up to node 11.
+        early = solve_rde(vf, members[3].restrict(0, 11), y0)
+        assert np.array_equal(blown.values[:12], early.values)
+        assert np.array_equal(blown.gubinelli[:12], early.gubinelli)
         for k in (0, 1, 2, 4, 5):
             solo = solve_rde(vf, members[k], y0)
             assert np.array_equal(solved.member(k).values, solo.values)
             assert np.array_equal(solved.member(k).gubinelli, solo.gubinelli)
 
+    def test_members_blow_up_at_their_own_nodes(self):
+        # Member 4 leaves the finite range before member 1 does; each is NaN
+        # from its own node on, and nothing else is.
+        vf = builtin_vector_field("linear-g", 2, 2)
+        members = [fbm_lift(32, seed=89, counter=k) for k in range(6)]
+        members[1] = overflowing_lift(32, node=20)
+        members[4] = overflowing_lift(32, node=9)
+        nan = np.isnan(solve_rde(vf, GridRoughPath.stack(members), np.ones(2)).values)
+        first = {k: int(np.argmax(nan[:, k].any(axis=-1))) for k in range(6) if nan[:, k].any()}
+        assert first == {1: 20, 4: 9}
+        for k, node in first.items():
+            assert nan[node:, k].all() and not nan[:node, k].any()
+
     def test_batch_members_must_share_grid_and_dimension(self):
         with pytest.raises(ValueError):
-            DriverBatch(())
+            GridRoughPath.stack(())
         with pytest.raises(ValueError):
-            DriverBatch((fbm_lift(16, seed=88), fbm_lift(32, seed=88)))
+            GridRoughPath.stack((fbm_lift(16, seed=88), fbm_lift(32, seed=88)))
         with pytest.raises(ValueError):
-            DriverBatch((fbm_lift(16, seed=88), fbm_lift(16, seed=88, d=1)))
-        pair = DriverBatch((fbm_lift(16, seed=88), fbm_lift(16, seed=88, counter=1)))
-        with pytest.raises(ValueError, match="member axis"):
+            GridRoughPath.stack((fbm_lift(16, seed=88), fbm_lift(16, seed=88, d=1)))
+        pair = GridRoughPath.stack((fbm_lift(16, seed=88), fbm_lift(16, seed=88, counter=1)))
+        with pytest.raises(ValueError, match="member axes"):
             ControlledPath(pair.grid, np.zeros((17, 3, 2)), np.zeros((17, 3, 2, 2)), driver=pair)
+        cp = ControlledPath(pair.grid, np.zeros((17, 2, 3)), np.zeros((17, 2, 3, 2)), driver=pair)
+        assert cp.member(slice(1, None)).values.shape == (17, 1, 3)
+        assert cp.member(0).driver.inc1.shape == (16, 2)
 
 
 class TestControlledPaths:
@@ -360,39 +379,49 @@ class TestDistancesAndBounds:
         vf = builtin_vector_field("sin-g", 2, 2)
         n, p = 40, 2.8
         members = [fbm_lift(n, seed=84, counter=k) for k in range(6)]
-        solved = solve_rde(vf, DriverBatch(members), np.zeros(2))
+        solved = solve_rde(vf, GridRoughPath.stack(members), np.zeros(2))
         b = solved.member(0)
         rest = [solved.member(k) for k in range(1, 6)]
+        ladder, truth = solved.member(slice(1, None)), solved.member(slice(0, 1))
         for _ in range(4):
             i_lo = int(rng.integers(0, n))
             i_hi = int(rng.integers(i_lo + 1, n + 1))
-            got = solution_distance(solved.members(1), b, p, i_lo, i_hi)
-            assert len(got) == len(rest)
-            for a, dist in zip(rest, got):
+            got = solution_distance(ladder, truth, p, i_lo, i_hi)
+            assert got.sup.shape == got.pvar.shape == got.remainder_qvar.shape == (5,)
+            # Swapping the sides negates every block, so every part is bit-identical.
+            swapped = solution_distance(truth, ladder, p, i_lo, i_hi)
+            for part in ("sup", "pvar", "remainder_qvar"):
+                assert np.array_equal(getattr(swapped, part), getattr(got, part))
+            for k, a in enumerate(rest):
                 gap = lambda lo, j: einsum_remainder(a, lo, j) - einsum_remainder(b, lo, j)
-                batched_gap = a.remainder_block(i_lo, i_hi) - b.remainder_block(i_lo, i_hi)
-                assert np.array_equal(gap(i_lo, i_hi), batched_gap)
-                rem = block_variation(gap, p / 2.0, n, i_lo, i_hi)
+                stacked_gap = a.remainder_block(i_lo, i_hi) - b.remainder_block(i_lo, i_hi)
+                assert np.array_equal(gap(i_lo, i_hi), stacked_gap)
+                rem = block_variation(lambda lo, j: euclidean_norms(gap(lo, j)), p / 2.0, n, i_lo, i_hi)
                 diff = a.values[i_lo : i_hi + 1] - b.values[i_lo : i_hi + 1]
-                assert dist.sup == float(np.sqrt(np.einsum("id,id->i", diff, diff)).max())
-                assert dist.pvar == pytest.approx(pvar_seminorm(diff, p), rel=1e-15)
-                assert dist.remainder_qvar == pytest.approx(rem, rel=1e-15)
-                assert solution_distance(a, b, p, i_lo, i_hi) == dist
+                assert got.sup[k] == float(np.sqrt(np.einsum("id,id->i", diff, diff)).max())
+                assert got.pvar[k] == pytest.approx(pvar_seminorm(diff, p), rel=1e-15)
+                assert got.remainder_qvar[k] == pytest.approx(rem, rel=1e-15)
+                solo = solution_distance(a, b, p, i_lo, i_hi)
+                assert isinstance(solo.sup, float) and solo.sup == got.sup[k]
+                assert solo.pvar == pytest.approx(got.pvar[k], rel=1e-15)
+                assert solo.remainder_qvar == pytest.approx(got.remainder_qvar[k], rel=1e-15)
 
     @pytest.mark.parametrize("i_lo, i_hi", [(0, 8), (2, 6)])
     def test_batched_remainder_distance_matches_enumeration(self, i_lo, i_hi):
         vf = builtin_vector_field("sin-g", 2, 2)
         members = [fbm_lift(8, seed=82, counter=k) for k in range(4)]
-        solved = solve_rde(vf, DriverBatch(members), np.zeros(2))
+        solved = solve_rde(vf, GridRoughPath.stack(members), np.zeros(2))
         b = solved.member(0)
-        rest = [solved.member(k) for k in (1, 2, 3)]
         p = 2.8
-        for a, dist in zip(rest, solution_distance(solved.members(1), b, p, i_lo, i_hi)):
+        ladder, truth = solved.member(slice(1, None)), solved.member(slice(0, 1))
+        dist = solution_distance(ladder, truth, p, i_lo, i_hi)
+        for k in (1, 2, 3):
+            a = solved.member(k)
             block = lambda i, j: (a.remainder_block(i, j) - b.remainder_block(i, j))[0]
-            assert dist.remainder_qvar == pytest.approx(
+            assert dist.remainder_qvar[k - 1] == pytest.approx(
                 pvar2_brute(block, p / 2.0, i_lo, i_hi), rel=1e-12
             )
-            assert dist.pvar == pytest.approx(
+            assert dist.pvar[k - 1] == pytest.approx(
                 pvar_brute(a.values - b.values, p, i_lo, i_hi), rel=1e-12
             )
 
