@@ -129,7 +129,12 @@ class GridRoughPath:
         return self.values[j] - self.values[i]
 
     def level2(self, i: int, j: int) -> np.ndarray:
-        """X2 over node pair (i, j), i <= j, by Chen's relation."""
+        """X2 over node pair (i, j), i <= j, by Chen's relation.
+
+        i and j may be equal-length index arrays: the result then has one
+        block per pair along a leading axis, with the same arithmetic per
+        pair as level2_block.
+        """
         a = self._area_prefix
         v = self.values
         return a[j] - a[i] - v[i][..., :, None] * (v[j] - v[i])[..., None, :]

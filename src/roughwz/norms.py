@@ -1,6 +1,6 @@
 """Variation norms, Hoelder-type metrics and greedy stopping times.
 
-Every quantity here is measured through one kind of object, a pair-norm
+Every variation here is measured through one kind of object, a pair-norm
 function: norms(i_lo, j) returns the norms of the blocks over the node
 pairs (i, j) for every i in [i_lo, j), stacked along a leading axis.  The
 code that builds a block also takes its norm: euclidean_norms of the
@@ -11,7 +11,7 @@ same norm of the difference of two such blocks.  Blocks
 of stacked paths carry member axes right after the pair axis; their norms
 then have shape (j - i_lo, *members).
 
-Two kernels consume pair-norm functions.  partition_sums is the exact
+Two kernels consume block norms.  partition_sums is the exact
 O(n^2) p-variation program: over nodes i_lo..j the maximal partition sum
 satisfies
 
@@ -20,9 +20,12 @@ satisfies
 because an optimal partition of [i_lo, j] ends with some block [i, j].  It
 yields best[j] for one right end after another, so greedy stopping can
 exit early; block_variation runs it over a whole node window.  Over member
-axes the same program runs one variation per member.  The Hoelder sup takes
-max |block_{i,j}| / (t_j - t_i)^alpha  over the same pairs, one right
-endpoint at a time.
+axes the same program runs one variation per member; it reads one row of
+left ends per right end.  The Hoelder sup takes
+max |block_{i,j}| / (t_j - t_i)^alpha  over the same pairs in no particular
+order, so it reads runs of whole and split rows: norms(i, j) over
+equal-length index arrays with i < j, at most _RUN_PAIRS pairs per run (a
+whole 129-node grid is one run), built by the same arithmetic per pair.
 
 The homogeneous rough-path norm combines the levels as
 
@@ -60,6 +63,9 @@ __all__ = [
 
 # norms(i_lo, j) -> block norms over (i, j) for i in [i_lo, j), shape (j - i_lo, *members).
 PairNorms = Callable[[int, int], np.ndarray]
+
+# Most node pairs one pass of the Hoelder sup reads (about 0.5 MB per float64 array).
+_RUN_PAIRS = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +116,29 @@ def block_variation(
     return best ** (1.0 / p)
 
 
-def _holder_sup(norms: PairNorms, times: np.ndarray, alpha: float) -> float:
-    """sup over node pairs i < j of |block_{i,j}| / (t_j - t_i)^alpha."""
-    out = 0.0
-    for j in range(1, len(times)):
-        ratio = norms(0, j) / (times[j] - times[:j]) ** alpha
-        out = max(out, float(ratio.max()))
-    return out
+def _holder_sup(
+    norms: Callable[[np.ndarray, np.ndarray], np.ndarray], times: np.ndarray, alpha: float
+) -> float:
+    """sup over node pairs i < j of |block_{i,j}| / (t_j - t_i)^alpha; NaN if any ratio is.
+
+    norms(i, j) takes equal-length index arrays and returns one norm per pair.
+    The pairs, ordered by right end and then left end, are read in runs of
+    at most _RUN_PAIRS.
+    """
+    nodes = np.arange(len(times))
+    row_start = nodes * (nodes - 1) // 2  # position of pair (0, j) in that order
+    n_pairs = len(times) * (len(times) - 1) // 2
+    out = np.float64(0.0)
+    for k0 in range(0, n_pairs, _RUN_PAIRS):
+        k1 = min(k0 + _RUN_PAIRS, n_pairs)
+        j0, j1 = np.searchsorted(row_start, [k0, k1 - 1], side="right") - 1
+        rows = nodes[j0 : j1 + 1, None]
+        j, i = np.nonzero(nodes[:j1] < rows)
+        skip = k0 - row_start[j0]
+        i, j = i[skip : skip + k1 - k0], j[skip : skip + k1 - k0] + j0
+        ratio = norms(i, j) / (times[j] - times[i]) ** alpha
+        out = np.maximum(out, ratio.max())
+    return float(out)
 
 
 def _as_points(values: np.ndarray) -> np.ndarray:
@@ -198,7 +220,13 @@ def holder_seminorm(times: np.ndarray, values: np.ndarray, alpha: float) -> floa
     times = np.asarray(times, dtype=float)
     if len(times) != len(pts):
         raise ValueError(f"{len(times)} times for {len(pts)} values")
-    return _holder_sup(_increment_norms(pts), times, alpha)
+    steps = np.diff(times)
+    if not (steps > 0.0).all():
+        k = int(np.argmin(steps > 0.0))
+        raise ValueError(
+            f"times must increase strictly: t[{k}] = {times[k]} then t[{k + 1}] = {times[k + 1]}"
+        )
+    return _holder_sup(lambda i, j: euclidean_norms(pts[j] - pts[i]), times, alpha)
 
 
 def _check_same_layout(a: GridRoughPath, b: GridRoughPath) -> None:
@@ -215,7 +243,9 @@ def rho_alpha_metric(a: GridRoughPath, b: GridRoughPath, alpha: float) -> float:
     _check_same_layout(a, b)
     times = a.grid.times
     lvl1 = holder_seminorm(times, a.values - b.values, alpha)
-    lvl2 = _holder_sup(_level2_gap_norms(a, b), times, 2.0 * alpha)
+    lvl2 = _holder_sup(
+        lambda i, j: frobenius_norms(a.level2(i, j) - b.level2(i, j)), times, 2.0 * alpha
+    )
     return lvl1 + lvl2
 
 

@@ -100,6 +100,20 @@ def pvar_running_loop(block, p: float, i: int, j: int) -> list[float]:
     return best[1:]
 
 
+def holder_sup_loop(block_norms, times: np.ndarray, alpha: float) -> float:
+    """sup over node pairs i < j of |block_{i,j}| / (t_j - t_i)^alpha, one right end at a time.
+
+    block_norms(i_lo, j) returns the norms over (i, j) for i in [i_lo, j).
+    This is the per-right-end loop the pair-run sup replaced; Python's max
+    skips a NaN ratio, so it is a reference for finite inputs only.
+    """
+    out = 0.0
+    for j in range(1, len(times)):
+        ratio = block_norms(0, j) / (times[j] - times[:j]) ** alpha
+        out = max(out, float(ratio.max()))
+    return out
+
+
 @lru_cache(maxsize=None)
 def _partition_block_arrays(n: int):
     """All blocks of all partitions of [0, n], flattened with partition ids."""

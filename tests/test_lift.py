@@ -90,6 +90,22 @@ class TestChenReconstruction:
         for off in range(6):
             assert np.allclose(blk[off], rp.level2(3 + off, 9), atol=1e-14)
 
+    def test_level2_over_index_arrays_matches_block_rows(self):
+        # Same arithmetic per pair as level2_block, so the rows agree bit for bit.
+        rng = np.random.default_rng(8)
+        for _ in range(12):
+            n = int(rng.integers(2, 20))
+            d = int(rng.integers(1, 4))
+            rp = random_rough_path(rng, n, d, geometric=bool(rng.integers(2)))
+            stack = GridRoughPath.stack([random_rough_path(rng, n, d) for _ in range(3)])
+            j, i = np.nonzero(np.arange(n + 1)[None, :] < np.arange(n + 1)[:, None])
+            for path in (rp, stack):
+                rows = np.concatenate([path.level2_block(0, jj) for jj in range(1, n + 1)])
+                assert path.level2(i, j).shape == rows.shape
+                assert np.array_equal(path.level2(i, j), rows)
+                pick = rng.integers(0, len(i), size=5)
+                assert np.array_equal(path.level2(i[pick], j[pick]), rows[pick])
+
     def test_restrict_and_coarsen(self):
         rng = np.random.default_rng(5)
         rp = random_rough_path(rng, n=32, d=2, geometric=True)

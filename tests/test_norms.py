@@ -4,9 +4,12 @@ Every dynamic-programming result is checked against exhaustive partition
 enumeration from oracles.py on instances small enough to enumerate.
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+from roughwz import norms
 from roughwz.fbm import FbmParams, FbmSampler, SamplePath, TimeGrid
 from roughwz.lift import GridRoughPath, lift_left_riemann
 from roughwz.norms import (
@@ -27,6 +30,7 @@ from roughwz.norms import (
 
 from oracles import (
     greedy_stops_brute,
+    holder_sup_loop,
     homogeneous_brute,
     pvar2_brute,
     pvar_brute,
@@ -234,6 +238,84 @@ class TestHolderSeminorm:
                 assert np.linalg.norm(vals[j] - vals[i]) <= c * gap**0.45 + 1e-12
 
 
+    def test_nan_propagates(self):
+        vals = np.arange(9.0)
+        vals[5] = np.nan
+        assert np.isnan(holder_seminorm(np.linspace(0.0, 1.0, 9), vals, 0.4))
+
+    @pytest.mark.parametrize(
+        "times, bad",
+        [([0.0, 0.5, 0.25, 1.0], "t\\[1\\] = 0.5 then t\\[2\\] = 0.25"),
+         ([0.0, 0.5, 0.5, 1.0], "t\\[1\\] = 0.5 then t\\[2\\] = 0.5"),
+         ([1.0, 0.75, 0.5, 0.25], "t\\[0\\] = 1.0 then t\\[1\\] = 0.75")],
+    )
+    def test_non_increasing_times_rejected(self, times, bad):
+        with pytest.raises(ValueError, match=f"increase strictly: {bad}"):
+            holder_seminorm(np.array(times), np.arange(4.0), 0.4)
+
+
+def increment_block_norms(pts):
+    return lambda i_lo, j: euclidean_norms(pts[j] - pts[i_lo:j])
+
+
+def gap_block_norms(a, b):
+    return lambda i_lo, j: frobenius_norms(a.level2_block(i_lo, j) - b.level2_block(i_lo, j))
+
+
+class TestHolderPairRuns:
+    """The pair-run Hoelder sup against the per-right-end loop it replaced, with ==."""
+
+    @pytest.mark.parametrize("run_pairs", [1, 7, norms._RUN_PAIRS])
+    def test_matches_per_right_end_loop(self, monkeypatch, run_pairs):
+        monkeypatch.setattr(norms, "_RUN_PAIRS", run_pairs)
+        rng = np.random.default_rng(61)
+        for _ in range(12):
+            n = int(rng.integers(2, 40))
+            d = int(rng.integers(1, 4))
+            alpha = float(rng.uniform(0.1, 0.9))
+            times = np.cumsum(rng.uniform(0.01, 0.2, n + 1))
+            pts = rng.standard_normal((n + 1, d)).cumsum(axis=0)
+            ref = holder_sup_loop(increment_block_norms(pts), times, alpha)
+            assert holder_seminorm(times, pts, alpha) == ref
+            a, b = random_lift(rng, n, d), random_lift(rng, n, d)
+            ref = holder_sup_loop(
+                increment_block_norms(a.values - b.values), a.grid.times, alpha
+            ) + holder_sup_loop(gap_block_norms(a, b), a.grid.times, 2.0 * alpha)
+            assert rho_alpha_metric(a, b, alpha) == ref
+
+    @pytest.mark.parametrize("run_pairs", [7, norms._RUN_PAIRS])
+    def test_grid_with_more_pairs_than_one_run(self, monkeypatch, run_pairs):
+        monkeypatch.setattr(norms, "_RUN_PAIRS", run_pairs)
+        rng = np.random.default_rng(67)
+        n = 199  # 200 nodes, 19900 pairs: more than 2^14
+        assert n * (n + 1) // 2 > 1 << 14
+        a, b = random_lift(rng, n, 2), random_lift(rng, n, 2)
+        times = a.grid.times
+        pts = a.values
+        assert holder_seminorm(times, pts, 0.45) == holder_sup_loop(
+            increment_block_norms(pts), times, 0.45
+        )
+        ref = holder_sup_loop(
+            increment_block_norms(a.values - b.values), times, 0.45
+        ) + holder_sup_loop(gap_block_norms(a, b), times, 0.9)
+        assert rho_alpha_metric(a, b, 0.45) == ref
+
+    @pytest.mark.parametrize("run_pairs", [1, 7, norms._RUN_PAIRS])
+    def test_every_pair_is_read(self, monkeypatch, run_pairs):
+        monkeypatch.setattr(norms, "_RUN_PAIRS", run_pairs)
+        rng = np.random.default_rng(71)
+        for n_nodes in range(1, 9):
+            for d in (1, 2, 3):
+                times = np.cumsum(rng.uniform(0.01, 0.2, n_nodes))
+                pts = rng.standard_normal((n_nodes, d))
+                # One-pair arrays: numpy's scalar power may round unlike its array loop.
+                ratios = [
+                    (euclidean_norms(pts[[j]] - pts[[i]]) / (times[[j]] - times[[i]]) ** 0.4)[0]
+                    for i, j in combinations(range(n_nodes), 2)
+                ]
+                assert holder_seminorm(times, pts, 0.4) == max(ratios, default=0.0)
+
+
 class TestRoughMetrics:
     def make_pair(self, eps=0.25):
         grid = TimeGrid(0.0, 1.0, 6)
@@ -263,6 +345,17 @@ class TestRoughMetrics:
         a, b = self.make_pair()
         assert rho_pvar_metric(a, b, 2.0) == rho_pvar_metric(b, a, 2.0)
         assert rho_alpha_metric(a, b, 0.4) == rho_alpha_metric(b, a, 0.4)
+
+    def test_nan_node_propagates(self):
+        grid = TimeGrid(0.0, 1.0, 8)
+        vals = np.linspace(0.0, 1.0, 9)[:, None]
+        clean = lift_left_riemann(SamplePath(grid, vals))
+        vals = vals.copy()
+        vals[5] = np.nan
+        broken = lift_left_riemann(SamplePath(grid, vals))
+        assert np.isnan(rho_alpha_metric(broken, clean, 0.4))
+        assert np.isnan(rho_alpha_metric(clean, broken, 0.4))
+        assert np.isnan(rho_pvar_metric(broken, clean, 2.0))
 
     def test_pvar_distance_matches_enumeration(self):
         rng = np.random.default_rng(43)
