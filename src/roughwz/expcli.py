@@ -3,30 +3,32 @@
 Three experiments, all Monte-Carlo over a seeded fBm ensemble and all
 paired: every width delta of a ladder acts on the same sampled path, so
 per-seed comparisons across the ladder cancel most of the sampling noise.
+One driver serves all three.  Per seed it samples the path and stacks the
+canonical lift (member 0) with the smooth approximants (W_delta, WW_delta),
+member k for the k-th width of the ladder, on the base window; each
+experiment only measures that stack and gates the (seed, delta) tables.
 
-noise      level-1 and metric distances between the smooth approximant
-           (W_delta, WW_delta) and the canonical lift of the noise.
+noise      level-1 and metric distances between each approximant and the
+           canonical lift of the noise.
            Gates: fitted log-log slope of the fixed-time RMS within
            [0.8 H, 1.2 H]; strict per-seed decrease of the Hoelder-type
            metric along the ladder in >= 90% of seeds.
 solution   distances between the RDE solution driven by the true lift and
-           by the smooth approximant, same noise.  Per seed the true lift
-           and the ladder's approximants form one stacked driver: one
-           solve and one distance program per part.  Gates: per-seed
-           decrease of all three distance components in >= 90% of seeds (a
-           metric that is identically zero passes as degenerate); RMS sup
-           distance at the smallest delta below a configured ceiling; no
-           solver blow-ups.
-stopping   displacement of the greedy stopping times of the approximant
+           by each approximant: one solve of the whole stack and one
+           distance program per part.  Gates: per-seed decrease of all
+           three distance components in >= 90% of seeds (a metric that is
+           identically zero passes as degenerate); RMS sup distance at the
+           smallest delta below a configured ceiling; no solver blow-ups.
+stopping   displacement of the greedy stopping times of each approximant
            against those of the true lift.  Gates: per-seed non-increase of
            the displacement in >= 90% of seeds; the interval-count bound
            N <= 1 + eta^{-p} |||X|||^p on every run.
 
-The noise and stopping experiments compare lifts on a coarsened grid
+The noise and stopping experiments compare lifts on a coarsened stack
 (every metric_stride-th node, level 2 rebuilt through Chen's relation, so
-the restriction is exact).  The solution experiment ignores metric_stride:
-its distances run on the full grid_n grid, where its gates (the sup
-ceiling above all) are calibrated.
+the restriction is exact), one member against member 0 at a time.  The
+solution experiment ignores metric_stride: its distances run on the full
+grid_n grid, where its gates (the sup ceiling above all) are calibrated.
 
 Seeds run one after another, each from its own stream
 (master_seed, seed_index).  Reports: a CSV with one row per seed x delta x
@@ -76,8 +78,8 @@ from .rde import (
     solution_distance,
     solve_rde,
 )
-# No experiment calls w_delta directly any more; the name stays importable
-# here because perfbench/spans.py wraps expcli.w_delta.
+# perfbench/spans.py wraps the layer calls by their names in this module (w_delta
+# too, which no experiment calls), so the experiments look them up as globals.
 from .wongzakai import DeltaParam, w_delta, ww_delta
 
 __all__ = [
@@ -152,6 +154,8 @@ class ExperimentConfig:
     cleanest for per-seed monotonicity.  The solution experiment neither
     uses nor checks metric_stride: it measures its distances on the full
     grid.  The level-1 variation exponent is p = 1/beta throughout.
+    For noise, fixed_time must be a node of the base grid other than 0.
+    out_dir, when set, is where run_suite writes its reports.
     Values are checked against the field types and stored as them: integral
     values for int fields, finite real ones for float fields (y0 entries
     too), never bool; lists and arrays for tuple fields.
@@ -273,6 +277,13 @@ class ExperimentConfig:
             raise ConfigError(
                 "metric_stride", f"stride {stride} must divide grid_n = {self.grid_n}"
             )
+        if self.experiment == "noise":
+            try:
+                fixed = self.grid.index_of(self.fixed_time)
+            except GridAlignmentError as exc:
+                raise ConfigError("fixed_time", str(exc)) from None
+            if fixed == self.grid.zero_index:
+                raise ConfigError("fixed_time", "the level-1 error at time 0 is identically 0")
         if self.sup_ceiling <= 0.0:
             raise ConfigError("sup_ceiling", f"ceiling must be positive, got {self.sup_ceiling}")
         if self.master_seed < 0:
@@ -428,60 +439,28 @@ def _moments(values: np.ndarray, q: float) -> tuple[float, float, float]:
     return mean, rms, lq
 
 
-def _seed_tables(cfg: ExperimentConfig, names: list[str], one_seed) -> dict[str, np.ndarray]:
-    """One (seed, delta) table per name, from the (name, delta) arrays that
-    one_seed(idx) returns for the seeds in order."""
-    stacked = np.stack([one_seed(idx) for idx in range(cfg.n_seeds)])
-    return {name: stacked[:, i, :] for i, name in enumerate(names)}
-
-
-def _summarize(
-    cfg: ExperimentConfig,
-    metric_names: list[str],
-    per_seed: dict[str, np.ndarray],
-    deltas: list[float],
-    predicted: dict[str, float | None],
-    notes: dict[str, str] | None = None,
-) -> tuple[list[MetricSummary], list[tuple[int, float, str, float]]]:
-    """Moments, slopes and CSV rows from the (seed, delta) value tables."""
-    notes = notes or {}
-    summaries = []
-    rows: list[tuple[int, float, str, float]] = []
-    short_ladder = len(deltas) < 2
-    for name in metric_names:
-        table = per_seed[name]
-        means, rmss, lqs = [], [], []
-        for col in range(table.shape[1]):
-            mean, rms, lq = _moments(table[:, col], cfg.q_moment)
-            means.append(mean)
-            rmss.append(rms)
-            lqs.append(lq)
-        n_nonfinite = np.count_nonzero(~np.isfinite(table), axis=0)
-        fit = None if short_ladder else fit_loglog_slope(deltas, rmss)
-        note = notes.get(name, "")
-        if short_ladder:
-            note = (note + "; " if note else "") + "insufficient ladder: no rate fit"
-        elif fit is None:
-            note = (note + "; " if note else "") + "degenerate values: no rate fit"
-        summaries.append(
-            MetricSummary(
-                metric=name,
-                deltas=tuple(deltas),
-                mean=tuple(means),
-                rms=tuple(rmss),
-                moment_q=tuple(lqs),
-                n_nonfinite=tuple(int(k) for k in n_nonfinite),
-                slope=None if fit is None else fit[0],
-                slope_se=None if fit is None else fit[1],
-                predicted_exponent=predicted.get(name),
-                note=note,
-            )
-        )
-    for seed in range(cfg.n_seeds):
-        for col, delta in enumerate(deltas):
-            for name in metric_names:
-                rows.append((seed, delta, name, float(per_seed[name][seed, col])))
-    return summaries, rows
+def _summary(
+    name: str, table: np.ndarray, deltas: tuple, q: float, predicted: float | None, note: str
+) -> MetricSummary:
+    """Per-delta moments and rate fit of one metric's (seed, delta) table."""
+    means, rmss, lqs = zip(*(_moments(table[:, col], q) for col in range(len(deltas))))
+    fit = None if len(deltas) < 2 else fit_loglog_slope(deltas, rmss)
+    if len(deltas) < 2:
+        note = (note + "; " if note else "") + "insufficient ladder: no rate fit"
+    elif fit is None:
+        note = (note + "; " if note else "") + "degenerate values: no rate fit"
+    return MetricSummary(
+        metric=name,
+        deltas=deltas,
+        mean=means,
+        rms=rmss,
+        moment_q=lqs,
+        n_nonfinite=tuple(int(k) for k in np.count_nonzero(~np.isfinite(table), axis=0)),
+        slope=None if fit is None else fit[0],
+        slope_se=None if fit is None else fit[1],
+        predicted_exponent=predicted,
+        note=note,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -489,94 +468,114 @@ def _summarize(
 # ---------------------------------------------------------------------------
 
 
-def _sampler_for(cfg: ExperimentConfig, d: int) -> tuple[FbmSampler, list[DeltaParam]]:
-    grid = cfg.grid
-    ext = grid.extended(cfg.delta_ladder[0])
-    sampler = FbmSampler(ext, FbmParams(H=cfg.H, d=d, seed=cfg.master_seed))
-    dps = [DeltaParam.for_grid(grid, k) for k in cfg.delta_ladder]
-    return sampler, dps
+def _run_ladder(
+    cfg: ExperimentConfig, metrics: dict, measure, gates, blowups=()
+) -> ConvergenceReport:
+    """Run one experiment over every seed's delta ladder and report it.
 
-
-def run_noise_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
-    """Distances between the smooth approximant and the canonical lift."""
+    Per seed the fBm path is sampled on the grid extended by the largest
+    width, and the canonical lift (member 0) and the smoothed lift of the
+    k-th ladder width (member k) are stacked on the base window.
+    measure(idx, path, lifts) returns the seed's (metric, delta) array, in
+    the order of `metrics`, which maps each metric name to its (predicted
+    exponent, note).  gates(tables, summaries) returns the experiment's
+    gates from the (seed, delta) table and the MetricSummary of each name.
+    blowups, which measure fills while the seeds run, goes into the report.
+    """
     t0 = time.perf_counter()
-    sampler, dps = _sampler_for(cfg, cfg.d)
+    grid = cfg.grid
     n = cfg.grid_n
-    stride = cfg.stride
-    n_delta = len(dps)
+    sampler = FbmSampler(
+        grid.extended(cfg.delta_ladder[0]), FbmParams(H=cfg.H, d=cfg.d, seed=cfg.master_seed)
+    )
+    dps = [DeltaParam.for_grid(grid, k) for k in cfg.delta_ladder]
 
     def one_seed(idx: int) -> np.ndarray:
         path = sampler.sample(idx)
-        true_lift = lift_left_riemann(path.restrict(0, n))
-        coarse_true = true_lift.coarsen(stride)
-        out = np.empty((3, n_delta))
-        for col, dp in enumerate(dps):
-            wz = ww_delta(path, dp)
-            w_fixed = wz.level1(wz.grid.zero_index, wz.grid.index_of(cfg.fixed_time))
-            out[0, col] = float(np.linalg.norm(path.value_at(cfg.fixed_time) - w_fixed))
-            coarse_wz = wz.restrict(0, n).coarsen(stride)
-            out[1, col] = rho_alpha_metric(coarse_wz, coarse_true, cfg.beta)
-            out[2, col] = rho_pvar_metric(coarse_wz, coarse_true, cfg.p)
-        return out
-
-    names = ["level1_fixed_time", "rho_beta", "rho_pvar"]
-    per_seed = _seed_tables(cfg, names, one_seed)
-    deltas = [dp.delta for dp in dps]
-    rate_gap = cfg.H - cfg.beta_prime
-    predicted = {
-        "level1_fixed_time": cfg.H,
-        "rho_beta": rate_gap,
-        "rho_pvar": rate_gap,
-    }
-    notes = {
-        "rho_beta": "rate reported only; gated on strict per-seed decrease",
-        "rho_pvar": "reported only, not gated",
-    }
-    summaries, rows = _summarize(cfg, names, per_seed, deltas, predicted, notes)
-
-    gates: list[GateResult] = []
-    lo, hi = 0.8 * cfg.H, 1.2 * cfg.H
-    slope = summaries[0].slope
-    gates.append(
-        GateResult(
-            name="level1_slope_band",
-            passed=slope is not None and lo <= slope <= hi,
-            value=math.nan if slope is None else slope,
-            tolerance=f"fitted RMS slope in [{lo:.4g}, {hi:.4g}] (0.8H..1.2H)",
-            sample_size=cfg.n_seeds,
+        lifts = GridRoughPath.stack(
+            [lift_left_riemann(path.restrict(0, n))]
+            + [ww_delta(path, dp).restrict(0, n) for dp in dps]
         )
+        return measure(idx, path, lifts)
+
+    stacked = np.stack([one_seed(idx) for idx in range(cfg.n_seeds)])
+    tables = {name: stacked[:, i, :] for i, name in enumerate(metrics)}
+    deltas = tuple(dp.delta for dp in dps)
+    summaries = {
+        name: _summary(name, tables[name], deltas, cfg.q_moment, predicted, note)
+        for name, (predicted, note) in metrics.items()
+    }
+    rows = tuple(
+        (seed, delta, name, float(tables[name][seed, col]))
+        for seed in range(cfg.n_seeds)
+        for col, delta in enumerate(deltas)
+        for name in metrics
     )
-    if len(deltas) >= 2:
-        gates.append(_monotone_gate("rho_beta_strict_decrease", per_seed["rho_beta"], strict=True))
     return ConvergenceReport(
-        experiment="noise",
+        experiment=cfg.experiment,
         config=cfg,
-        metrics=tuple(summaries),
-        gates=tuple(gates),
-        rows=tuple(rows),
+        metrics=tuple(summaries.values()),
+        gates=tuple(gates(tables, summaries)),
+        rows=rows,
+        blowups=tuple(blowups),
         runtime_seconds=time.perf_counter() - t0,
     )
 
 
+def run_noise_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
+    """Distances between the smooth approximant and the canonical lift."""
+    fixed = cfg.grid.index_of(cfg.fixed_time)
+    zero = cfg.grid.zero_index
+    n_delta = len(cfg.delta_ladder)
+
+    def measure(idx: int, path, lifts: GridRoughPath) -> np.ndarray:
+        x_fixed = path.value_at(cfg.fixed_time)
+        w_fixed = lifts.level1(zero, fixed)
+        coarse = lifts.coarsen(cfg.stride)
+        truth = coarse.member(0)
+        out = np.empty((3, n_delta))
+        for col in range(n_delta):
+            wz = coarse.member(col + 1)
+            out[0, col] = np.linalg.norm(x_fixed - w_fixed[col + 1])
+            out[1, col] = rho_alpha_metric(wz, truth, cfg.beta)
+            out[2, col] = rho_pvar_metric(wz, truth, cfg.p)
+        return out
+
+    def gates(tables, summaries) -> list[GateResult]:
+        lo, hi = 0.8 * cfg.H, 1.2 * cfg.H
+        slope = summaries["level1_fixed_time"].slope
+        out = [
+            GateResult(
+                name="level1_slope_band",
+                passed=slope is not None and lo <= slope <= hi,
+                value=math.nan if slope is None else slope,
+                tolerance=f"fitted RMS slope in [{lo:.4g}, {hi:.4g}] (0.8H..1.2H)",
+                sample_size=cfg.n_seeds,
+            )
+        ]
+        if n_delta >= 2:
+            out.append(_monotone_gate("rho_beta_strict_decrease", tables["rho_beta"], strict=True))
+        return out
+
+    rate_gap = cfg.H - cfg.beta_prime
+    metrics = {
+        "level1_fixed_time": (cfg.H, ""),
+        "rho_beta": (rate_gap, "rate reported only; gated on strict per-seed decrease"),
+        "rho_pvar": (rate_gap, "reported only, not gated"),
+    }
+    return _run_ladder(cfg, metrics, measure, gates)
+
+
 def run_solution_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
     """Distances between solutions under the true and approximant drivers."""
-    t0 = time.perf_counter()
     vf = builtin_vector_field(cfg.field_name, m=cfg.m, d=cfg.d)
-    sampler, dps = _sampler_for(cfg, cfg.d)
-    n = cfg.grid_n
-    n_delta = len(dps)
     y0 = np.asarray(cfg.y0)
+    # Member 0 of a seed's stack is the true driver, recorded as delta 0.0.
+    h = cfg.grid.h
+    member_deltas = [0.0] + [k * h for k in cfg.delta_ladder]
     blowups: list[tuple[int, float, int, float]] = []
 
-    # Stack member 0 is the true lift, member k the k-th delta's approximant.
-    member_deltas = [0.0] + [dp.delta for dp in dps]
-
-    def one_seed(idx: int) -> np.ndarray:
-        path = sampler.sample(idx)
-        drivers = GridRoughPath.stack(
-            [lift_left_riemann(path.restrict(0, n))]
-            + [ww_delta(path, dp).restrict(0, n) for dp in dps]
-        )
+    def measure(idx: int, path, drivers: GridRoughPath) -> np.ndarray:
         solved = solve_rde(vf, drivers, y0)
         # A member that blew up is NaN from its blow-up node on, and its start
         # state is finite; record each onset in (node, member) order.
@@ -587,114 +586,88 @@ def run_solution_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
             (idx, member_deltas[k], int(node), float(times[node])) for node, k in zip(nodes, ks)
         )
         if nan[:, 0].any():
-            return np.full((3, n_delta), np.nan)
+            return np.full((3, len(cfg.delta_ladder)), np.nan)
         # A blown-up approximant's distances are NaN.
         dist = solution_distance(solved.member(slice(1, None)), solved.member(slice(0, 1)), cfg.p)
         return np.array([dist.sup, dist.pvar, dist.remainder_qvar])
 
-    names = ["sup", "pvar", "remainder_qvar"]
-    per_seed = _seed_tables(cfg, names, one_seed)
-    deltas = [dp.delta for dp in dps]
-    rate_gap = cfg.H - cfg.beta_prime
-    predicted = {name: rate_gap for name in names}
-    summaries, rows = _summarize(cfg, names, per_seed, deltas, predicted)
+    def gates(tables, summaries) -> list[GateResult]:
+        out = []
+        if len(cfg.delta_ladder) >= 2:
+            out.extend(
+                _monotone_gate(f"{name}_decrease", table, strict=True)
+                for name, table in tables.items()
+            )
+        rms_small = summaries["sup"].rms[-1]
+        out.append(
+            GateResult(
+                name="smallest_delta_sup_ceiling",
+                passed=bool(rms_small < cfg.sup_ceiling),
+                value=rms_small,
+                tolerance=f"RMS sup distance at smallest delta < {cfg.sup_ceiling}",
+                sample_size=cfg.n_seeds,
+            )
+        )
+        out.append(
+            GateResult(
+                name="no_blowups",
+                passed=not blowups,
+                value=float(len(blowups)),
+                tolerance="solver blow-up count == 0",
+                sample_size=cfg.n_seeds * len(member_deltas),
+            )
+        )
+        return out
 
-    gates: list[GateResult] = []
-    if len(deltas) >= 2:
-        gates.extend(
-            _monotone_gate(f"{name}_decrease", per_seed[name], strict=True) for name in names
-        )
-    _, rms_small, _ = _moments(per_seed["sup"][:, -1], cfg.q_moment)
-    gates.append(
-        GateResult(
-            name="smallest_delta_sup_ceiling",
-            passed=bool(rms_small < cfg.sup_ceiling),
-            value=rms_small,
-            tolerance=f"RMS sup distance at smallest delta < {cfg.sup_ceiling}",
-            sample_size=cfg.n_seeds,
-        )
-    )
-    gates.append(
-        GateResult(
-            name="no_blowups",
-            passed=not blowups,
-            value=float(len(blowups)),
-            tolerance="solver blow-up count == 0",
-            sample_size=cfg.n_seeds * len(member_deltas),
-        )
-    )
-    return ConvergenceReport(
-        experiment="solution",
-        config=cfg,
-        metrics=tuple(summaries),
-        gates=tuple(gates),
-        rows=tuple(rows),
-        blowups=tuple(blowups),
-        runtime_seconds=time.perf_counter() - t0,
-    )
+    rate_gap = cfg.H - cfg.beta_prime
+    metrics = {name: (rate_gap, "") for name in ("sup", "pvar", "remainder_qvar")}
+    return _run_ladder(cfg, metrics, measure, gates, blowups)
 
 
 def run_stopping_time_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
     """Greedy stopping times of the approximant against the true lift's."""
-    t0 = time.perf_counter()
-    sampler, dps = _sampler_for(cfg, cfg.d)
-    n = cfg.grid_n
-    stride = cfg.stride
-    n_delta = len(dps)
+    n_delta = len(cfg.delta_ladder)
     p = cfg.p
     thresh = cfg.eta**p
 
-    def one_seed(idx: int) -> np.ndarray:
-        path = sampler.sample(idx)
-        coarse_true = lift_left_riemann(path.restrict(0, n)).coarsen(stride)
-        st_true = greedy_stopping_times(coarse_true, cfg.eta, p)
+    def measure(idx: int, path, lifts: GridRoughPath) -> np.ndarray:
+        coarse = lifts.coarsen(cfg.stride)
+        st_true = greedy_stopping_times(coarse.member(0), cfg.eta, p)
         out = np.empty((3, n_delta))
-        for col, dp in enumerate(dps):
-            coarse_wz = ww_delta(path, dp).restrict(0, n).coarsen(stride)
-            st_wz = greedy_stopping_times(coarse_wz, cfg.eta, p)
-            m_common = min(len(st_true.times), len(st_wz.times))
-            out[0, col] = float(
-                np.max(np.abs(st_true.times[:m_common] - st_wz.times[:m_common]))
-            )
-            total = homogeneous_pvar_norm(coarse_wz, p) ** p
+        for col in range(n_delta):
+            wz = coarse.member(col + 1)
+            st_wz = greedy_stopping_times(wz, cfg.eta, p)
+            m = min(len(st_true.times), len(st_wz.times))
+            out[0, col] = np.abs(st_true.times[:m] - st_wz.times[:m]).max()
+            total = homogeneous_pvar_norm(wz, p) ** p
             out[1, col] = 1.0 + total / thresh - st_wz.count
             out[2, col] = st_wz.count
         return out
 
-    names = ["displacement", "count_bound_margin", "count"]
-    per_seed = _seed_tables(cfg, names, one_seed)
-    deltas = [dp.delta for dp in dps]
-    predicted = {name: None for name in names}
-    notes = {
-        "displacement": "gated on per-seed non-increase along the ladder",
-        "count_bound_margin": "1 + eta^-p |||X|||^p - N; must stay >= 0",
-        "count": "interval count of the approximant's stopping times",
-    }
-    summaries, rows = _summarize(cfg, names, per_seed, deltas, predicted, notes)
+    def gates(tables, summaries) -> list[GateResult]:
+        out = []
+        if n_delta >= 2:
+            out.append(
+                _monotone_gate("displacement_non_increase", tables["displacement"], strict=False)
+            )
+        min_margin = float(np.min(tables["count_bound_margin"]))
+        out.append(
+            GateResult(
+                name="count_bound",
+                passed=bool(min_margin >= 0.0),
+                value=min_margin,
+                tolerance="min over runs of 1 + eta^-p |||X|||^p - N >= 0",
+                sample_size=cfg.n_seeds * n_delta,
+            )
+        )
+        return out
 
-    gates: list[GateResult] = []
-    if len(deltas) >= 2:
-        gates.append(
-            _monotone_gate("displacement_non_increase", per_seed["displacement"], strict=False)
-        )
-    min_margin = float(np.min(per_seed["count_bound_margin"]))
-    gates.append(
-        GateResult(
-            name="count_bound",
-            passed=bool(min_margin >= 0.0),
-            value=min_margin,
-            tolerance="min over runs of 1 + eta^-p |||X|||^p - N >= 0",
-            sample_size=cfg.n_seeds * n_delta,
-        )
-    )
-    return ConvergenceReport(
-        experiment="stopping",
-        config=cfg,
-        metrics=tuple(summaries),
-        gates=tuple(gates),
-        rows=tuple(rows),
-        runtime_seconds=time.perf_counter() - t0,
-    )
+    metrics = {
+        "displacement": (None, "gated on per-seed non-increase along the ladder"),
+        "count_bound_margin": (None, "1 + eta^-p |||X|||^p - N; must stay >= 0"),
+        "count": (None, "interval count of the approximant's stopping times"),
+    }
+    return _run_ladder(cfg, metrics, measure, gates)
 
 
 _RUNNERS = {
@@ -709,27 +682,30 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 
 
-def _write_reports(report: ConvergenceReport, out_dir: str) -> tuple[Path, Path]:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"{report.experiment}.csv"
-    json_path = out / f"{report.experiment}.json"
-    with open(csv_path, "w", newline="") as fh:
+def run_suite(cfg: ExperimentConfig) -> ConvergenceReport:
+    """Run the configured experiment and write reports when out_dir is set.
+
+    out_dir is created before the first seed is sampled; ConfigError if
+    that fails.
+    """
+    if cfg.out_dir is None:
+        return _RUNNERS[cfg.experiment](cfg)
+    out = Path(cfg.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("out_dir", f"cannot create {out}: {exc}") from None
+    report = _RUNNERS[cfg.experiment](cfg)
+    with open(out / f"{report.experiment}.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed", "delta", "metric", "value"])
-        for seed, delta, metric, value in report.rows:
-            writer.writerow([seed, repr(float(delta)), metric, repr(float(value))])
-    with open(json_path, "w") as fh:
+        writer.writerows(
+            [seed, repr(float(delta)), metric, repr(float(value))]
+            for seed, delta, metric, value in report.rows
+        )
+    with open(out / f"{report.experiment}.json", "w") as fh:
         json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return csv_path, json_path
-
-
-def run_suite(cfg: ExperimentConfig) -> ConvergenceReport:
-    """Run the configured experiment and write reports when out_dir is set."""
-    report = _RUNNERS[cfg.experiment](cfg)
-    if cfg.out_dir is not None:
-        _write_reports(report, cfg.out_dir)
     return report
 
 
@@ -816,10 +792,7 @@ def main(argv: list[str] | None = None) -> int:
             fields["out_dir"] = args.out
         cfg = ExperimentConfig(**fields)
         report = run_suite(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CovarianceFactorizationError, GridAlignmentError, OSError) as exc:
+    except (ConfigError, CovarianceFactorizationError, GridAlignmentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for gate in report.gates:

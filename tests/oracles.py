@@ -4,7 +4,9 @@ Everything here is deliberately written the slow, obvious way: sequential
 folds instead of prefix sums, exhaustive partition enumeration instead of
 dynamic programming, quadrature over fine slices instead of closed forms.
 Agreement between these and the library is the point of the tests, so none
-of this may import from roughwz internals beyond plain data access.
+of this may import from roughwz internals beyond plain data access.  The
+per-rung experiment loops at the end call public layer functions only: they
+are the loops that the experiments' stacked ladder replaced.
 """
 
 from __future__ import annotations
@@ -13,6 +15,15 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
+
+from roughwz.lift import lift_left_riemann
+from roughwz.norms import (
+    greedy_stopping_times,
+    homogeneous_pvar_norm,
+    rho_alpha_metric,
+    rho_pvar_metric,
+)
+from roughwz.wongzakai import DeltaParam, ww_delta
 
 
 def chen_fold(inc1: np.ndarray, inc2: np.ndarray, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -208,3 +219,45 @@ def rk4_path_ode(rhs, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
 def fit_slope(x: np.ndarray, y: np.ndarray) -> float:
     """Ordinary least squares slope of log y against log x."""
     return float(np.polyfit(np.log(np.asarray(x, float)), np.log(np.asarray(y, float)), 1)[0])
+
+
+def noise_ladder_loop(cfg, path) -> np.ndarray:
+    """One noise seed's (metric, delta) table, one ladder rung at a time.
+
+    Rows: level-1 error at cfg.fixed_time, rho_alpha and rho_pvar metrics of
+    the coarsened approximant against the coarsened canonical lift.
+    """
+    n = cfg.grid_n
+    coarse_true = lift_left_riemann(path.restrict(0, n)).coarsen(cfg.stride)
+    out = np.empty((3, len(cfg.delta_ladder)))
+    for col, k in enumerate(cfg.delta_ladder):
+        wz = ww_delta(path, DeltaParam.for_grid(cfg.grid, k))
+        w_fixed = wz.level1(wz.grid.zero_index, wz.grid.index_of(cfg.fixed_time))
+        out[0, col] = float(np.linalg.norm(path.value_at(cfg.fixed_time) - w_fixed))
+        coarse_wz = wz.restrict(0, n).coarsen(cfg.stride)
+        out[1, col] = rho_alpha_metric(coarse_wz, coarse_true, cfg.beta)
+        out[2, col] = rho_pvar_metric(coarse_wz, coarse_true, cfg.p)
+    return out
+
+
+def stopping_ladder_loop(cfg, path) -> np.ndarray:
+    """One stopping seed's (metric, delta) table, one ladder rung at a time.
+
+    Rows: displacement of the greedy stopping times, interval-count bound
+    margin and interval count of the coarsened approximant.
+    """
+    n = cfg.grid_n
+    p = cfg.p
+    coarse_true = lift_left_riemann(path.restrict(0, n)).coarsen(cfg.stride)
+    st_true = greedy_stopping_times(coarse_true, cfg.eta, p)
+    out = np.empty((3, len(cfg.delta_ladder)))
+    for col, k in enumerate(cfg.delta_ladder):
+        dp = DeltaParam.for_grid(cfg.grid, k)
+        coarse_wz = ww_delta(path, dp).restrict(0, n).coarsen(cfg.stride)
+        st_wz = greedy_stopping_times(coarse_wz, cfg.eta, p)
+        m_common = min(len(st_true.times), len(st_wz.times))
+        out[0, col] = float(np.max(np.abs(st_true.times[:m_common] - st_wz.times[:m_common])))
+        total = homogeneous_pvar_norm(coarse_wz, p) ** p
+        out[1, col] = 1.0 + total / cfg.eta**p - st_wz.count
+        out[2, col] = st_wz.count
+    return out

@@ -20,10 +20,12 @@ from roughwz.expcli import (
     run_stopping_time_convergence,
     run_suite,
 )
-from roughwz.fbm import CovarianceFactorizationError, TimeGrid
+from roughwz.fbm import CovarianceFactorizationError, FbmParams, FbmSampler, TimeGrid
 from roughwz.lift import GridRoughPath
 from roughwz.rde import ControlledPath, builtin_vector_field, solution_distance, solve_rde
 from roughwz.wongzakai import ww_delta
+
+import oracles
 
 BLOW_UP_CONFIG = {
     "experiment": "solution",
@@ -37,6 +39,17 @@ BLOW_UP_CONFIG = {
 }
 
 TINY_STOPPING = dict(experiment="stopping", n_seeds=6, grid_n=256, delta_ladder=(8, 4, 2))
+
+# Layer spans of perfbench/spans.py that each experiment must reach, on a
+# 32-step grid.
+TRACED = {
+    "noise": (
+        dict(n_seeds=30),
+        ("lift.s", "wongzakai.s", "norms.holder_s", "norms.pvar_s", "norms.level2_s"),
+    ),
+    "solution": (dict(n_seeds=1), ("rde.solve_s", "rde.distance_s", "norms.pvar_s")),
+    "stopping": (dict(n_seeds=2), ("norms.stopping_s", "norms.homogeneous_s")),
+}
 
 
 class TestConfigValidation:
@@ -96,6 +109,8 @@ class TestConfigValidation:
             ("q_moment", {"q_moment": math.inf}),
             ("t_max", {"t_max": 10**400}),
             ("beta", {"beta": math.nan}),
+            ("fixed_time", {"experiment": "noise", "fixed_time": 0.3}),
+            ("fixed_time", {"experiment": "noise", "fixed_time": 0.0}),
         ],
     )
     def test_each_field_is_guarded(self, field, kwargs):
@@ -312,10 +327,12 @@ class TestReports:
         assert seen == {"solve": [32, 32], "distance": 2}
         assert all(np.isfinite(value) for *_, value in rep.rows)
 
-    def test_benchmark_span_targets_resolve(self):
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_benchmark_span_targets_resolve(self, experiment):
         # perfbench/spans.py wraps program attributes by name and reads the
         # solver's step count from solve_rde's second argument; a renamed or
-        # deleted target breaks every traced benchmark run.
+        # deleted target, or a layer call that no longer goes through it,
+        # breaks the traced benchmark runs.
         path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
         spec = importlib.util.spec_from_file_location("perfbench_spans", path)
         spans = importlib.util.module_from_spec(spec)
@@ -326,12 +343,40 @@ class TestReports:
         rp = GridRoughPath(TimeGrid(0.0, 1.0, 16), np.zeros((16, 3, 2)), np.zeros((16, 3, 2, 2)))
         assert spans._solver_steps(vf, rp, np.zeros(2)) == 16
         tracer = spans.Tracer()
-        cfg = ExperimentConfig(experiment="solution", n_seeds=1, grid_n=32, delta_ladder=(4, 2))
+        sizes, reached = TRACED[experiment]
+        cfg = ExperimentConfig(experiment=experiment, grid_n=32, delta_ladder=(4, 2), **sizes)
         with spans.instrument(tracer):
             run_suite(cfg)
         metrics = tracer.layer_metrics()
-        assert metrics["rde.steps"] == 32
-        assert metrics["norms.pvar_s"] > 0.0 and metrics["rde.distance_s"] > 0.0
+        assert [name for name in reached if not metrics[name] > 0.0] == []
+        assert metrics["rde.steps"] == (32 if experiment == "solution" else 0)
+
+    @pytest.mark.parametrize("experiment", ["noise", "stopping"])
+    @pytest.mark.parametrize(
+        "d, stride, ladder", [(1, 1, (4,)), (1, 4, (8, 4, 2)), (2, 1, (8, 4, 2)), (2, 4, (4,))]
+    )
+    def test_ladder_tables_equal_the_per_rung_loops(self, experiment, d, stride, ladder):
+        # The stacked ladder must give every (seed, delta) value bit for bit
+        # as the per-rung loops that measured one approximant at a time.
+        cfg = ExperimentConfig(
+            experiment=experiment,
+            d=d,
+            grid_n=64,
+            delta_ladder=ladder,
+            metric_stride=stride,
+            n_seeds=30 if experiment == "noise" else 3,
+            fixed_time=0.5,
+        )
+        loop = oracles.noise_ladder_loop if experiment == "noise" else oracles.stopping_ladder_loop
+        sampler = FbmSampler(
+            cfg.grid.extended(ladder[0]), FbmParams(H=cfg.H, d=d, seed=cfg.master_seed)
+        )
+        expected = [
+            float(value)
+            for idx in range(cfg.n_seeds)
+            for value in loop(cfg, sampler.sample(idx)).T.ravel()
+        ]
+        assert [value for *_, value in run_suite(cfg).rows] == expected
 
     def test_noise_report_predictions(self):
         cfg = ExperimentConfig(experiment="noise", n_seeds=30, grid_n=256, delta_ladder=(8, 4, 2))
@@ -512,6 +557,31 @@ class TestCli:
         )
         assert rc == 2
         assert "negative circulant eigenvalue" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, fields",
+        [
+            ("fixed_time", {"experiment": "noise", "fixed_time": 0.3}),
+            ("fixed_time", {"experiment": "noise", "fixed_time": 0.0}),
+            ("out_dir", {**TINY_STOPPING, "out_dir": "taken"}),
+        ],
+    )
+    def test_bad_field_stops_before_any_seed_is_sampled(
+        self, capsys, monkeypatch, tmp_path, name, fields
+    ):
+        # "taken" is an existing file, so it cannot be created as out_dir.
+        monkeypatch.chdir(tmp_path)
+        Path("taken").write_text("")
+
+        def no_sampler(grid, params):
+            raise AssertionError("a seed was sampled before the config error")
+
+        monkeypatch.setattr("roughwz.expcli.FbmSampler", no_sampler)
+        Path("cfg.json").write_text(json.dumps(fields))
+        assert main(["--config", "cfg.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(name) in err
 
     def test_passing_run_exit_zero(self, capsys, tmp_path):
         rc = main(
