@@ -40,7 +40,8 @@ delta, node and time of every caught solver blow-up, delta 0.0 standing
 for the true driver, whose blow-up leaves its seed's rows NaN; config
 echo).
 Wall time lives under the JSON "runtime" key, the single key excluded from
-the reproducibility guarantee.
+the reproducibility guarantee.  The JSON is strict: NaN and infinite values
+are written as null.
 """
 
 from __future__ import annotations
@@ -154,7 +155,8 @@ class ExperimentConfig:
     cleanest for per-seed monotonicity.  The solution experiment neither
     uses nor checks metric_stride: it measures its distances on the full
     grid.  The level-1 variation exponent is p = 1/beta throughout.
-    For noise, fixed_time must be a node of the base grid other than 0.
+    Time 0 must be a node of the base grid, and for noise so must
+    fixed_time, other than 0.
     out_dir, when set, is where run_suite writes its reports.
     Values are checked against the field types and stored as them: integral
     values for int fields, finite real ones for float fields (y0 entries
@@ -227,6 +229,10 @@ class ExperimentConfig:
             object.__setattr__(self, "grid_n", default_n)
         if self.grid_n < 2:
             raise ConfigError("grid_n", f"need at least 2 grid steps, got {self.grid_n}")
+        try:
+            grid = self.grid
+        except GridAlignmentError as exc:
+            raise ConfigError("t_min", str(exc)) from None
 
         if not self.delta_ladder:
             default_top = 64 if self.experiment == "noise" else 32
@@ -239,7 +245,7 @@ class ExperimentConfig:
                 "delta_ladder",
                 f"multiples must be distinct and strictly decreasing, got {self.delta_ladder}",
             )
-        h = (self.t_max - self.t_min) / self.grid_n
+        h = grid.h
         if ladder[-1] < 1:
             raise ConfigError("delta_ladder", f"multiples must be >= 1, got {ladder}")
         if ladder[0] >= self.grid_n:
@@ -279,10 +285,10 @@ class ExperimentConfig:
             )
         if self.experiment == "noise":
             try:
-                fixed = self.grid.index_of(self.fixed_time)
+                fixed = grid.index_of(self.fixed_time)
             except GridAlignmentError as exc:
                 raise ConfigError("fixed_time", str(exc)) from None
-            if fixed == self.grid.zero_index:
+            if fixed == grid.zero_index:
                 raise ConfigError("fixed_time", "the level-1 error at time 0 is identically 0")
         if self.sup_ceiling <= 0.0:
             raise ConfigError("sup_ceiling", f"ceiling must be positive, got {self.sup_ceiling}")
@@ -363,9 +369,10 @@ class ConvergenceReport:
         return len(self.blowups)
 
     def to_json_dict(self) -> dict:
+        """The JSON report body; NaN and infinite floats become None (JSON null)."""
         cfg = asdict(self.config)
         cfg.pop("out_dir")
-        return {
+        return _finite_or_none({
             "experiment": self.experiment,
             "config": cfg,
             "metrics": [asdict(m) for m in self.metrics],
@@ -374,7 +381,16 @@ class ConvergenceReport:
             "n_blowups": self.n_blowups,
             "passed": self.passed,
             "runtime": {"seconds": self.runtime_seconds},
-        }
+        })
+
+
+def _finite_or_none(obj):
+    """obj with each NaN or infinite float, in dicts, lists and tuples too, as None."""
+    if isinstance(obj, dict):
+        return {key: _finite_or_none(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(map(_finite_or_none, obj))
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +720,7 @@ def run_suite(cfg: ExperimentConfig) -> ConvergenceReport:
             for seed, delta, metric, value in report.rows
         )
     with open(out / f"{report.experiment}.json", "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
+        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return report
 

@@ -7,6 +7,9 @@ relation
     X2_{s,t} = X2_{s,u} + X2_{u,t} + X1_{s,u} (x) X1_{u,t},
 
 which the prefix-sum representation below evaluates in O(1) per pair.
+Node pairs (i, j) are ints, a slice of left ends with one int right end,
+or equal-length index arrays; level1 and level2 read each form by the same
+arithmetic per pair, with a leading pair axis for a slice or arrays.
 One GridRoughPath holds one rough path or a stack of them on one grid: the
 member axes sit right after the interval axis, and everything built from
 the increments carries them along.
@@ -125,26 +128,16 @@ class GridRoughPath:
         out.setflags(write=False)
         return out
 
-    def level1(self, i: int, j: int) -> np.ndarray:
+    def level1(self, i, j) -> np.ndarray:
+        """X1 over node pairs (i, j), shape (*pairs, *members, d)."""
         return self.values[j] - self.values[i]
 
-    def level2(self, i: int, j: int) -> np.ndarray:
-        """X2 over node pair (i, j), i <= j, by Chen's relation.
-
-        i and j may be equal-length index arrays: the result then has one
-        block per pair along a leading axis, with the same arithmetic per
-        pair as level2_block.
-        """
+    def level2(self, i, j) -> np.ndarray:
+        """X2 over node pairs (i, j) by Chen's relation, shape (*pairs, *members, d, d)."""
         a = self._area_prefix
         v = self.values
-        return a[j] - a[i] - v[i][..., :, None] * (v[j] - v[i])[..., None, :]
-
-    def level2_block(self, i_lo: int, j: int) -> np.ndarray:
-        """X2 over (i, j) for every i in [i_lo, j), shape (j - i_lo, *members, d, d)."""
-        a = self._area_prefix
-        v = self.values
-        left = v[i_lo:j]
-        return a[j] - a[i_lo:j] - left[..., :, None] * (v[j] - left)[..., None, :]
+        left = v[i]
+        return a[j] - a[i] - left[..., :, None] * (v[j] - left)[..., None, :]
 
     # -- derived grids -----------------------------------------------------
 
@@ -164,13 +157,9 @@ class GridRoughPath:
         if stride == 1:
             return self
         nodes = np.arange(0, n + 1, stride)
-        v = self.values[nodes]
-        a = self._area_prefix[nodes]
-        inc1 = np.diff(v, axis=0)
-        inc2 = a[1:] - a[:-1] - v[:-1, ..., :, None] * inc1[..., None, :]
-        g = self.grid
-        coarse = TimeGrid(g.t_min, g.t_max, n // stride)
-        return GridRoughPath(coarse, inc1, inc2)
+        i, j = nodes[:-1], nodes[1:]
+        coarse = TimeGrid(self.grid.t_min, self.grid.t_max, n // stride)
+        return GridRoughPath(coarse, self.level1(i, j), self.level2(i, j))
 
 
 # ---------------------------------------------------------------------------

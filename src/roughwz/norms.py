@@ -1,31 +1,30 @@
 """Variation norms, Hoelder-type metrics and greedy stopping times.
 
 Every variation here is measured through one kind of object, a pair-norm
-function: norms(i_lo, j) returns the norms of the blocks over the node
-pairs (i, j) for every i in [i_lo, j), stacked along a leading axis.  The
-code that builds a block also takes its norm: euclidean_norms of the
-level-1 increments  pts[j] - pts[i_lo:j]  and of the solution remainders
-ControlledPath.remainder_block, frobenius_norms of the level-2 blocks
-GridRoughPath.level2_block (rebuilt through Chen's relation), and the
-same norm of the difference of two such blocks.  Blocks
-of stacked paths carry member axes right after the pair axis; their norms
-then have shape (j - i_lo, *members).
+function: norms(i, j) returns the norms of the blocks over node pairs
+(i, j), i a slice of left ends with one int right end j or i and j
+equal-length index arrays, along a leading pair axis.  The code that
+builds a block also takes its norm: euclidean_norms of the level-1
+increments  pts[j] - pts[i]  and of the solution remainders
+ControlledPath.remainder, frobenius_norms of the level-2 blocks
+GridRoughPath.level2, and the same norm of the difference of two such
+blocks.  Blocks of stacked paths, and their norms, carry member axes
+right after the pair axis.
 
-Two kernels consume block norms.  partition_sums is the exact
-O(n^2) p-variation program: over nodes i_lo..j the maximal partition sum
+Two kernels consume pair norms.  partition_sums is the exact O(n^2)
+p-variation program: over nodes i_lo..j the maximal partition sum
 satisfies
 
     best[j] = max_{i < j} ( best[i] + |block_{i,j}|^p ),
 
 because an optimal partition of [i_lo, j] ends with some block [i, j].  It
-yields best[j] for one right end after another, so greedy stopping can
-exit early; block_variation runs it over a whole node window.  Over member
-axes the same program runs one variation per member; it reads one row of
-left ends per right end.  The Hoelder sup takes
+reads one row, norms(slice(i_lo, j), j), per right end and yields best[j]
+for one right end after another, so greedy stopping can exit early;
+block_variation runs it over a whole node window.  Over member axes the
+same program runs one variation per member.  The Hoelder sup takes
 max |block_{i,j}| / (t_j - t_i)^alpha  over the same pairs in no particular
-order, so it reads runs of whole and split rows: norms(i, j) over
-equal-length index arrays with i < j, at most _RUN_PAIRS pairs per run (a
-whole 129-node grid is one run), built by the same arithmetic per pair.
+order, so it reads runs of whole and split rows as index arrays, at most
+_RUN_PAIRS pairs per run (a whole 129-node grid is one run).
 
 The homogeneous rough-path norm combines the levels as
 
@@ -61,8 +60,8 @@ __all__ = [
     "rho_pvar_metric",
 ]
 
-# norms(i_lo, j) -> block norms over (i, j) for i in [i_lo, j), shape (j - i_lo, *members).
-PairNorms = Callable[[int, int], np.ndarray]
+# norms(i, j) -> block norms over node pairs (i, j), shape (pairs, *members).
+PairNorms = Callable[[slice | np.ndarray, int | np.ndarray], np.ndarray]
 
 # Most node pairs one pass of the Hoelder sup reads (about 0.5 MB per float64 array).
 _RUN_PAIRS = 1 << 14
@@ -91,7 +90,7 @@ def partition_sums(
     Each yield is a float, or an array over the member axes of the norms.
     """
     for r in range(1, i_hi - i_lo + 1):
-        terms = norms(i_lo, i_lo + r) ** p
+        terms = norms(slice(i_lo, i_lo + r), i_lo + r) ** p
         if r == 1:
             best = np.zeros((i_hi - i_lo + 1,) + terms.shape[1:])
         best[r] = (best[:r] + terms).max(axis=0)
@@ -116,14 +115,11 @@ def block_variation(
     return best ** (1.0 / p)
 
 
-def _holder_sup(
-    norms: Callable[[np.ndarray, np.ndarray], np.ndarray], times: np.ndarray, alpha: float
-) -> float:
+def _holder_sup(norms: PairNorms, times: np.ndarray, alpha: float) -> float:
     """sup over node pairs i < j of |block_{i,j}| / (t_j - t_i)^alpha; NaN if any ratio is.
 
-    norms(i, j) takes equal-length index arrays and returns one norm per pair.
-    The pairs, ordered by right end and then left end, are read in runs of
-    at most _RUN_PAIRS.
+    The pairs, ordered by right end and then left end, are read as index
+    arrays in runs of at most _RUN_PAIRS.
     """
     nodes = np.arange(len(times))
     row_start = nodes * (nodes - 1) // 2  # position of pair (0, j) in that order
@@ -152,15 +148,15 @@ def _as_points(values: np.ndarray) -> np.ndarray:
 
 
 def _increment_norms(pts: np.ndarray) -> PairNorms:
-    return lambda i_lo, j: euclidean_norms(pts[j] - pts[i_lo:j])
+    return lambda i, j: euclidean_norms(pts[j] - pts[i])
 
 
 def _level2_norms(rp: GridRoughPath) -> PairNorms:
-    return lambda i_lo, j: frobenius_norms(rp.level2_block(i_lo, j))
+    return lambda i, j: frobenius_norms(rp.level2(i, j))
 
 
 def _level2_gap_norms(a: GridRoughPath, b: GridRoughPath) -> PairNorms:
-    return lambda i_lo, j: frobenius_norms(a.level2_block(i_lo, j) - b.level2_block(i_lo, j))
+    return lambda i, j: frobenius_norms(a.level2(i, j) - b.level2(i, j))
 
 
 def _homogeneous_sums(rp: GridRoughPath, p: float, i_lo: int, i_hi: int) -> Iterator[float]:
@@ -226,7 +222,7 @@ def holder_seminorm(times: np.ndarray, values: np.ndarray, alpha: float) -> floa
         raise ValueError(
             f"times must increase strictly: t[{k}] = {times[k]} then t[{k + 1}] = {times[k + 1]}"
         )
-    return _holder_sup(lambda i, j: euclidean_norms(pts[j] - pts[i]), times, alpha)
+    return _holder_sup(_increment_norms(pts), times, alpha)
 
 
 def _check_same_layout(a: GridRoughPath, b: GridRoughPath) -> None:
@@ -243,10 +239,7 @@ def rho_alpha_metric(a: GridRoughPath, b: GridRoughPath, alpha: float) -> float:
     _check_same_layout(a, b)
     times = a.grid.times
     lvl1 = holder_seminorm(times, a.values - b.values, alpha)
-    lvl2 = _holder_sup(
-        lambda i, j: frobenius_norms(a.level2(i, j) - b.level2(i, j)), times, 2.0 * alpha
-    )
-    return lvl1 + lvl2
+    return lvl1 + _holder_sup(_level2_gap_norms(a, b), times, 2.0 * alpha)
 
 
 def pvar_level2_distance(

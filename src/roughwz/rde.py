@@ -285,23 +285,23 @@ class ControlledPath:
             self.grid, self.values[:, k], self.gubinelli[:, k], driver=self.driver.member(k)
         )
 
-    def remainder_block(self, i_lo: int, j: int) -> np.ndarray:
-        """R_{i,j} = y_{i,j} - y'_i X1_{i,j} for all i in [i_lo, j)."""
+    def remainder(self, i, j) -> np.ndarray:
+        """R_{i,j} = y_{i,j} - y'_i X1_{i,j}, node pairs (i, j) as in GridRoughPath.level2."""
         if self.driver is None:
             raise ValueError("remainders need a declared driver")
         x = self.driver.values
         # A stacked driver's member axes pair with the first value axes; the
         # remaining value axes broadcast against X1.
         x = x.reshape(x.shape[:-1] + (1,) * (self.gubinelli.ndim - x.ndim) + x.shape[-1:])
-        w1 = x[j] - x[i_lo:j]
-        gub = self.gubinelli[i_lo:j]
+        w1 = x[j] - x[i]
+        gub = self.gubinelli[i]
         # y'_i X1_{i,j}, summed over the driver axis in index order: one
         # ufunc pass per component stays fast on the strided member views of
         # a stack, where einsum is several times slower.
         lin = gub[..., 0] * w1[..., 0]
         for e in range(1, w1.shape[-1]):
             lin += gub[..., e] * w1[..., e]
-        out = self.values[j] - self.values[i_lo:j]
+        out = self.values[j] - self.values[i]
         out -= lin
         return out
 
@@ -413,7 +413,7 @@ def remainder_norm(
     # Rebind to the given driver; the constructor checks grid compatibility.
     ref = ControlledPath(cp.grid, cp.values, cp.gubinelli, driver=rp)
     return block_variation(
-        lambda lo, j: euclidean_norms(ref.remainder_block(lo, j)), q, rp.n_steps, i_lo, i_hi
+        lambda i, j: euclidean_norms(ref.remainder(i, j)), q, rp.n_steps, i_lo, i_hi
     )
 
 
@@ -447,12 +447,11 @@ def solution_distance(
     if not a.grid.is_compatible(b.grid):
         raise ValueError("controlled paths live on different grids")
 
-    def remainder_gap_norms(lo: int, j: int) -> np.ndarray:
-        return euclidean_norms(a.remainder_block(lo, j) - b.remainder_block(lo, j))
-
     n = b.grid.n_steps
     i_hi = n if i_hi is None else i_hi
-    rem = block_variation(remainder_gap_norms, p / 2.0, n, i_lo, i_hi)
+    rem = block_variation(
+        lambda i, j: euclidean_norms(a.remainder(i, j) - b.remainder(i, j)), p / 2.0, n, i_lo, i_hi
+    )
     diff = a.values[i_lo : i_hi + 1] - b.values[i_lo : i_hi + 1]
     return SolutionDistance(euclidean_norms(diff).max(axis=0), pvar_seminorm(diff, p), rem)
 

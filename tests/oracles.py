@@ -41,6 +41,24 @@ def chen_fold(inc1: np.ndarray, inc2: np.ndarray, i: int, j: int) -> tuple[np.nd
     return x, a
 
 
+def coarsen_reference(rp, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-interval (inc1, inc2) of rp restricted to every stride-th node.
+
+    The prefix-difference formula GridRoughPath.coarsen used before it read
+    its blocks through level1 and level2: node values and level-2 prefixes
+    at the kept nodes, then Chen's relation between neighbours.  Stride 1
+    keeps rp's own increments.
+    """
+    if stride == 1:
+        return rp.inc1, rp.inc2
+    nodes = np.arange(0, rp.n_steps + 1, stride)
+    v = rp.values[nodes]
+    a = rp._area_prefix[nodes]
+    inc1 = np.diff(v, axis=0)
+    inc2 = a[1:] - a[:-1] - v[:-1, ..., :, None] * inc1[..., None, :]
+    return inc1, inc2
+
+
 def level2_ordered_pairs(values: np.ndarray, i: int, j: int) -> np.ndarray:
     """Left-Riemann second level over nodes [i, j] directly from values.
 
@@ -114,13 +132,13 @@ def pvar_running_loop(block, p: float, i: int, j: int) -> list[float]:
 def holder_sup_loop(block_norms, times: np.ndarray, alpha: float) -> float:
     """sup over node pairs i < j of |block_{i,j}| / (t_j - t_i)^alpha, one right end at a time.
 
-    block_norms(i_lo, j) returns the norms over (i, j) for i in [i_lo, j).
+    block_norms(slice(0, j), j) returns the norms over (i, j) for i in [0, j).
     This is the per-right-end loop the pair-run sup replaced; Python's max
     skips a NaN ratio, so it is a reference for finite inputs only.
     """
     out = 0.0
     for j in range(1, len(times)):
-        ratio = block_norms(0, j) / (times[j] - times[:j]) ** alpha
+        ratio = block_norms(slice(0, j), j) / (times[j] - times[:j]) ** alpha
         out = max(out, float(ratio.max()))
     return out
 

@@ -111,6 +111,10 @@ class TestConfigValidation:
             ("beta", {"beta": math.nan}),
             ("fixed_time", {"experiment": "noise", "fixed_time": 0.3}),
             ("fixed_time", {"experiment": "noise", "fixed_time": 0.0}),
+            # Windows whose grid misses time 0 as a node.
+            ("t_min", {"experiment": "noise", "t_min": -0.3}),
+            ("t_min", {"experiment": "solution", "t_min": -0.3}),
+            ("t_min", {"experiment": "stopping", "t_min": -0.3, "grid_n": 64}),
         ],
     )
     def test_each_field_is_guarded(self, field, kwargs):
@@ -428,6 +432,25 @@ class TestSuiteOutputs:
         doc1.pop("runtime"), doc2.pop("runtime")
         assert doc1 == doc2
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{**TINY_STOPPING, "delta_ladder": (4, 2)}, BLOW_UP_CONFIG],
+        ids=["two_point_fit", "blowups"],
+    )
+    def test_json_report_is_strict(self, tmp_path, fields):
+        # A two-point fit has a NaN slope SE, and the blow-up run NaN moments:
+        # each is written as null, so a strict parser reads the report.
+        def no_constants(token):
+            raise AssertionError(f"non-standard JSON constant {token}")
+
+        rep = run_suite(ExperimentConfig(**fields, out_dir=str(tmp_path)))
+        text = (tmp_path / f"{rep.experiment}.json").read_text()
+        doc = json.loads(text, parse_constant=no_constants)
+        held = [v for m in rep.metrics for v in (m.slope_se, *m.mean)]
+        written = [v for m in doc["metrics"] for v in (m["slope_se"], *m["mean"])]
+        assert any(v is not None and math.isnan(v) for v in held)
+        assert written == [None if v is None or math.isnan(v) else v for v in held]
+
     def test_solution_shorter_run_is_csv_prefix(self, tmp_path):
         kw = dict(experiment="solution", grid_n=128, delta_ladder=(8, 4, 2))
         run_suite(ExperimentConfig(**kw, n_seeds=4, out_dir=str(tmp_path / "a")))
@@ -564,12 +587,16 @@ class TestCli:
             ("fixed_time", {"experiment": "noise", "fixed_time": 0.3}),
             ("fixed_time", {"experiment": "noise", "fixed_time": 0.0}),
             ("out_dir", {**TINY_STOPPING, "out_dir": "taken"}),
+            ("t_min", {"experiment": "noise", "t_min": -0.3, "out_dir": "fresh"}),
+            ("t_min", {"experiment": "solution", "t_min": -0.3, "out_dir": "fresh"}),
+            ("t_min", {**TINY_STOPPING, "t_min": -0.3, "grid_n": 64, "out_dir": "fresh"}),
         ],
     )
     def test_bad_field_stops_before_any_seed_is_sampled(
         self, capsys, monkeypatch, tmp_path, name, fields
     ):
-        # "taken" is an existing file, so it cannot be created as out_dir.
+        # "taken" is an existing file, so it cannot be created as out_dir;
+        # "fresh" must not be created by a run that stops on a config error.
         monkeypatch.chdir(tmp_path)
         Path("taken").write_text("")
 
@@ -582,6 +609,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert repr(name) in err
+        assert not Path("fresh").exists()
 
     def test_passing_run_exit_zero(self, capsys, tmp_path):
         rc = main(

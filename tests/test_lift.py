@@ -13,7 +13,7 @@ from roughwz.lift import (
     lift_smooth_quadrature,
 )
 
-from oracles import chen_fold, fit_slope, level2_ordered_pairs
+from oracles import chen_fold, coarsen_reference, fit_slope, level2_ordered_pairs
 
 
 def random_rough_path(rng, n=12, d=2, geometric=False):
@@ -25,6 +25,17 @@ def random_rough_path(rng, n=12, d=2, geometric=False):
     inc1 = rng.standard_normal((n, d))
     inc2 = rng.standard_normal((n, d, d))
     return GridRoughPath(grid, inc1, inc2)
+
+
+def random_stack(rng, n, d, members):
+    """Generic per-step data with the given member axes."""
+    shape = (n, *members, d)
+    return GridRoughPath(
+        TimeGrid(0.0, 1.0, n), rng.standard_normal(shape), rng.standard_normal(shape + (d,))
+    )
+
+
+MEMBER_SHAPES = ((), (1,), (3,), (2, 3))
 
 
 def linear_path(velocity, n=8, t_max=1.0):
@@ -84,14 +95,14 @@ class TestChenReconstruction:
     def test_block_and_gap_views_agree(self):
         rng = np.random.default_rng(4)
         rp = random_rough_path(rng, n=12, d=2, geometric=True)
-        # Rows of level2_block share the right endpoint: entry k is (i_lo+k, j).
-        blk = rp.level2_block(3, 9)
+        # Rows of level2(slice(i_lo, j), j) share the right endpoint: entry k is (i_lo+k, j).
+        blk = rp.level2(slice(3, 9), 9)
         assert blk.shape == (6, 2, 2)
         for off in range(6):
             assert np.allclose(blk[off], rp.level2(3 + off, 9), atol=1e-14)
 
     def test_level2_over_index_arrays_matches_block_rows(self):
-        # Same arithmetic per pair as level2_block, so the rows agree bit for bit.
+        # Same arithmetic per pair as the slice form, so the rows agree bit for bit.
         rng = np.random.default_rng(8)
         for _ in range(12):
             n = int(rng.integers(2, 20))
@@ -100,7 +111,7 @@ class TestChenReconstruction:
             stack = GridRoughPath.stack([random_rough_path(rng, n, d) for _ in range(3)])
             j, i = np.nonzero(np.arange(n + 1)[None, :] < np.arange(n + 1)[:, None])
             for path in (rp, stack):
-                rows = np.concatenate([path.level2_block(0, jj) for jj in range(1, n + 1)])
+                rows = np.concatenate([path.level2(slice(0, jj), jj) for jj in range(1, n + 1)])
                 assert path.level2(i, j).shape == rows.shape
                 assert np.array_equal(path.level2(i, j), rows)
                 pick = rng.integers(0, len(i), size=5)
@@ -118,6 +129,43 @@ class TestChenReconstruction:
         # Prefix sums are rebuilt, so agreement is to rounding only.
         assert np.allclose(co.level1(1, 5), rp.level1(4, 20), atol=1e-13)
         assert np.allclose(co.level2(1, 5), rp.level2(4, 20), atol=1e-13)
+
+
+class TestPairForms:
+    """A row of pairs as slice(i_lo, j), j or as index arrays: the same blocks bit for bit."""
+
+    def test_slice_rows_equal_index_array_rows(self):
+        rng = np.random.default_rng(9)
+        for _ in range(24):
+            n = int(rng.integers(1, 30))
+            d = int(rng.integers(1, 4))
+            members = MEMBER_SHAPES[rng.integers(len(MEMBER_SHAPES))]
+            rp = random_stack(rng, n, d, members)
+            j = int(rng.integers(1, n + 1))
+            i_lo = int(rng.integers(0, j))
+            left, right = np.arange(i_lo, j), np.full(j - i_lo, j)
+            for level in (rp.level1, rp.level2):
+                row = level(slice(i_lo, j), j)
+                assert row.shape[: 1 + len(members)] == (j - i_lo, *members)
+                assert np.array_equal(row, level(left, right))
+                for k in range(i_lo, j):
+                    assert np.array_equal(row[k - i_lo], level(k, j))
+
+    def test_coarsen_equals_reference(self):
+        rng = np.random.default_rng(10)
+        for _ in range(24):
+            n = int(rng.choice([1, 2, 6, 12, 16, 30]))
+            d = int(rng.integers(1, 4))
+            members = MEMBER_SHAPES[rng.integers(len(MEMBER_SHAPES))]
+            rp = random_stack(rng, n, d, members)
+            if not members and rng.integers(2):
+                rp = random_rough_path(rng, n, d, geometric=True)
+            stride = int(rng.choice([s for s in range(1, n + 1) if n % s == 0]))
+            coarse = rp.coarsen(stride)
+            inc1, inc2 = coarsen_reference(rp, stride)
+            assert coarse.grid == TimeGrid(0.0, 1.0, n // stride)
+            assert np.array_equal(coarse.inc1, inc1)
+            assert np.array_equal(coarse.inc2, inc2)
 
 
 class TestStacks:
@@ -144,7 +192,8 @@ class TestStacks:
                 assert np.shares_memory(member.inc2, stack.inc2)
                 assert np.array_equal(member.values, rp.values)
                 assert np.array_equal(stack.values[:, k], rp.values)
-                assert np.array_equal(stack.level2_block(i_lo, j)[:, k], rp.level2_block(i_lo, j))
+                rows = slice(i_lo, j), j
+                assert np.array_equal(stack.level2(*rows)[:, k], rp.level2(*rows))
                 assert np.array_equal(stack.level2(i_lo, j)[k], rp.level2(i_lo, j))
                 for got, want in ((window.member(k), rp.restrict(i_lo, j)),
                                   (coarse.member(k), rp.coarsen(stride))):
@@ -154,7 +203,8 @@ class TestStacks:
                     assert np.array_equal(got.values, want.values)
             tail = stack.member(slice(1, None))
             assert np.array_equal(tail.values, stack.values[:, 1:])
-            assert np.array_equal(tail.level2_block(i_lo, j), stack.level2_block(i_lo, j)[:, 1:])
+            rows = slice(i_lo, j), j
+            assert np.array_equal(tail.level2(*rows), stack.level2(*rows)[:, 1:])
 
     def test_stack_rejects_empty_and_mixed_paths(self):
         rng = np.random.default_rng(7)

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import roughwz
@@ -67,3 +68,50 @@ def test_package_imports_only_exported_names():
         if alias.name not in importlib.import_module(f"roughwz.{node.module}").__all__
     ]
     assert unexported == []
+
+
+README = PACKAGE_DIR.parents[1] / "README.md"
+
+
+def readme_api_names(text: str) -> list[str]:
+    """Dotted names in inline code spans of text that start at roughwz or one of its names.
+
+    A first part counts when it is roughwz or a public attribute of the
+    package: a submodule or a name it exports.  Fenced code blocks are
+    skipped.
+    """
+    submodules()
+    roots = {"roughwz", *(name for name in vars(roughwz) if not name.startswith("_"))}
+    text = re.sub(r"```.*?```", "", text, flags=re.S)
+    names = (
+        name
+        for span in re.findall(r"`([^`]+)`", text)
+        for name in re.findall(r"(?<![\w./])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span)
+    )
+    return sorted({name for name in names if name.split(".")[0] in roots})
+
+
+def resolves(name: str) -> bool:
+    first, *rest = name.split(".")
+    obj = roughwz if first == "roughwz" else getattr(roughwz, first)
+    for part in rest:
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_readme_api_names_finds_dotted_roughwz_names():
+    text = (
+        "`norms.partition_sums` and `GridRoughPath.stack(paths)`, `src/roughwz/rde.py`,\n"
+        "`report.passed`, `GridRoughPath.no_such_block`\n```\nnorms.gone\n```\n"
+    )
+    names = readme_api_names(text)
+    assert names == ["GridRoughPath.no_such_block", "GridRoughPath.stack", "norms.partition_sums"]
+    assert [name for name in names if not resolves(name)] == ["GridRoughPath.no_such_block"]
+
+
+def test_readme_names_resolve():
+    names = readme_api_names(README.read_text())
+    assert names
+    assert [name for name in names if not resolves(name)] == []

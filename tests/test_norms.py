@@ -44,7 +44,7 @@ def linear_lift(n, t_max=1.0):
 
 
 def level2_norms(rp):
-    return lambda i, j: frobenius_norms(rp.level2_block(i, j))
+    return lambda i, j: frobenius_norms(rp.level2(i, j))
 
 
 def random_lift(rng, n, d=2):
@@ -100,11 +100,11 @@ class TestPartitionSums:
         # Past enumeration sizes, against the plain pairwise loop.
         rp = random_lift(np.random.default_rng(29), 48)
         v = rp.values
-        block = (lambda i, j: v[j] - v[i:j]) if level == 1 else rp.level2_block
+        block = (lambda i, j: v[j] - v[i]) if level == 1 else rp.level2
         p = 2.8 / level
         norms = euclidean_norms if level == 1 else frobenius_norms
         got = list(partition_sums(lambda i, j: norms(block(i, j)), p, 5, 48))
-        want = pvar_running_loop(lambda a, b: block(a, b)[0], p, 5, 48)
+        want = pvar_running_loop(block, p, 5, 48)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_running_sums_are_windowed_variations(self):
@@ -129,8 +129,8 @@ class TestPartitionSums:
             stack = GridRoughPath.stack(lifts)
             pts = stack.values
             level1 = (
-                lambda i, j: euclidean_norms(pts[j] - pts[i:j]),
-                lambda rp: lambda i, j: euclidean_norms(rp.values[j] - rp.values[i:j]),
+                lambda i, j: euclidean_norms(pts[j] - pts[i]),
+                lambda rp: lambda i, j: euclidean_norms(rp.values[j] - rp.values[i]),
             )
             for p, (stacked, solo) in ((2.8, level1), (1.4, (level2_norms(stack), level2_norms))):
                 got = np.array(list(partition_sums(stacked, p, i_lo, i_hi)))
@@ -147,7 +147,7 @@ class TestPartitionSums:
         for i_lo, i_hi in ((0, 8), (1, 6), (3, 4)):
             got = block_variation(norms, 1.4, 8, i_lo, i_hi)
             for k, rp in enumerate(lifts):
-                want = pvar2_brute(lambda a, b: rp.level2_block(a, b)[0], 1.4, i_lo, i_hi)
+                want = pvar2_brute(rp.level2, 1.4, i_lo, i_hi)
                 assert got[k] == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("window", [(5, 5), (6, 5), (-1, 5), (0, 21)])
@@ -255,11 +255,11 @@ class TestHolderSeminorm:
 
 
 def increment_block_norms(pts):
-    return lambda i_lo, j: euclidean_norms(pts[j] - pts[i_lo:j])
+    return lambda i, j: euclidean_norms(pts[j] - pts[i])
 
 
 def gap_block_norms(a, b):
-    return lambda i_lo, j: frobenius_norms(a.level2_block(i_lo, j) - b.level2_block(i_lo, j))
+    return lambda i, j: frobenius_norms(a.level2(i, j) - b.level2(i, j))
 
 
 class TestHolderPairRuns:

@@ -261,8 +261,34 @@ class TestControlledPaths:
             grid, np.array([[0.0], [1.0], [3.0]]), np.full((3, 1, 1), 2.0), driver=driver
         )
         # R_{u,2} = y_{u,2} - 2 x_{u,2} for u = 0, 1.
-        blk = cp.remainder_block(0, 2)
+        blk = cp.remainder(slice(0, 2), 2)
         assert np.allclose(blk.ravel(), [-3.0, -2.0])
+
+    def test_slice_rows_equal_index_array_rows(self):
+        # One arithmetic per pair in both index forms: the rows agree bit for
+        # bit, on single and stacked drivers, for solution (m,) and
+        # integrand (m, d) value shapes.
+        rng = np.random.default_rng(75)
+        for _ in range(24):
+            n = int(rng.integers(1, 30))
+            d = int(rng.integers(1, 4))
+            members = ((), (1,), (3,), (2, 3))[rng.integers(4)]
+            value_shape = (*members, int(rng.integers(1, 4)), *((d,) * int(rng.integers(2))))
+            shape = (n, *members, d)
+            driver = GridRoughPath(
+                TimeGrid(0.0, 1.0, n), rng.standard_normal(shape), rng.standard_normal(shape + (d,))
+            )
+            cp = ControlledPath(
+                driver.grid,
+                rng.standard_normal((n + 1, *value_shape)),
+                rng.standard_normal((n + 1, *value_shape, d)),
+                driver=driver,
+            )
+            j = int(rng.integers(1, n + 1))
+            i_lo = int(rng.integers(0, j))
+            row = cp.remainder(slice(i_lo, j), j)
+            assert row.shape == (j - i_lo, *value_shape)
+            assert np.array_equal(row, cp.remainder(np.arange(i_lo, j), np.full(j - i_lo, j)))
 
     def test_solution_gubinelli_is_g_of_y(self):
         rp = fbm_lift(32, seed=73)
@@ -342,7 +368,7 @@ class TestDistancesAndBounds:
         vf = builtin_vector_field("sin-g", 2, 2)
         cp = solve_rde(vf, rp, np.zeros(2))
         q = 1.4
-        block = lambda i, j: cp.remainder_block(i, j)[0]
+        block = cp.remainder
         assert remainder_norm(cp, rp, q) == pytest.approx(
             pvar2_brute(block, q, 0, 7), rel=1e-12
         )
@@ -354,7 +380,7 @@ class TestDistancesAndBounds:
         b = solve_rde(vf, fbm_lift(8, seed=82, counter=1), np.zeros(2))
         p = 2.8
         dist = solution_distance(a, b, p, i_lo, i_hi)
-        block = lambda i, j: (a.remainder_block(i, j) - b.remainder_block(i, j))[0]
+        block = lambda i, j: a.remainder(i, j) - b.remainder(i, j)
         assert dist.remainder_qvar > 0.0
         assert dist.remainder_qvar == pytest.approx(
             pvar2_brute(block, p / 2.0, i_lo, i_hi), rel=1e-12
@@ -370,10 +396,10 @@ class TestDistancesAndBounds:
         # replace) and the level-1 seminorm of the value gap.  Their blocks
         # are bit-identical at d = 2; the batched p-th root is numpy's
         # vector power, which may round one ulp away from the scalar power.
-        def einsum_remainder(cp, lo, j):
+        def einsum_remainder(cp, i, j):
             x = cp.driver.values
-            lin = np.einsum("i...d,id->i...", cp.gubinelli[lo:j], x[j] - x[lo:j])
-            return cp.values[j] - cp.values[lo:j] - lin
+            lin = np.einsum("i...d,id->i...", cp.gubinelli[i], x[j] - x[i])
+            return cp.values[j] - cp.values[i] - lin
 
         rng = np.random.default_rng(83)
         vf = builtin_vector_field("sin-g", 2, 2)
@@ -393,10 +419,10 @@ class TestDistancesAndBounds:
             for part in ("sup", "pvar", "remainder_qvar"):
                 assert np.array_equal(getattr(swapped, part), getattr(got, part))
             for k, a in enumerate(rest):
-                gap = lambda lo, j: einsum_remainder(a, lo, j) - einsum_remainder(b, lo, j)
-                stacked_gap = a.remainder_block(i_lo, i_hi) - b.remainder_block(i_lo, i_hi)
-                assert np.array_equal(gap(i_lo, i_hi), stacked_gap)
-                rem = block_variation(lambda lo, j: euclidean_norms(gap(lo, j)), p / 2.0, n, i_lo, i_hi)
+                gap = lambda i, j: einsum_remainder(a, i, j) - einsum_remainder(b, i, j)
+                row = slice(i_lo, i_hi), i_hi
+                assert np.array_equal(gap(*row), a.remainder(*row) - b.remainder(*row))
+                rem = block_variation(lambda i, j: euclidean_norms(gap(i, j)), p / 2.0, n, i_lo, i_hi)
                 diff = a.values[i_lo : i_hi + 1] - b.values[i_lo : i_hi + 1]
                 assert got.sup[k] == float(np.sqrt(np.einsum("id,id->i", diff, diff)).max())
                 assert got.pvar[k] == pytest.approx(pvar_seminorm(diff, p), rel=1e-15)
@@ -417,7 +443,7 @@ class TestDistancesAndBounds:
         dist = solution_distance(ladder, truth, p, i_lo, i_hi)
         for k in (1, 2, 3):
             a = solved.member(k)
-            block = lambda i, j: (a.remainder_block(i, j) - b.remainder_block(i, j))[0]
+            block = lambda i, j: a.remainder(i, j) - b.remainder(i, j)
             assert dist.remainder_qvar[k - 1] == pytest.approx(
                 pvar2_brute(block, p / 2.0, i_lo, i_hi), rel=1e-12
             )
