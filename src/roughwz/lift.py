@@ -225,14 +225,14 @@ def lift_smooth_quadrature(path: SamplePath, derivative: np.ndarray) -> GridRoug
 # ---------------------------------------------------------------------------
 
 
-def geometricity_residual(rp: GridRoughPath) -> float:
+def geometricity_residual(rp: GridRoughPath) -> float | np.ndarray:
     """max over node pairs and entries of |Sym(X2)_{s,t} - (X1 (x) X1)_{s,t} / 2|.
 
     The per-interval symmetric defects add over node pairs, so every pair's
-    defect is a difference of their prefix sums.
+    defect is a difference of their prefix sums; a stack gives one per member.
     """
-    sym = 0.5 * (rp.inc2 + np.swapaxes(rp.inc2, 1, 2))
-    defect = sym - 0.5 * rp.inc1[:, :, None] * rp.inc1[:, None, :]
-    prefix = np.zeros((rp.grid.n_nodes, rp.d, rp.d))
+    sym = 0.5 * (rp.inc2 + np.swapaxes(rp.inc2, -1, -2))
+    defect = sym - 0.5 * rp.inc1[..., :, None] * rp.inc1[..., None, :]
+    prefix = np.zeros((rp.grid.n_nodes,) + defect.shape[1:])
     np.cumsum(defect, axis=0, out=prefix[1:])
-    return float((prefix.max(axis=0) - prefix.min(axis=0)).max())
+    return (prefix.max(axis=0) - prefix.min(axis=0)).max(axis=(-2, -1))

@@ -19,12 +19,15 @@ satisfies
 
 because an optimal partition of [i_lo, j] ends with some block [i, j].  It
 reads one row, norms(slice(i_lo, j), j), per right end and yields best[j]
-for one right end after another, so greedy stopping can exit early;
-block_variation runs it over a whole node window.  Over member axes the
-same program runs one variation per member.  The Hoelder sup takes
-max |block_{i,j}| / (t_j - t_i)^alpha  over the same pairs in no particular
-order, so it reads runs of whole and split rows as index arrays, at most
-_RUN_PAIRS pairs per run (a whole 129-node grid is one run).
+for one right end after another, so greedy stopping can exit early and
+restart at its stopping node; block_variation runs it over the whole grid.
+Over member axes the same program, and the final root, run per member, so
+a stack member's variation is that path's own bit for bit.  The Hoelder
+sup takes  max |block_{i,j}| / (t_j - t_i)^alpha  over the same pairs in
+no particular order, so it reads runs of whole and split rows as index
+arrays, at most _RUN_PAIRS pairs per run (a whole 129-node grid is one
+run).  Every norm is taken over the whole grid of its path; over nodes
+[i, j] it is the norm of rp.restrict(i, j).
 
 The homogeneous rough-path norm combines the levels as
 
@@ -97,22 +100,17 @@ def partition_sums(
         yield best[r]
 
 
-def _resolve_window(n_steps: int, i_lo: int, i_hi: int | None) -> tuple[int, int]:
-    if i_hi is None:
-        i_hi = n_steps
-    if not 0 <= i_lo < i_hi <= n_steps:
-        raise ValueError(f"bad node window [{i_lo}, {i_hi}] for {n_steps} steps")
-    return i_lo, i_hi
+def _root(total: float | np.ndarray, p: float) -> float | np.ndarray:
+    """total ** (1/p) per member by numpy's scalar power; its vector power may round an ulp off."""
+    roots = [x ** (1.0 / p) for x in np.ravel(total)]
+    return np.array(roots).reshape(np.shape(total))[()]
 
 
-def block_variation(
-    norms: PairNorms, p: float, n_steps: int, i_lo: int = 0, i_hi: int | None = None
-) -> float | np.ndarray:
-    """Exact p-variation of the blocks behind a pair-norm function over [i_lo, i_hi]."""
-    i_lo, i_hi = _resolve_window(n_steps, i_lo, i_hi)
-    for best in partition_sums(norms, p, i_lo, i_hi):
+def block_variation(norms: PairNorms, p: float, n_steps: int) -> float | np.ndarray:
+    """Exact p-variation of the blocks behind a pair-norm function over nodes 0..n_steps."""
+    for best in partition_sums(norms, p, 0, n_steps):
         pass
-    return best ** (1.0 / p)
+    return _root(best, p)
 
 
 def _holder_sup(norms: PairNorms, times: np.ndarray, alpha: float) -> float:
@@ -159,10 +157,10 @@ def _level2_gap_norms(a: GridRoughPath, b: GridRoughPath) -> PairNorms:
     return lambda i, j: frobenius_norms(a.level2(i, j) - b.level2(i, j))
 
 
-def _homogeneous_sums(rp: GridRoughPath, p: float, i_lo: int, i_hi: int) -> Iterator[float]:
-    """Yield ||X1||_{p-var}^p + ||X2||_{q-var}^q over [i_lo, j] for j = i_lo+1, ..., i_hi."""
-    lvl1 = partition_sums(_increment_norms(rp.values), p, i_lo, i_hi)
-    lvl2 = partition_sums(_level2_norms(rp), p / 2.0, i_lo, i_hi)
+def _homogeneous_sums(rp: GridRoughPath, p: float, start: int) -> Iterator[float | np.ndarray]:
+    """Yield ||X1||_{p-var}^p + ||X2||_{q-var}^q over [start, j] for j = start+1, ..., n_steps."""
+    lvl1 = partition_sums(_increment_norms(rp.values), p, start, rp.n_steps)
+    lvl2 = partition_sums(_level2_norms(rp), p / 2.0, start, rp.n_steps)
     for best1, best2 in zip(lvl1, lvl2):
         yield best1 + best2
 
@@ -179,7 +177,7 @@ def pvar_seminorm(values: np.ndarray, p: float) -> float | np.ndarray:
     (n, B, d) array holds B paths on the same nodes and gives the array of
     their B variations.
     """
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     pts = _as_points(values)
     if len(pts) < 2:
@@ -187,28 +185,25 @@ def pvar_seminorm(values: np.ndarray, p: float) -> float | np.ndarray:
     return block_variation(_increment_norms(pts), p, len(pts) - 1)
 
 
-def pvar_level2(rp: GridRoughPath, q: float, i_lo: int = 0, i_hi: int | None = None) -> float:
+def pvar_level2(rp: GridRoughPath, q: float) -> float | np.ndarray:
     """Exact q-variation of the level-2 blocks (Frobenius norm)."""
-    if q <= 0.0:
+    if not q > 0.0:
         raise ValueError(f"q must be positive, got {q}")
-    return block_variation(_level2_norms(rp), q, rp.n_steps, i_lo, i_hi)
+    return block_variation(_level2_norms(rp), q, rp.n_steps)
 
 
-def homogeneous_pvar_norm(
-    rp: GridRoughPath, p: float, i_lo: int = 0, i_hi: int | None = None
-) -> float:
-    """(||X1||_{p-var}^p + ||X2||_{q-var}^q)^{1/p} with q = p/2 over a node window."""
-    if p < 2.0:
+def homogeneous_pvar_norm(rp: GridRoughPath, p: float) -> float | np.ndarray:
+    """(||X1||_{p-var}^p + ||X2||_{q-var}^q)^{1/p} with q = p/2."""
+    if not p >= 2.0:
         raise ValueError(f"homogeneous norm needs p >= 2 so that q = p/2 >= 1, got p={p}")
-    i_lo, i_hi = _resolve_window(rp.n_steps, i_lo, i_hi)
-    for total in _homogeneous_sums(rp, p, i_lo, i_hi):
+    for total in _homogeneous_sums(rp, p, 0):
         pass
-    return total ** (1.0 / p)
+    return _root(total, p)
 
 
 def holder_seminorm(times: np.ndarray, values: np.ndarray, alpha: float) -> float:
     """sup over node pairs of |y_t - y_s| / (t - s)^alpha."""
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     pts = _as_points(values)
     if pts.ndim != 2:
@@ -242,19 +237,17 @@ def rho_alpha_metric(a: GridRoughPath, b: GridRoughPath, alpha: float) -> float:
     return lvl1 + _holder_sup(_level2_gap_norms(a, b), times, 2.0 * alpha)
 
 
-def pvar_level2_distance(
-    a: GridRoughPath, b: GridRoughPath, q: float, i_lo: int = 0, i_hi: int | None = None
-) -> float:
-    """Exact q-variation of the level-2 difference X2 - Y2 over a node window."""
-    if q < 1.0:
+def pvar_level2_distance(a: GridRoughPath, b: GridRoughPath, q: float) -> float | np.ndarray:
+    """Exact q-variation of the level-2 difference X2 - Y2."""
+    if not q >= 1.0:
         raise ValueError(f"q must be >= 1, got {q}")
     _check_same_layout(a, b)
-    return block_variation(_level2_gap_norms(a, b), q, a.n_steps, i_lo, i_hi)
+    return block_variation(_level2_gap_norms(a, b), q, a.n_steps)
 
 
 def rho_pvar_metric(a: GridRoughPath, b: GridRoughPath, p: float) -> float:
     """p-variation distance: ||X1 - Y1||_{p-var} + ||X2 - Y2||_{q-var}, q = p/2."""
-    if p < 2.0:
+    if not p >= 2.0:
         raise ValueError(f"need p >= 2 so that q = p/2 >= 1, got p={p}")
     _check_same_layout(a, b)
     lvl1 = pvar_seminorm(a.values - b.values, p)
@@ -270,10 +263,10 @@ def rho_pvar_metric(a: GridRoughPath, b: GridRoughPath, p: float) -> float:
 class StoppingTimes:
     """Greedy exhaustion times of the homogeneous norm at level eta.
 
-    times[0] is the window start; afterwards times[i+1] is the first node
+    times[0] is the grid start; afterwards times[i+1] is the first node
     past times[i] where the homogeneous p-variation norm over
     [times[i], times[i+1]] reaches eta, the final time being capped at the
-    window end.  count = len(times) - 1 is the interval count N.
+    grid end.  count = len(times) - 1 is the interval count N.
     """
 
     times: np.ndarray
@@ -286,26 +279,26 @@ class StoppingTimes:
         return len(self.times) - 1
 
 
-def greedy_stopping_times(
-    rp: GridRoughPath, eta: float, p: float, i_lo: int = 0, i_hi: int | None = None
-) -> StoppingTimes:
-    """Greedy stopping nodes of a rough path over a node window.
+def greedy_stopping_times(rp: GridRoughPath, eta: float, p: float) -> StoppingTimes:
+    """Greedy stopping nodes of one rough path.
 
     Grid convention: each stopping node is the first node where the norm
     is >= eta, so the norm over every interval except possibly the last
-    is at least eta and N <= 1 + eta^{-p} |||X|||_{p-var}^p holds on the
-    window by superadditivity of the p-th power.
+    is at least eta and N <= 1 + eta^{-p} |||X|||_{p-var}^p holds by
+    superadditivity of the p-th power.
     """
-    if eta <= 0.0:
+    if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
-    if p < 2.0:
+    if not p >= 2.0:
         raise ValueError(f"homogeneous norm needs p >= 2, got {p}")
-    i_lo, i_hi = _resolve_window(rp.n_steps, i_lo, i_hi)
+    if rp.inc1.ndim != 2:
+        raise ValueError(f"expected one rough path, got a stack of shape {rp.inc1.shape[1:-1]}")
+    n = rp.n_steps
     thresh = eta**p
-    indices = [i_lo]
-    while indices[-1] < i_hi:
+    indices = [0]
+    while indices[-1] < n:
         start = indices[-1]
-        sums = enumerate(_homogeneous_sums(rp, p, start, i_hi), start + 1)
-        indices.append(next((j for j, total in sums if total >= thresh), i_hi))
+        sums = enumerate(_homogeneous_sums(rp, p, start), start + 1)
+        indices.append(next((j for j, total in sums if total >= thresh), n))
     idx = np.asarray(indices, dtype=int)
     return StoppingTimes(times=rp.grid.times[idx], indices=idx, eta=eta, p=p)

@@ -28,6 +28,10 @@ loop, the builtin fields acting on states of shape (*members, m), and the
 solution carries the same member axes right after the node axis;
 solution_distance broadcasts the member axes of its two solutions and
 measures every pair through one variation program per part.
+
+Every norm, distance, integral and bound is taken over the whole grid of
+its arguments; over nodes [i, j] it is taken of cp.restrict(i, j), which
+restricts the declared driver with it.
 """
 
 from __future__ import annotations
@@ -285,6 +289,15 @@ class ControlledPath:
             self.grid, self.values[:, k], self.gubinelli[:, k], driver=self.driver.member(k)
         )
 
+    def restrict(self, i_lo: int, i_hi: int) -> "ControlledPath":
+        """Window onto node indices [i_lo, i_hi] (views), the driver restricted with it."""
+        return ControlledPath(
+            self.grid.window(i_lo, i_hi),
+            self.values[i_lo : i_hi + 1],
+            self.gubinelli[i_lo : i_hi + 1],
+            driver=None if self.driver is None else self.driver.restrict(i_lo, i_hi),
+        )
+
     def remainder(self, i, j) -> np.ndarray:
         """R_{i,j} = y_{i,j} - y'_i X1_{i,j}, node pairs (i, j) as in GridRoughPath.level2."""
         if self.driver is None:
@@ -323,14 +336,11 @@ def controlled_integrand(vf: VectorField, cp: ControlledPath) -> ControlledPath:
     return ControlledPath(cp.grid, vals, gub, driver=cp.driver)
 
 
-def rough_integral(
-    cp: ControlledPath, rp: GridRoughPath, s: float | None = None, t: float | None = None
-) -> np.ndarray:
-    """Compensated-sum rough integral of a controlled integrand over [s, t].
+def rough_integral(cp: ControlledPath, rp: GridRoughPath) -> np.ndarray:
+    """Compensated-sum rough integral of a controlled integrand over its grid.
 
     Sum over grid intervals [u, v] of  y_u X1_{u,v} + y'_u X2_{u,v}  with
-    the contractions described in the module docstring.  s, t default to
-    the window ends.
+    the contractions described in the module docstring.
     """
     if not cp.grid.is_compatible(rp.grid):
         raise ValueError("integrand and driver live on different grids")
@@ -338,12 +348,8 @@ def rough_integral(
         raise ValueError(
             f"integrand value axis {cp.values.shape[-1]} does not match driver dimension {rp.d}"
         )
-    i = 0 if s is None else rp.grid.index_of(s)
-    j = rp.grid.n_steps if t is None else rp.grid.index_of(t)
-    if j < i:
-        raise ValueError(f"need s <= t, got s={s}, t={t}")
-    term1 = np.einsum("u...c,uc->...", cp.values[i:j], rp.inc1[i:j])
-    term2 = np.einsum("u...cb,ubc->...", cp.gubinelli[i:j], rp.inc2[i:j])
+    term1 = np.einsum("u...c,uc->...", cp.values[:-1], rp.inc1)
+    term2 = np.einsum("u...cb,ubc->...", cp.gubinelli[:-1], rp.inc2)
     return term1 + term2
 
 
@@ -400,21 +406,13 @@ def solve_rde(vf: VectorField, rp: GridRoughPath, y0: np.ndarray) -> ControlledP
 # ---------------------------------------------------------------------------
 
 
-def remainder_norm(
-    cp: ControlledPath,
-    rp: GridRoughPath,
-    q: float,
-    i_lo: int = 0,
-    i_hi: int | None = None,
-) -> float:
+def remainder_norm(cp: ControlledPath, rp: GridRoughPath, q: float) -> float:
     """Exact q-variation of the remainder blocks y_{s,t} - y'_s X1_{s,t}."""
-    if q < 1.0:
+    if not q >= 1.0:
         raise ValueError(f"q must be >= 1, got {q}")
     # Rebind to the given driver; the constructor checks grid compatibility.
     ref = ControlledPath(cp.grid, cp.values, cp.gubinelli, driver=rp)
-    return block_variation(
-        lambda i, j: euclidean_norms(ref.remainder(i, j)), q, rp.n_steps, i_lo, i_hi
-    )
+    return block_variation(lambda i, j: euclidean_norms(ref.remainder(i, j)), q, rp.n_steps)
 
 
 @dataclass(frozen=True)
@@ -430,29 +428,24 @@ class SolutionDistance:
     remainder_qvar: float | np.ndarray
 
 
-def solution_distance(
-    a: ControlledPath, b: ControlledPath, p: float, i_lo: int = 0, i_hi: int | None = None
-) -> SolutionDistance:
+def solution_distance(a: ControlledPath, b: ControlledPath, p: float) -> SolutionDistance:
     """Sup distance, p-variation distance and q-variation of R^a - R^b.
 
-    All three parts are taken over the node window [i_lo, i_hi] (default:
-    the whole grid).  The remainders are taken against each path's own
-    declared driver, so the third part also sees the difference of the
-    drivers.  The member axes of stacked solutions broadcast against each
-    other (a stack of one, member(slice(0, 1)), against any stack), and one
-    variation program per part measures every pair.
+    The remainders are taken against each path's own declared driver, so
+    the third part also sees the difference of the drivers.  The member
+    axes of stacked solutions broadcast against each other (a stack of
+    one, member(slice(0, 1)), against any stack), and one variation
+    program per part measures every pair.
     """
     if a.driver is None or b.driver is None:
         raise ValueError("both controlled paths must declare their drivers")
     if not a.grid.is_compatible(b.grid):
         raise ValueError("controlled paths live on different grids")
 
-    n = b.grid.n_steps
-    i_hi = n if i_hi is None else i_hi
     rem = block_variation(
-        lambda i, j: euclidean_norms(a.remainder(i, j) - b.remainder(i, j)), p / 2.0, n, i_lo, i_hi
+        lambda i, j: euclidean_norms(a.remainder(i, j) - b.remainder(i, j)), p / 2.0, b.grid.n_steps
     )
-    diff = a.values[i_lo : i_hi + 1] - b.values[i_lo : i_hi + 1]
+    diff = a.values - b.values
     return SolutionDistance(euclidean_norms(diff).max(axis=0), pvar_seminorm(diff, p), rem)
 
 
@@ -503,7 +496,7 @@ def apriori_bound_check(
     """
     if cp.driver is None:
         raise ValueError("controlled path must declare its driver")
-    if c_p < 1.0:
+    if not c_p >= 1.0:
         raise ValueError(f"c_p must be >= 1, got {c_p}")
     if eta is None:
         if not math.isfinite(vf.c_g) or vf.c_g <= 0.0:
@@ -557,18 +550,12 @@ class IntegralDistanceReport:
 
 
 def integral_distance_bound(
-    vf: VectorField,
-    cp_true: ControlledPath,
-    cp_delta: ControlledPath,
-    p: float,
-    c_p: float = 1.0,
-    s: float | None = None,
-    t: float | None = None,
+    vf: VectorField, cp_true: ControlledPath, cp_delta: ControlledPath, p: float, c_p: float = 1.0
 ) -> IntegralDistanceReport:
     """Distance of the two rough integrals of g(y) against its explicit bound.
 
     The left side is || int g(y) dX - int g(y^delta) dX^delta || over the
-    window, both by compensated sums against each solution's own driver.
+    grid, both by compensated sums against each solution's own driver.
     The right side is the explicit three-term estimate: a product term in
     the solution distances, a level-1 driver distance term and a level-2
     driver distance term, with the sewing constant c_p supplied by the
@@ -580,26 +567,18 @@ def integral_distance_bound(
         raise ValueError("bound evaluation needs a finite c_g")
     rp = cp_true.driver
     rp_d = cp_delta.driver
-    grid = cp_true.grid
-    i = 0 if s is None else grid.index_of(s)
-    j = grid.n_steps if t is None else grid.index_of(t)
-    if j <= i:
-        raise ValueError(f"need s < t, got s={s}, t={t}")
     q = p / 2.0
-    sl = slice(i, j + 1)
 
-    z_true = rough_integral(controlled_integrand(vf, cp_true), rp, grid.times[i], grid.times[j])
-    z_delta = rough_integral(
-        controlled_integrand(vf, cp_delta), rp_d, grid.times[i], grid.times[j]
-    )
+    z_true = rough_integral(controlled_integrand(vf, cp_true), rp)
+    z_delta = rough_integral(controlled_integrand(vf, cp_delta), rp_d)
     lhs = float(np.linalg.norm(z_true - z_delta))
 
-    omega_hom = homogeneous_pvar_norm(rp, p, i, j)
-    y_pv = pvar_seminorm(cp_true.values[sl], p)
-    yd_pv = pvar_seminorm(cp_delta.values[sl], p)
-    ry_q = remainder_norm(cp_true, rp, q, i, j)
-    ryd_q = remainder_norm(cp_delta, rp_d, q, i, j)
-    dist = solution_distance(cp_true, cp_delta, p, i, j)
+    omega_hom = homogeneous_pvar_norm(rp, p)
+    y_pv = pvar_seminorm(cp_true.values, p)
+    yd_pv = pvar_seminorm(cp_delta.values, p)
+    ry_q = remainder_norm(cp_true, rp, q)
+    ryd_q = remainder_norm(cp_delta, rp_d, q)
+    dist = solution_distance(cp_true, cp_delta, p)
 
     cg = vf.c_g
     term_pair = (
@@ -609,11 +588,11 @@ def integral_distance_bound(
         * (yd_pv + y_pv + ry_q + 1.0)
         * (dist.pvar + dist.sup + dist.remainder_qvar)
     )
-    w1_pv = pvar_seminorm(rp.values[sl], p)
-    wd_pv = pvar_seminorm(rp_d.values[sl], p)
-    lvl1_dist = pvar_seminorm(rp.values[sl] - rp_d.values[sl], p)
+    w1_pv = pvar_seminorm(rp.values, p)
+    wd_pv = pvar_seminorm(rp_d.values, p)
+    lvl1_dist = pvar_seminorm(rp.values - rp_d.values, p)
     term_level1 = (yd_pv * (wd_pv + w1_pv) + ryd_q + 1.0) * max(cg**2, cg) * lvl1_dist
-    lvl2_dist = pvar_level2_distance(rp, rp_d, q, i, j)
+    lvl2_dist = pvar_level2_distance(rp, rp_d, q)
     term_level2 = 2.0 * cg**2 * c_p * (yd_pv + 1.0) * lvl2_dist
 
     return IntegralDistanceReport(

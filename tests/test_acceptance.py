@@ -176,10 +176,11 @@ def test_criterion_04_partition_sandwich_and_count_bound():
         if parts > whole * (1 + 1e-9) or whole > blocks ** (p - 1) * parts * (1 + 1e-9):
             violations += 1
         p2 = float(rng.uniform(2.0, 3.5))
-        whole_h = homogeneous_pvar_norm(rp, p2, i, j)
+        sub = rp.restrict(i, j)
+        whole_h = homogeneous_pvar_norm(sub, p2)
         if whole_h > 0:
             eta = float(rng.uniform(0.25, 1.0)) * whole_h
-            st = greedy_stopping_times(rp, eta, p2, i_lo=i, i_hi=j)
+            st = greedy_stopping_times(sub, eta, p2)
             if st.count > 1 + eta ** (-p2) * whole_h**p2 + 1e-9:
                 violations += 1
     lin = lift_left_riemann(

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -115,3 +116,37 @@ def test_readme_names_resolve():
     names = readme_api_names(README.read_text())
     assert names
     assert [name for name in names if not resolves(name)] == []
+
+
+# A window is taken by restricting a path, never by parameters of a measure;
+# partition_sums keeps its node range because greedy stopping restarts the
+# program at each stopping node.
+WINDOW_TAKERS = [
+    "fbm.SamplePath.restrict",
+    "fbm.TimeGrid.window",
+    "lift.GridRoughPath.restrict",
+    "norms.partition_sums",
+    "rde.ControlledPath.restrict",
+]
+
+
+def window_parameter_takers() -> list[str]:
+    """Every public function and method of an exported class with an i_lo or i_hi parameter."""
+    hits = set()
+    for mod in submodules():
+        prefix = mod.__name__.split(".")[-1]
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            if inspect.isclass(obj):
+                methods = inspect.getmembers(obj, inspect.isfunction)
+                funcs = [(f"{name}.{attr}", fn) for attr, fn in methods]
+            else:
+                funcs = [(name, obj)] if inspect.isfunction(obj) else []
+            for qualname, fn in funcs:
+                if {"i_lo", "i_hi"} & set(inspect.signature(fn).parameters):
+                    hits.add(f"{prefix}.{qualname}")
+    return sorted(hits)
+
+
+def test_only_restrict_takes_a_node_window():
+    assert window_parameter_takers() == WINDOW_TAKERS

@@ -70,9 +70,8 @@ class TestLevel1Variation:
             assert pvar_seminorm(vals, p) == pytest.approx(pvar_brute(vals, p), rel=1e-12)
 
     def test_batched_paths_match_their_own_variations(self):
-        # (n, B, d) holds B paths; each value is that path's own program up
-        # to the final root, which numpy's vector power may round one ulp
-        # away from the scalar power.
+        # (n, B, d) holds B paths; each value is that path's own program,
+        # bit for bit.
         rng = np.random.default_rng(47)
         for n, batch in ((1, 1), (8, 3), (30, 6)):
             for _ in range(3):
@@ -81,7 +80,7 @@ class TestLevel1Variation:
                 got = pvar_seminorm(vals, 2.8)
                 assert got.shape == (batch,)
                 for k in range(batch):
-                    assert got[k] == pytest.approx(pvar_seminorm(vals[:, k], 2.8), rel=1e-15)
+                    assert got[k] == pvar_seminorm(vals[:, k], 2.8)
                     if n <= 8:
                         assert got[k] == pytest.approx(pvar_brute(vals[:, k], 2.8), rel=1e-12)
         assert np.array_equal(pvar_seminorm(np.zeros((1, 4, 2)), 2.8), np.zeros(4))
@@ -108,18 +107,19 @@ class TestPartitionSums:
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_running_sums_are_windowed_variations(self):
-        rp = random_lift(np.random.default_rng(31), 20)
-        norms = level2_norms(rp)
-        running = list(partition_sums(norms, 1.4, 3, 20))
-        for j, best in enumerate(running, 4):
-            assert block_variation(norms, 1.4, 20, 3, j) == best ** (1.0 / 1.4)
+        # A window's prefix sums start at its first node, so the running
+        # sums are read over the window [3, 20] itself.
+        window = random_lift(np.random.default_rng(31), 20).restrict(3, 20)
+        running = list(partition_sums(level2_norms(window), 1.4, 0, 17))
+        for j, best in enumerate(running, 1):
+            prefix = window.restrict(0, j)
+            assert block_variation(level2_norms(prefix), 1.4, j) == best ** (1.0 / 1.4)
 
     def test_batched_sums_match_per_member_programs(self):
         # Norms with a member axis after the pair axis run one program per
-        # member: the running sums of a stack are bit-identical to each
-        # member's own program, on random windows and at both levels.  Only
-        # the final root may differ, by one ulp (numpy's vector power
-        # against the scalar power).
+        # member: the running sums of a stack, and its variations over
+        # restricted windows, are bit-identical to each member's own, on
+        # random windows and at both levels.
         rng = np.random.default_rng(43)
         for _ in range(8):
             n = int(rng.integers(2, 40))
@@ -127,25 +127,23 @@ class TestPartitionSums:
             i_hi = int(rng.integers(i_lo + 1, n + 1))
             lifts = [random_lift(rng, n) for _ in range(int(rng.integers(1, 7)))]
             stack = GridRoughPath.stack(lifts)
-            pts = stack.values
-            level1 = (
-                lambda i, j: euclidean_norms(pts[j] - pts[i]),
-                lambda rp: lambda i, j: euclidean_norms(rp.values[j] - rp.values[i]),
-            )
-            for p, (stacked, solo) in ((2.8, level1), (1.4, (level2_norms(stack), level2_norms))):
-                got = np.array(list(partition_sums(stacked, p, i_lo, i_hi)))
-                var = block_variation(stacked, p, n, i_lo, i_hi)
+            window = stack.restrict(i_lo, i_hi)
+            level1_norms = lambda rp: lambda i, j: euclidean_norms(rp.values[j] - rp.values[i])
+            for p, norms_of in ((2.8, level1_norms), (1.4, level2_norms)):
+                got = np.array(list(partition_sums(norms_of(stack), p, i_lo, i_hi)))
+                var = block_variation(norms_of(window), p, i_hi - i_lo)
                 for k, rp in enumerate(lifts):
-                    assert np.array_equal(got[:, k], list(partition_sums(solo(rp), p, i_lo, i_hi)))
-                    want = block_variation(solo(rp), p, n, i_lo, i_hi)
-                    assert var[k] == pytest.approx(want, rel=1e-15)
+                    solo = list(partition_sums(norms_of(rp), p, i_lo, i_hi))
+                    assert np.array_equal(got[:, k], solo)
+                    want = block_variation(norms_of(rp.restrict(i_lo, i_hi)), p, i_hi - i_lo)
+                    assert var[k] == want
 
     def test_batched_variation_matches_enumeration(self):
         rng = np.random.default_rng(53)
         lifts = [random_lift(rng, 8) for _ in range(4)]
-        norms = level2_norms(GridRoughPath.stack(lifts))
+        stack = GridRoughPath.stack(lifts)
         for i_lo, i_hi in ((0, 8), (1, 6), (3, 4)):
-            got = block_variation(norms, 1.4, 8, i_lo, i_hi)
+            got = block_variation(level2_norms(stack.restrict(i_lo, i_hi)), 1.4, i_hi - i_lo)
             for k, rp in enumerate(lifts):
                 want = pvar2_brute(rp.level2, 1.4, i_lo, i_hi)
                 assert got[k] == pytest.approx(want, rel=1e-12)
@@ -154,7 +152,7 @@ class TestPartitionSums:
     def test_bad_window_rejected(self, window):
         rp = random_lift(np.random.default_rng(37), 20)
         with pytest.raises(ValueError, match="window"):
-            block_variation(level2_norms(rp), 1.4, 20, *window)
+            pvar_level2(rp.restrict(*window), 1.4)
 
 
 class TestLevel2Variation:
@@ -175,7 +173,7 @@ class TestLevel2Variation:
     def test_window_argument(self):
         rng = np.random.default_rng(23)
         rp = random_lift(rng, 9)
-        got = pvar_level2(rp, 1.0, i_lo=2, i_hi=7)
+        got = pvar_level2(rp.restrict(2, 7), 1.0)
         assert got == pytest.approx(pvar2_brute(rp.level2, 1.0, 2, 7), rel=1e-12)
 
 
@@ -204,10 +202,10 @@ class TestHomogeneousNorm:
             rp = random_lift(rng, 12)
             p = float(rng.uniform(2.0, 3.5))
             i, j, k = sorted(rng.choice(13, size=3, replace=False))
-            whole = homogeneous_pvar_norm(rp, p, i, k) ** p
+            whole = homogeneous_pvar_norm(rp.restrict(i, k), p) ** p
             parts = (
-                homogeneous_pvar_norm(rp, p, i, j) ** p
-                + homogeneous_pvar_norm(rp, p, j, k) ** p
+                homogeneous_pvar_norm(rp.restrict(i, j), p) ** p
+                + homogeneous_pvar_norm(rp.restrict(j, k), p) ** p
             )
             assert whole >= parts - 1e-10
 
@@ -407,14 +405,22 @@ class TestGreedyStopping:
                 whole = homogeneous_pvar_norm(rp, 2.5)
                 assert st.count <= 1 + eta ** (-2.5) * whole**2.5 + 1e-9
 
+    def test_stack_rejected(self):
+        # Each member restarts at its own stopping nodes.
+        stack = GridRoughPath.stack([linear_lift(8), linear_lift(8)])
+        with pytest.raises(ValueError, match="one rough path"):
+            greedy_stopping_times(stack, 0.5, 2.0)
+
     def test_window_and_structure(self):
         rng = np.random.default_rng(59)
         rp = random_lift(rng, 32)
-        st = greedy_stopping_times(rp, 0.8, 2.0, i_lo=4, i_hi=28)
-        assert st.indices[0] == 4
-        assert st.indices[-1] == 28
+        window = rp.restrict(4, 28)
+        st = greedy_stopping_times(window, 0.8, 2.0)
+        assert st.indices[0] == 0
+        assert st.indices[-1] == 24
         assert np.all(np.diff(st.indices) > 0)
-        assert np.array_equal(st.times, rp.grid.times[st.indices])
+        assert np.array_equal(st.times, window.grid.times[st.indices])
+        assert np.array_equal(st.times, rp.grid.times[st.indices + 4])
         assert st.count == len(st.times) - 1
         assert isinstance(st, StoppingTimes)
 
@@ -425,6 +431,6 @@ class TestGreedyStopping:
         st = greedy_stopping_times(rp, eta, p)
         for lo, hi in zip(st.indices[:-1], st.indices[1:]):
             if hi < rp.n_steps:
-                assert homogeneous_pvar_norm(rp, p, lo, hi) >= eta
+                assert homogeneous_pvar_norm(rp.restrict(lo, hi), p) >= eta
             if hi - lo > 1:
-                assert homogeneous_pvar_norm(rp, p, lo, hi - 1) < eta
+                assert homogeneous_pvar_norm(rp.restrict(lo, hi - 1), p) < eta

@@ -6,8 +6,24 @@ import numpy as np
 import pytest
 
 from roughwz.fbm import FbmParams, FbmSampler, SamplePath, TimeGrid
-from roughwz.lift import GridRoughPath, lift_left_riemann, lift_smooth_quadrature
-from roughwz.norms import euclidean_norms, block_variation, pvar_seminorm
+from roughwz.lift import (
+    GridRoughPath,
+    geometricity_residual,
+    lift_left_riemann,
+    lift_smooth_quadrature,
+)
+from roughwz.norms import (
+    block_variation,
+    euclidean_norms,
+    greedy_stopping_times,
+    holder_seminorm,
+    homogeneous_pvar_norm,
+    pvar_level2,
+    pvar_level2_distance,
+    pvar_seminorm,
+    rho_alpha_metric,
+    rho_pvar_metric,
+)
 from roughwz.rde import (
     VECTOR_FIELD_CATALOG,
     ControlledPath,
@@ -331,8 +347,9 @@ class TestRoughIntegral:
         rp = fbm_lift(64, seed=75)
         vf = builtin_vector_field("sin-g", 2, 2)
         cp = controlled_integrand(vf, solve_rde(vf, rp, np.zeros(2)))
-        whole = rough_integral(cp, rp, 0.0, 1.0)
-        parts = rough_integral(cp, rp, 0.0, 0.375) + rough_integral(cp, rp, 0.375, 1.0)
+        whole = rough_integral(cp, rp)
+        part = lambda i, j: rough_integral(cp.restrict(i, j), rp.restrict(i, j))
+        parts = part(0, 24) + part(24, 64)  # [0, 0.375] and [0.375, 1]
         assert np.allclose(whole, parts, atol=1e-10)
 
 
@@ -379,7 +396,7 @@ class TestDistancesAndBounds:
         a = solve_rde(vf, fbm_lift(8, seed=82, counter=0), np.zeros(2))
         b = solve_rde(vf, fbm_lift(8, seed=82, counter=1), np.zeros(2))
         p = 2.8
-        dist = solution_distance(a, b, p, i_lo, i_hi)
+        dist = solution_distance(a.restrict(i_lo, i_hi), b.restrict(i_lo, i_hi), p)
         block = lambda i, j: a.remainder(i, j) - b.remainder(i, j)
         assert dist.remainder_qvar > 0.0
         assert dist.remainder_qvar == pytest.approx(
@@ -393,9 +410,9 @@ class TestDistancesAndBounds:
     def test_batched_distances_match_per_member_path(self):
         # Reference per member: the one-pair path, a DP over the difference
         # of the two remainders (by the einsum formula the batched blocks
-        # replace) and the level-1 seminorm of the value gap.  Their blocks
-        # are bit-identical at d = 2; the batched p-th root is numpy's
-        # vector power, which may round one ulp away from the scalar power.
+        # replace) and the level-1 seminorm of the value gap, all over the
+        # restricted window.  Their blocks are bit-identical at d = 2, and
+        # so is every part.
         def einsum_remainder(cp, i, j):
             x = cp.driver.values
             lin = np.einsum("i...d,id->i...", cp.gubinelli[i], x[j] - x[i])
@@ -406,31 +423,32 @@ class TestDistancesAndBounds:
         n, p = 40, 2.8
         members = [fbm_lift(n, seed=84, counter=k) for k in range(6)]
         solved = solve_rde(vf, GridRoughPath.stack(members), np.zeros(2))
-        b = solved.member(0)
-        rest = [solved.member(k) for k in range(1, 6)]
-        ladder, truth = solved.member(slice(1, None)), solved.member(slice(0, 1))
         for _ in range(4):
             i_lo = int(rng.integers(0, n))
             i_hi = int(rng.integers(i_lo + 1, n + 1))
-            got = solution_distance(ladder, truth, p, i_lo, i_hi)
+            window = solved.restrict(i_lo, i_hi)
+            b = window.member(0)
+            rest = [window.member(k) for k in range(1, 6)]
+            ladder, truth = window.member(slice(1, None)), window.member(slice(0, 1))
+            got = solution_distance(ladder, truth, p)
             assert got.sup.shape == got.pvar.shape == got.remainder_qvar.shape == (5,)
             # Swapping the sides negates every block, so every part is bit-identical.
-            swapped = solution_distance(truth, ladder, p, i_lo, i_hi)
+            swapped = solution_distance(truth, ladder, p)
             for part in ("sup", "pvar", "remainder_qvar"):
                 assert np.array_equal(getattr(swapped, part), getattr(got, part))
             for k, a in enumerate(rest):
                 gap = lambda i, j: einsum_remainder(a, i, j) - einsum_remainder(b, i, j)
-                row = slice(i_lo, i_hi), i_hi
+                row = slice(0, i_hi - i_lo), i_hi - i_lo
                 assert np.array_equal(gap(*row), a.remainder(*row) - b.remainder(*row))
-                rem = block_variation(lambda i, j: euclidean_norms(gap(i, j)), p / 2.0, n, i_lo, i_hi)
-                diff = a.values[i_lo : i_hi + 1] - b.values[i_lo : i_hi + 1]
+                rem = block_variation(lambda i, j: euclidean_norms(gap(i, j)), p / 2.0, i_hi - i_lo)
+                diff = a.values - b.values
                 assert got.sup[k] == float(np.sqrt(np.einsum("id,id->i", diff, diff)).max())
-                assert got.pvar[k] == pytest.approx(pvar_seminorm(diff, p), rel=1e-15)
-                assert got.remainder_qvar[k] == pytest.approx(rem, rel=1e-15)
-                solo = solution_distance(a, b, p, i_lo, i_hi)
+                assert got.pvar[k] == pvar_seminorm(diff, p)
+                assert got.remainder_qvar[k] == rem
+                solo = solution_distance(a, b, p)
                 assert isinstance(solo.sup, float) and solo.sup == got.sup[k]
-                assert solo.pvar == pytest.approx(got.pvar[k], rel=1e-15)
-                assert solo.remainder_qvar == pytest.approx(got.remainder_qvar[k], rel=1e-15)
+                assert solo.pvar == got.pvar[k]
+                assert solo.remainder_qvar == got.remainder_qvar[k]
 
     @pytest.mark.parametrize("i_lo, i_hi", [(0, 8), (2, 6)])
     def test_batched_remainder_distance_matches_enumeration(self, i_lo, i_hi):
@@ -439,8 +457,9 @@ class TestDistancesAndBounds:
         solved = solve_rde(vf, GridRoughPath.stack(members), np.zeros(2))
         b = solved.member(0)
         p = 2.8
-        ladder, truth = solved.member(slice(1, None)), solved.member(slice(0, 1))
-        dist = solution_distance(ladder, truth, p, i_lo, i_hi)
+        window = solved.restrict(i_lo, i_hi)
+        ladder, truth = window.member(slice(1, None)), window.member(slice(0, 1))
+        dist = solution_distance(ladder, truth, p)
         for k in (1, 2, 3):
             a = solved.member(k)
             block = lambda i, j: a.remainder(i, j) - b.remainder(i, j)
@@ -506,8 +525,8 @@ class TestDistancesAndBounds:
             )
 
     def test_windowed_integral_distance_matches_restricted_paths(self):
-        # The bound over [s, t] must equal the whole-window bound of the
-        # solutions and drivers cut down to [s, t].
+        # The bound of the solutions restricted to nodes [i, j] must equal
+        # the bound of the solutions and drivers cut down to [i, j] by hand.
         grid = TimeGrid(0.0, 1.0, 64).extended(8)
         vf = builtin_vector_field("sin-g", 2, 2)
         path = FbmSampler(grid, FbmParams(H=0.45, d=2, seed=34)).sample(0)
@@ -516,7 +535,7 @@ class TestDistancesAndBounds:
         a = solve_rde(vf, true_rp, np.zeros(2))
         b = solve_rde(vf, wz_rp, np.zeros(2))
         i, j = 16, 48
-        rep = integral_distance_bound(vf, a, b, p=2.8, s=0.25, t=0.75)
+        rep = integral_distance_bound(vf, a.restrict(i, j), b.restrict(i, j), p=2.8)
 
         def cut(cp):
             return ControlledPath(
@@ -533,3 +552,78 @@ class TestDistancesAndBounds:
             assert getattr(rep, name) == pytest.approx(getattr(whole, name), rel=1e-9)
         full = integral_distance_bound(vf, a, b, p=2.8)
         assert rep.rhs < full.rhs
+
+
+class TestStackMembersEqualLonePaths:
+    def test_every_measure_of_a_member_is_its_lone_paths(self):
+        # stack(paths).member(k) gives bit for bit what paths[k] gives alone:
+        # the running sums are per member, and so is each final p-th root.
+        rng = np.random.default_rng(95)
+        y0 = np.array([0.3, -0.2])
+        for _ in range(6):
+            n, d, size = int(rng.integers(2, 30)), int(rng.integers(1, 4)), int(rng.integers(1, 7))
+            grid = TimeGrid(0.0, 1.0, n)
+            paths = []
+            for _ in range(size):
+                vals = np.vstack([np.zeros(d), rng.standard_normal((n, d)).cumsum(axis=0)])
+                rp = lift_left_riemann(SamplePath(grid, vals))
+                area = 0.1 * rng.standard_normal(rp.inc2.shape)  # non-geometric blocks
+                paths.append(GridRoughPath(grid, rp.inc1, rp.inc2 + area))
+            stack = GridRoughPath.stack(paths)
+            p = float(rng.uniform(2.0, 3.5))
+
+            def measures(rp, first):
+                return {
+                    "pvar_seminorm": pvar_seminorm(rp.values, p),
+                    "pvar_level2": pvar_level2(rp, p / 2.0),
+                    "pvar_level2_distance": pvar_level2_distance(rp, first, p / 2.0),
+                    "homogeneous_pvar_norm": homogeneous_pvar_norm(rp, p),
+                    "rho_pvar_metric": rho_pvar_metric(rp, first, p),
+                    "geometricity_residual": geometricity_residual(rp),
+                }
+
+            stacked = measures(stack, stack.member(slice(0, 1)))
+            vf = builtin_vector_field("sin-g", 2, d)
+            solved = solve_rde(vf, stack, y0)
+            dist = solution_distance(solved, solved.member(slice(0, 1)), p)
+            first = solve_rde(vf, paths[0], y0)
+            for k, rp in enumerate(paths):
+                for name, value in measures(rp, paths[0]).items():
+                    assert stacked[name].shape == (size,)
+                    assert stacked[name][k] == value, name
+                solo = solve_rde(vf, rp, y0)
+                assert np.array_equal(solved.member(k).values, solo.values)
+                assert np.array_equal(solved.member(k).gubinelli, solo.gubinelli)
+                solo_dist = solution_distance(solo, first, p)
+                for part in ("sup", "pvar", "remainder_qvar"):
+                    assert getattr(dist, part)[k] == getattr(solo_dist, part), part
+
+
+# Calls whose exponent, level or constant is NaN; each must be rejected, not
+# answered with NaN or a count of 1.
+NAN_CALLS = {
+    "pvar_seminorm": lambda rp, cp, vf: pvar_seminorm(rp.values, math.nan),
+    "pvar_level2": lambda rp, cp, vf: pvar_level2(rp, math.nan),
+    "pvar_level2_distance": lambda rp, cp, vf: pvar_level2_distance(rp, rp, math.nan),
+    "homogeneous_pvar_norm": lambda rp, cp, vf: homogeneous_pvar_norm(rp, math.nan),
+    "holder_seminorm": lambda rp, cp, vf: holder_seminorm(rp.grid.times, rp.values, math.nan),
+    "rho_alpha_metric": lambda rp, cp, vf: rho_alpha_metric(rp, rp, math.nan),
+    "rho_pvar_metric": lambda rp, cp, vf: rho_pvar_metric(rp, rp, math.nan),
+    "greedy_stopping_times(eta)": lambda rp, cp, vf: greedy_stopping_times(rp, math.nan, 2.5),
+    "greedy_stopping_times(p)": lambda rp, cp, vf: greedy_stopping_times(rp, 0.5, math.nan),
+    "remainder_norm": lambda rp, cp, vf: remainder_norm(cp, rp, math.nan),
+    "solution_distance": lambda rp, cp, vf: solution_distance(cp, cp, math.nan),
+    "apriori_bound_check(p)": lambda rp, cp, vf: apriori_bound_check(vf, cp, math.nan),
+    "apriori_bound_check(c_p)": lambda rp, cp, vf: apriori_bound_check(vf, cp, 2.8, c_p=math.nan),
+    "apriori_bound_check(eta)": lambda rp, cp, vf: apriori_bound_check(vf, cp, 2.8, eta=math.nan),
+    "integral_distance_bound(p)": lambda rp, cp, vf: integral_distance_bound(vf, cp, cp, math.nan),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_CALLS))
+def test_nan_exponent_level_or_constant_rejected(name):
+    rp = fbm_lift(8, seed=96)
+    vf = builtin_vector_field("sin-g", 2, 2)
+    cp = solve_rde(vf, rp, np.zeros(2))
+    with pytest.raises(ValueError, match="nan"):
+        NAN_CALLS[name](rp, cp, vf)
