@@ -3,10 +3,11 @@
 Three experiments, all Monte-Carlo over a seeded fBm ensemble and all
 paired: every width delta of a ladder acts on the same sampled path, so
 per-seed comparisons across the ladder cancel most of the sampling noise.
-One driver serves all three.  Per seed it samples the path and stacks the
-canonical lift (member 0) with the smooth approximants (W_delta, WW_delta),
-member k for the k-th width of the ladder, on the base window; each
-experiment only measures that stack and gates the (seed, delta) tables.
+One driver serves all three.  Per seed it samples the path and hands the
+experiment the canonical lift (member 0) and the smooth approximants
+(W_delta, WW_delta), member k for the k-th width of the ladder, on the base
+window, one lift at a time; each experiment stacks them, measures the stack
+and gates the (seed, delta) tables.
 
 noise      level-1 and metric distances between each approximant and the
            canonical lift of the noise.
@@ -26,9 +27,12 @@ stopping   displacement of the greedy stopping times of each approximant
 
 The noise and stopping experiments compare lifts on a coarsened stack
 (every metric_stride-th node, level 2 rebuilt through Chen's relation, so
-the restriction is exact), one member against member 0 at a time.  The
-solution experiment ignores metric_stride: its distances run on the full
-grid_n grid, where its gates (the sup ceiling above all) are calibrated.
+the restriction is exact).  Each lift is coarsened before it is stacked, so
+no seed holds its whole fine stack.  noise measures all approximants
+against member 0 in one call per metric; stopping takes one member at a
+time.  The solution experiment ignores metric_stride: its distances run on
+the full grid_n grid, where its gates (the sup ceiling above all) are
+calibrated.
 
 Seeds run one after another, each from its own stream
 (master_seed, seed_index).  Reports: a CSV with one row per seed x delta x
@@ -54,7 +58,8 @@ import numbers
 import sys
 import time
 import typing
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -348,17 +353,29 @@ class GateResult:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Everything one experiment produced; rows carry the raw per-seed data."""
+    """Everything one experiment produced; table holds the raw per-seed data."""
 
     experiment: str
     config: ExperimentConfig
     metrics: tuple[MetricSummary, ...]
     gates: tuple[GateResult, ...]
-    rows: tuple[tuple[int, float, str, float], ...]
+    # Read-only (seed, delta, metric) values, axes ordered as rows reads them.
+    table: np.ndarray = field(compare=False)
     # (seed, delta, node, time) of each caught solver blow-up, in run order;
     # delta 0.0 is the true driver.
     blowups: tuple[tuple[int, float, int, float], ...] = ()
     runtime_seconds: float = 0.0
+
+    @property
+    def rows(self) -> tuple[tuple[int, float, str, float], ...]:
+        """(seed, delta, metric, value) per table entry: seed-major, then delta, then metric."""
+        names = [m.metric for m in self.metrics]
+        return tuple(
+            (seed, delta, name, value)
+            for seed, by_delta in enumerate(self.table.tolist())
+            for delta, by_metric in zip(self.metrics[0].deltas, by_delta)
+            for name, value in zip(names, by_metric)
+        )
 
     @property
     def passed(self) -> bool:
@@ -490,12 +507,14 @@ def _run_ladder(
     """Run one experiment over every seed's delta ladder and report it.
 
     Per seed the fBm path is sampled on the grid extended by the largest
-    width, and the canonical lift (member 0) and the smoothed lift of the
-    k-th ladder width (member k) are stacked on the base window.
-    measure(idx, path, lifts) returns the seed's (metric, delta) array, in
-    the order of `metrics`, which maps each metric name to its (predicted
-    exponent, note).  gates(tables, summaries) returns the experiment's
-    gates from the (seed, delta) table and the MetricSummary of each name.
+    width.  measure(idx, path, lifts) gets an iterator over the canonical
+    lift (member 0) and the smoothed lift of each ladder width (member k
+    for the k-th), on the base window.  Each smoothed lift is built only
+    as it is read, so measure can shrink one before the next is made.
+    measure returns the seed's (metric, delta) array, in the order of
+    `metrics`, which maps each metric name to its (predicted exponent,
+    note).  gates(tables, summaries) returns the experiment's gates from
+    the (seed, delta) table and the MetricSummary of each name.
     blowups, which measure fills while the seeds run, goes into the report.
     """
     t0 = time.perf_counter()
@@ -508,31 +527,26 @@ def _run_ladder(
 
     def one_seed(idx: int) -> np.ndarray:
         path = sampler.sample(idx)
-        lifts = GridRoughPath.stack(
-            [lift_left_riemann(path.restrict(0, n))]
-            + [ww_delta(path, dp).restrict(0, n) for dp in dps]
+        lifts = chain(
+            [lift_left_riemann(path.restrict(0, n))],
+            (ww_delta(path, dp).restrict(0, n) for dp in dps),
         )
         return measure(idx, path, lifts)
 
     stacked = np.stack([one_seed(idx) for idx in range(cfg.n_seeds)])
+    stacked.setflags(write=False)
     tables = {name: stacked[:, i, :] for i, name in enumerate(metrics)}
     deltas = tuple(dp.delta for dp in dps)
     summaries = {
         name: _summary(name, tables[name], deltas, cfg.q_moment, predicted, note)
         for name, (predicted, note) in metrics.items()
     }
-    rows = tuple(
-        (seed, delta, name, float(tables[name][seed, col]))
-        for seed in range(cfg.n_seeds)
-        for col, delta in enumerate(deltas)
-        for name in metrics
-    )
     return ConvergenceReport(
         experiment=cfg.experiment,
         config=cfg,
         metrics=tuple(summaries.values()),
         gates=tuple(gates(tables, summaries)),
-        rows=rows,
+        table=stacked.transpose(0, 2, 1),
         blowups=tuple(blowups),
         runtime_seconds=time.perf_counter() - t0,
     )
@@ -544,17 +558,19 @@ def run_noise_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
     zero = cfg.grid.zero_index
     n_delta = len(cfg.delta_ladder)
 
-    def measure(idx: int, path, lifts: GridRoughPath) -> np.ndarray:
+    def measure(idx: int, path, lifts) -> np.ndarray:
         x_fixed = path.value_at(cfg.fixed_time)
-        w_fixed = lifts.level1(zero, fixed)
-        coarse = lifts.coarsen(cfg.stride)
-        truth = coarse.member(0)
         out = np.empty((3, n_delta))
-        for col in range(n_delta):
-            wz = coarse.member(col + 1)
-            out[0, col] = np.linalg.norm(x_fixed - w_fixed[col + 1])
-            out[1, col] = rho_alpha_metric(wz, truth, cfg.beta)
-            out[2, col] = rho_pvar_metric(wz, truth, cfg.p)
+        coarse = []
+        for k, rp in enumerate(lifts):
+            # The fixed-time error is read off the fine lift before it is dropped.
+            if k:
+                out[0, k - 1] = np.linalg.norm(x_fixed - rp.level1(zero, fixed))
+            coarse.append(rp.coarsen(cfg.stride))
+        coarse = GridRoughPath.stack(coarse)
+        wz, truth = coarse.member(slice(1, None)), coarse.member(slice(0, 1))
+        out[1] = rho_alpha_metric(wz, truth, cfg.beta)
+        out[2] = rho_pvar_metric(wz, truth, cfg.p)
         return out
 
     def gates(tables, summaries) -> list[GateResult]:
@@ -591,8 +607,8 @@ def run_solution_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
     member_deltas = [0.0] + [k * h for k in cfg.delta_ladder]
     blowups: list[tuple[int, float, int, float]] = []
 
-    def measure(idx: int, path, drivers: GridRoughPath) -> np.ndarray:
-        solved = solve_rde(vf, drivers, y0)
+    def measure(idx: int, path, lifts) -> np.ndarray:
+        solved = solve_rde(vf, GridRoughPath.stack(lifts), y0)
         # A member that blew up is NaN from its blow-up node on, and its start
         # state is finite; record each onset in (node, member) order.
         nan = np.isnan(solved.values).any(axis=-1)
@@ -646,8 +662,8 @@ def run_stopping_time_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
     p = cfg.p
     thresh = cfg.eta**p
 
-    def measure(idx: int, path, lifts: GridRoughPath) -> np.ndarray:
-        coarse = lifts.coarsen(cfg.stride)
+    def measure(idx: int, path, lifts) -> np.ndarray:
+        coarse = GridRoughPath.stack(rp.coarsen(cfg.stride) for rp in lifts)
         st_true = greedy_stopping_times(coarse.member(0), cfg.eta, p)
         out = np.empty((3, n_delta))
         for col in range(n_delta):

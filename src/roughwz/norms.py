@@ -25,9 +25,10 @@ Over member axes the same program, and the final root, run per member, so
 a stack member's variation is that path's own bit for bit.  The Hoelder
 sup takes  max |block_{i,j}| / (t_j - t_i)^alpha  over the same pairs in
 no particular order, so it reads runs of whole and split rows as index
-arrays, at most _RUN_PAIRS pairs per run (a whole 129-node grid is one
-run).  Every norm is taken over the whole grid of its path; over nodes
-[i, j] it is the norm of rp.restrict(i, j).
+arrays, each run at most _RUN_PAIRS pair x member values (a lone 129-node
+path is one run, a 6-member stack of it four), and reduces over the
+pair axis only, per member.  Every norm is taken over the whole grid of
+its path; over nodes [i, j] it is the norm of rp.restrict(i, j).
 
 The homogeneous rough-path norm combines the levels as
 
@@ -66,7 +67,8 @@ __all__ = [
 # norms(i, j) -> block norms over node pairs (i, j), shape (pairs, *members).
 PairNorms = Callable[[slice | np.ndarray, int | np.ndarray], np.ndarray]
 
-# Most node pairs one pass of the Hoelder sup reads (about 0.5 MB per float64 array).
+# Most pair x member values one pass of the Hoelder sup reads (0.13 MB per
+# float64 array of them).
 _RUN_PAIRS = 1 << 14
 
 
@@ -82,7 +84,8 @@ def euclidean_norms(blocks: np.ndarray) -> np.ndarray:
 
 def frobenius_norms(blocks: np.ndarray) -> np.ndarray:
     """Frobenius norm over the last two axes: level-2 blocks."""
-    return euclidean_norms(blocks.reshape(blocks.shape[:-2] + (-1,)))
+    *lead, rows, cols = blocks.shape  # spelt out: a reshape of no pairs cannot infer -1
+    return euclidean_norms(blocks.reshape(*lead, rows * cols))
 
 
 def partition_sums(
@@ -113,26 +116,30 @@ def block_variation(norms: PairNorms, p: float, n_steps: int) -> float | np.ndar
     return _root(best, p)
 
 
-def _holder_sup(norms: PairNorms, times: np.ndarray, alpha: float) -> float:
-    """sup over node pairs i < j of |block_{i,j}| / (t_j - t_i)^alpha; NaN if any ratio is.
+def _holder_sup(norms: PairNorms, times: np.ndarray, alpha: float) -> float | np.ndarray:
+    """sup over node pairs i < j of |block_{i,j}| / (t_j - t_i)^alpha, per member.
 
     The pairs, ordered by right end and then left end, are read as index
-    arrays in runs of at most _RUN_PAIRS.
+    arrays in runs of at most _RUN_PAIRS pair x member values; the member
+    shape is read off an empty run.  A member is NaN if any of its ratios is.
     """
     nodes = np.arange(len(times))
+    members = norms(nodes[:0], nodes[:0]).shape[1:]
+    run = max(_RUN_PAIRS // int(np.prod(members)), 1)
     row_start = nodes * (nodes - 1) // 2  # position of pair (0, j) in that order
     n_pairs = len(times) * (len(times) - 1) // 2
-    out = np.float64(0.0)
-    for k0 in range(0, n_pairs, _RUN_PAIRS):
-        k1 = min(k0 + _RUN_PAIRS, n_pairs)
+    out = np.zeros(members)
+    for k0 in range(0, n_pairs, run):
+        k1 = min(k0 + run, n_pairs)
         j0, j1 = np.searchsorted(row_start, [k0, k1 - 1], side="right") - 1
         rows = nodes[j0 : j1 + 1, None]
         j, i = np.nonzero(nodes[:j1] < rows)
         skip = k0 - row_start[j0]
         i, j = i[skip : skip + k1 - k0], j[skip : skip + k1 - k0] + j0
-        ratio = norms(i, j) / (times[j] - times[i]) ** alpha
-        out = np.maximum(out, ratio.max())
-    return float(out)
+        gaps = (times[j] - times[i]) ** alpha
+        ratio = norms(i, j) / gaps.reshape(gaps.shape + (1,) * len(members))
+        out = np.maximum(out, ratio.max(axis=0))
+    return out[()]
 
 
 def _as_points(values: np.ndarray) -> np.ndarray:
@@ -201,13 +208,15 @@ def homogeneous_pvar_norm(rp: GridRoughPath, p: float) -> float | np.ndarray:
     return _root(total, p)
 
 
-def holder_seminorm(times: np.ndarray, values: np.ndarray, alpha: float) -> float:
-    """sup over node pairs of |y_t - y_s| / (t - s)^alpha."""
+def holder_seminorm(times: np.ndarray, values: np.ndarray, alpha: float) -> float | np.ndarray:
+    """sup over node pairs of |y_t - y_s| / (t - s)^alpha.
+
+    Axes between the node axis and the last one are member axes, as for
+    pvar_seminorm: a stack gives the array of its members' sups.
+    """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     pts = _as_points(values)
-    if pts.ndim != 2:
-        raise ValueError(f"expected one path of shape (n,) or (n, d), got {pts.shape}")
     times = np.asarray(times, dtype=float)
     if len(times) != len(pts):
         raise ValueError(f"{len(times)} times for {len(pts)} values")
@@ -225,11 +234,11 @@ def _check_same_layout(a: GridRoughPath, b: GridRoughPath) -> None:
         raise ValueError("rough paths live on different grids or dimensions")
 
 
-def rho_alpha_metric(a: GridRoughPath, b: GridRoughPath, alpha: float) -> float:
+def rho_alpha_metric(a: GridRoughPath, b: GridRoughPath, alpha: float) -> float | np.ndarray:
     """Inhomogeneous alpha-Hoelder distance on a common grid.
 
     sup |X1 - Y1|_{s,t} / (t-s)^alpha  +  sup ||X2 - Y2||_{s,t} / (t-s)^{2 alpha},
-    both sups over all node pairs.
+    both sups over all node pairs, per member of the stacks a and b broadcast.
     """
     _check_same_layout(a, b)
     times = a.grid.times
@@ -245,7 +254,7 @@ def pvar_level2_distance(a: GridRoughPath, b: GridRoughPath, q: float) -> float 
     return block_variation(_level2_gap_norms(a, b), q, a.n_steps)
 
 
-def rho_pvar_metric(a: GridRoughPath, b: GridRoughPath, p: float) -> float:
+def rho_pvar_metric(a: GridRoughPath, b: GridRoughPath, p: float) -> float | np.ndarray:
     """p-variation distance: ||X1 - Y1||_{p-var} + ||X2 - Y2||_{q-var}, q = p/2."""
     if not p >= 2.0:
         raise ValueError(f"need p >= 2 so that q = p/2 >= 1, got p={p}")

@@ -285,6 +285,8 @@ class ControlledPath:
 
     def member(self, k: int | slice) -> "ControlledPath":
         """Member k of a path against a stacked driver, k an index or a slice (views)."""
+        if self.driver is None:
+            raise ValueError("member() needs the stacked driver; this controlled path has none")
         return ControlledPath(
             self.grid, self.values[:, k], self.gubinelli[:, k], driver=self.driver.member(k)
         )

@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from roughwz.lift import lift_left_riemann
+from roughwz.lift import GridRoughPath, lift_left_riemann
 from roughwz.norms import (
     greedy_stopping_times,
     homogeneous_pvar_norm,
@@ -255,6 +255,33 @@ def noise_ladder_loop(cfg, path) -> np.ndarray:
         coarse_wz = wz.restrict(0, n).coarsen(cfg.stride)
         out[1, col] = rho_alpha_metric(coarse_wz, coarse_true, cfg.beta)
         out[2, col] = rho_pvar_metric(coarse_wz, coarse_true, cfg.p)
+    return out
+
+
+def noise_member_loop(cfg, path) -> np.ndarray:
+    """One noise seed's (metric, delta) table, one metric call per ladder member.
+
+    The measure that the stacked metrics replaced: the fine stack of the
+    canonical lift and every approximant, coarsened as a whole, then each
+    member against member 0.
+    """
+    n = cfg.grid_n
+    lifts = GridRoughPath.stack(
+        [lift_left_riemann(path.restrict(0, n))]
+        + [
+            ww_delta(path, DeltaParam.for_grid(cfg.grid, k)).restrict(0, n)
+            for k in cfg.delta_ladder
+        ]
+    )
+    w_fixed = lifts.level1(cfg.grid.zero_index, cfg.grid.index_of(cfg.fixed_time))
+    coarse = lifts.coarsen(cfg.stride)
+    truth = coarse.member(0)
+    out = np.empty((3, len(cfg.delta_ladder)))
+    for col in range(len(cfg.delta_ladder)):
+        wz = coarse.member(col + 1)
+        out[0, col] = np.linalg.norm(path.value_at(cfg.fixed_time) - w_fixed[col + 1])
+        out[1, col] = rho_alpha_metric(wz, truth, cfg.beta)
+        out[2, col] = rho_pvar_metric(wz, truth, cfg.p)
     return out
 
 

@@ -1,9 +1,10 @@
 """Config validation, report structure, reproducibility and the CLI shell."""
 
+import csv
 import importlib.util
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -382,6 +383,33 @@ class TestReports:
         ]
         assert [value for *_, value in run_suite(cfg).rows] == expected
 
+    def test_noise_table_equals_the_per_member_loop(self):
+        # One metric call per seed on the coarsened stack must give the
+        # table of one call per member, bit for bit.  fixed_time sits at an
+        # odd node, off the coarse grid.
+        rng = np.random.default_rng(97)
+        for _ in range(4):
+            grid_n = int(rng.choice([32, 64, 128]))
+            rungs = rng.choice([16, 8, 4, 2], size=int(rng.integers(1, 4)), replace=False)
+            cfg = ExperimentConfig(
+                experiment="noise",
+                H=float(rng.uniform(0.36, 0.5)),
+                d=int(rng.integers(1, 3)),
+                grid_n=grid_n,
+                delta_ladder=tuple(sorted(int(k) for k in rungs)[::-1]),
+                metric_stride=int(rng.choice([2, 4])),
+                n_seeds=30,
+                fixed_time=(2 * int(rng.integers(0, grid_n // 2)) + 1) / grid_n,
+                master_seed=int(rng.integers(2**31)),
+            )
+            sampler = FbmSampler(
+                cfg.grid.extended(cfg.delta_ladder[0]),
+                FbmParams(H=cfg.H, d=cfg.d, seed=cfg.master_seed),
+            )
+            want = [oracles.noise_member_loop(cfg, sampler.sample(idx)) for idx in range(30)]
+            got = run_noise_convergence(cfg).table
+            assert np.array_equal(got, np.stack(want).transpose(0, 2, 1)), cfg
+
     def test_noise_report_predictions(self):
         cfg = ExperimentConfig(experiment="noise", n_seeds=30, grid_n=256, delta_ladder=(8, 4, 2))
         rep = run_noise_convergence(cfg)
@@ -405,6 +433,39 @@ class TestReports:
         assert doc["blowups"] == [] and doc["n_blowups"] == 0
         del doc["runtime"]
         json.dumps(doc)  # the deterministic body must be serializable as-is
+
+
+class TestReportTable:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(experiment="noise", n_seeds=30, grid_n=32, delta_ladder=(4, 2)),
+            dict(experiment="solution", n_seeds=2, grid_n=32, delta_ladder=(4, 2)),
+            TINY_STOPPING,
+        ],
+        ids=EXPERIMENTS,
+    )
+    def test_rows_expand_the_table_and_match_the_csv(self, tmp_path, fields):
+        rep = run_suite(ExperimentConfig(**fields, out_dir=str(tmp_path)))
+        names = [m.metric for m in rep.metrics]
+        deltas = rep.metrics[0].deltas
+        assert rep.table.shape == (rep.config.n_seeds, len(deltas), len(names))
+        assert not rep.table.flags.writeable
+        assert rep.rows == tuple(
+            (seed, delta, name, float(rep.table[seed, col, k]))
+            for seed in range(rep.config.n_seeds)
+            for col, delta in enumerate(deltas)
+            for k, name in enumerate(names)
+        )
+        with open(tmp_path / f"{rep.experiment}.csv", newline="") as fh:
+            body = list(csv.reader(fh))[1:]
+        assert body == [[str(s), repr(delta), name, repr(v)] for s, delta, name, v in rep.rows]
+
+    def test_reports_compare_without_their_tables(self):
+        rep = run_stopping_time_convergence(ExperimentConfig(**TINY_STOPPING))
+        assert rep == rep
+        assert rep == replace(rep, table=rep.table.copy())
+        assert rep != replace(rep, runtime_seconds=rep.runtime_seconds + 1.0)
 
 
 class TestSuiteOutputs:

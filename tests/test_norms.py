@@ -215,9 +215,9 @@ class TestHolderSeminorm:
         times = np.array([0.0, 0.1])
         vals = np.array([[0.0], [1.0]])
         assert holder_seminorm(times, vals, 0.4) == pytest.approx(0.1 ** (-0.4), rel=1e-12)
-        # A stack of paths has no single Hoelder sup.
-        with pytest.raises(ValueError, match="one path"):
-            holder_seminorm(times, vals[:, None], 0.4)
+        # A stack of one path gives that path's sup as its one member's.
+        stacked = holder_seminorm(times, vals[:, None], 0.4)
+        assert stacked.tolist() == [holder_seminorm(times, vals, 0.4)]
 
     def test_linear_path_attains_at_full_gap(self):
         times = np.linspace(0.0, 1.0, 11)
@@ -240,6 +240,24 @@ class TestHolderSeminorm:
         vals = np.arange(9.0)
         vals[5] = np.nan
         assert np.isnan(holder_seminorm(np.linspace(0.0, 1.0, 9), vals, 0.4))
+
+    def test_nan_in_one_member_spoils_only_its_sup(self):
+        rng = np.random.default_rng(79)
+        times = np.linspace(0.0, 1.0, 9)
+        pts = rng.standard_normal((9, 4, 2))
+        pts[5, 2, 1] = np.nan
+        got = holder_seminorm(times, pts, 0.4)
+        assert np.isnan(got).tolist() == [False, False, True, False]
+        for k in (0, 1, 3):
+            assert got[k] == holder_seminorm(times, pts[:, k], 0.4)
+        lifts = [random_lift(rng, 8) for _ in range(3)]
+        stack = GridRoughPath.stack(lifts)
+        inc2 = stack.inc2.copy()
+        inc2[3, 1, 0, 1] = np.nan
+        stack = GridRoughPath(stack.grid, stack.inc1, inc2)
+        got = rho_alpha_metric(stack, stack.member(slice(0, 1)), 0.4)
+        assert np.isnan(got).tolist() == [False, True, False]
+        assert got[2] == rho_alpha_metric(lifts[2], lifts[0], 0.4)
 
     @pytest.mark.parametrize(
         "times, bad",
@@ -312,6 +330,39 @@ class TestHolderPairRuns:
                     for i, j in combinations(range(n_nodes), 2)
                 ]
                 assert holder_seminorm(times, pts, 0.4) == max(ratios, default=0.0)
+
+    @pytest.mark.parametrize("run_pairs", [1, 7, 1 << 14])
+    def test_stack_member_sups_do_not_depend_on_the_cap(self, monkeypatch, run_pairs):
+        # The cap counts pair x member values, so a stack's pairs are split
+        # into other runs than a lone path's; each member's sup stays the
+        # per-right-end loop's.
+        monkeypatch.setattr(norms, "_RUN_PAIRS", run_pairs)
+        rng = np.random.default_rng(73)
+        for _ in range(8):
+            n, d, size = int(rng.integers(1, 30)), int(rng.integers(1, 4)), int(rng.integers(1, 8))
+            alpha = float(rng.uniform(0.1, 0.9))
+            times = np.cumsum(rng.uniform(0.01, 0.2, n + 1))
+            pts = rng.standard_normal((n + 1, size, d)).cumsum(axis=0)
+            block_norms = increment_block_norms(pts)
+            read = []
+
+            def counted(i, j):
+                read.append(block_norms(i, j))
+                return read[-1]
+
+            got = norms._holder_sup(counted, times, alpha)
+            assert got.shape == (size,)
+            # Every pass reads at most the cap, or one pair's members.
+            assert max(r.size for r in read) <= max(run_pairs, size)
+            for k in range(size):
+                assert got[k] == holder_sup_loop(increment_block_norms(pts[:, k]), times, alpha)
+            lifts = [random_lift(rng, n, d) for _ in range(size)]
+            stack = GridRoughPath.stack(lifts)
+            first = stack.member(slice(0, 1))
+            got = norms._holder_sup(gap_block_norms(stack, first), stack.grid.times, alpha)
+            for k, rp in enumerate(lifts):
+                want = holder_sup_loop(gap_block_norms(rp, lifts[0]), rp.grid.times, alpha)
+                assert got[k] == want
 
 
 class TestRoughMetrics:

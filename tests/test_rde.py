@@ -280,6 +280,11 @@ class TestControlledPaths:
         blk = cp.remainder(slice(0, 2), 2)
         assert np.allclose(blk.ravel(), [-3.0, -2.0])
 
+    def test_member_needs_a_driver(self):
+        cp = ControlledPath(TimeGrid(0.0, 1.0, 4), np.zeros((5, 3, 2)), np.zeros((5, 3, 2, 1)))
+        with pytest.raises(ValueError, match="driver"):
+            cp.member(0)
+
     def test_slice_rows_equal_index_array_rows(self):
         # One arithmetic per pair in both index forms: the rows agree bit for
         # bit, on single and stacked drivers, for solution (m,) and
@@ -579,6 +584,8 @@ class TestStackMembersEqualLonePaths:
                     "pvar_level2_distance": pvar_level2_distance(rp, first, p / 2.0),
                     "homogeneous_pvar_norm": homogeneous_pvar_norm(rp, p),
                     "rho_pvar_metric": rho_pvar_metric(rp, first, p),
+                    "holder_seminorm": holder_seminorm(rp.grid.times, rp.values, 1.0 / p),
+                    "rho_alpha_metric": rho_alpha_metric(rp, first, 1.0 / p),
                     "geometricity_residual": geometricity_residual(rp),
                 }
 
