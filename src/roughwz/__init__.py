@@ -6,7 +6,8 @@ Subpackages:
     wongzakai  the smooth stationary approximant W_delta and its lift
     norms      the pair-norm variation kernel, Hoelder/variation
                metrics, stopping times
-    rde        controlled paths, rough integrals, the one-step solver, bounds
+    rde        vector fields, controlled paths, the one-step solver, solution
+               distances
     rds        rough-path shifts and cocycle residuals
     expcli     convergence experiments and their command-line front end
 """
@@ -46,19 +47,12 @@ from .norms import (
     rho_pvar_metric,
 )
 from .rde import (
-    AprioriBoundReport,
     ControlledPath,
-    IntegralDistanceReport,
     SolutionDistance,
     SolverBlowUpError,
     VECTOR_FIELD_CATALOG,
     VectorField,
-    apriori_bound_check,
     builtin_vector_field,
-    controlled_integrand,
-    integral_distance_bound,
-    remainder_norm,
-    rough_integral,
     solution_distance,
     solve_rde,
 )

@@ -744,10 +744,12 @@ def run_suite(cfg: ExperimentConfig) -> ConvergenceReport:
 def _config_from_file(path: str) -> dict:
     """Read a JSON config file mirroring ExperimentConfig field names."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError("config", f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -775,7 +777,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="FILE", help="JSON config mirroring ExperimentConfig")
     parser.add_argument("--H", type=float, dest="H", help="Hurst index in (1/3, 1/2]")
     parser.add_argument("--seeds", type=int, help="Monte-Carlo sample size")
-    parser.add_argument("--grid-n", type=int, help="grid steps on the base window")
+    parser.add_argument(
+        "--grid-n", type=int, help="grid steps on the base window (0: the calibrated size)"
+    )
     parser.add_argument(
         "--delta-ladder", metavar="K1,K2,...", help="decreasing grid multiples, comma separated"
     )

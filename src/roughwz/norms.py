@@ -104,9 +104,8 @@ def partition_sums(
 
 
 def _root(total: float | np.ndarray, p: float) -> float | np.ndarray:
-    """total ** (1/p) per member by numpy's scalar power; its vector power may round an ulp off."""
-    roots = [x ** (1.0 / p) for x in np.ravel(total)]
-    return np.array(roots).reshape(np.shape(total))[()]
+    """total ** (1/p) per member, bit for bit the scalar power (np.power may round an ulp off)."""
+    return np.float_power(total, 1.0 / p)
 
 
 def block_variation(norms: PairNorms, p: float, n_steps: int) -> float | np.ndarray:

@@ -17,11 +17,6 @@ contracts as
 
     ( Dg(y) g(y) X2 )^a = sum_{b,c,e}  d_e g^{a,c}(y)  g^{e,b}(y)  X2^{b,c}.
 
-Integrands of rough integrals are controlled paths whose value array
-carries a trailing driver axis; compensated sums contract that axis with
-X1 and the last two Gubinelli axes (value-component axis c, then direction
-axis b) with X2.
-
 A driver may be a stack of grid rough paths on one grid (GridRoughPath
 with member axes).  solve_rde advances all of its members in one step
 loop, the builtin fields acting on states of shape (*members, m), and the
@@ -29,9 +24,9 @@ solution carries the same member axes right after the node axis;
 solution_distance broadcasts the member axes of its two solutions and
 measures every pair through one variation program per part.
 
-Every norm, distance, integral and bound is taken over the whole grid of
-its arguments; over nodes [i, j] it is taken of cp.restrict(i, j), which
-restricts the declared driver with it.
+Every norm and distance is taken over the whole grid of its arguments;
+over nodes [i, j] it is taken of cp.restrict(i, j), which restricts the
+declared driver with it.
 """
 
 from __future__ import annotations
@@ -44,29 +39,15 @@ import numpy as np
 
 from .fbm import TimeGrid
 from .lift import GridRoughPath
-from .norms import (
-    block_variation,
-    euclidean_norms,
-    greedy_stopping_times,
-    homogeneous_pvar_norm,
-    pvar_level2_distance,
-    pvar_seminorm,
-)
+from .norms import block_variation, euclidean_norms, pvar_seminorm
 
 __all__ = [
-    "AprioriBoundReport",
     "ControlledPath",
-    "IntegralDistanceReport",
     "SolutionDistance",
     "SolverBlowUpError",
     "VECTOR_FIELD_CATALOG",
     "VectorField",
-    "apriori_bound_check",
     "builtin_vector_field",
-    "controlled_integrand",
-    "integral_distance_bound",
-    "remainder_norm",
-    "rough_integral",
     "solution_distance",
     "solve_rde",
 ]
@@ -91,13 +72,10 @@ class SolverBlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class VectorField:
-    """Coefficients of dy = (A y + f(y)) dt + g(y) dX with declared constants.
+    """Coefficients of dy = (A y + f(y)) dt + g(y) dX.
 
-    f must be globally Lipschitz with constant c_f; g maps R^m to R^{m x d}
-    with derivative tensor dg(y)[a, b, e] = d g^{a,b} / d y^e and bound
-    c_g >= max of the sup norms of g and its first three derivatives
-    (math.nan when unbounded; such fields only feed the solver, not the
-    bound evaluators).
+    f maps R^m to R^m; g maps R^m to R^{m x d} with derivative tensor
+    dg(y)[a, b, e] = d g^{a,b} / d y^e.
 
     The builtin fields, and drift, also take states with leading member
     axes, shape (..., m), and return (..., m), (..., m, d) and
@@ -109,10 +87,8 @@ class VectorField:
     d: int
     a_mat: np.ndarray
     f: Callable[[np.ndarray], np.ndarray]
-    c_f: float
     g: Callable[[np.ndarray], np.ndarray]
     dg: Callable[[np.ndarray], np.ndarray]
-    c_g: float
     name: str = "custom"
 
     def __post_init__(self) -> None:
@@ -120,11 +96,6 @@ class VectorField:
         if a.shape != (self.m, self.m):
             raise ValueError(f"A must be ({self.m}, {self.m}), got {a.shape}")
         object.__setattr__(self, "a_mat", a)
-
-    @property
-    def L(self) -> float:
-        """Drift growth constant ||A|| + c_f."""
-        return float(np.linalg.norm(self.a_mat, 2)) + self.c_f
 
     def drift(self, y: np.ndarray) -> np.ndarray:
         return y @ self.a_mat.T + self.f(y)
@@ -144,16 +115,13 @@ def _sin_g_field(m: int, d: int, amp: float, drift: float) -> VectorField:
     def f(y: np.ndarray) -> np.ndarray:
         return drift * np.cos(y)
 
-    # Entrywise bounds give ||g||, ||Dg||, ||D2g||, ||D3g|| <= amp sqrt(m d).
     return VectorField(
         m=m,
         d=d,
         a_mat=np.zeros((m, m)),
         f=f,
-        c_f=drift,
         g=g,
         dg=dg,
-        c_g=amp * math.sqrt(m * d),
         name="sin-g",
     )
 
@@ -168,10 +136,8 @@ def _additive_field(m: int, d: int, sigma: np.ndarray | None) -> VectorField:
         d=d,
         a_mat=np.zeros((m, m)),
         f=np.zeros_like,
-        c_f=0.0,
         g=lambda y: np.broadcast_to(sig, y.shape[:-1] + (m, d)),
         dg=lambda y: np.zeros(y.shape[:-1] + (m, d, m)),
-        c_g=float(np.linalg.norm(sig)),
         name="additive",
     )
 
@@ -182,10 +148,8 @@ def _drift_only_field(m: int, d: int, rate: float) -> VectorField:
         d=d,
         a_mat=np.zeros((m, m)),
         f=lambda y: -rate * y,
-        c_f=abs(rate),
         g=lambda y: np.zeros(y.shape[:-1] + (m, d)),
         dg=lambda y: np.zeros(y.shape[:-1] + (m, d, m)),
-        c_g=0.0,
         name="drift-only",
     )
 
@@ -207,10 +171,8 @@ def _linear_g_field(m: int, d: int, scale: float) -> VectorField:
         d=d,
         a_mat=np.zeros((m, m)),
         f=np.zeros_like,
-        c_f=0.0,
         g=g,
         dg=dg,
-        c_g=math.nan,  # unbounded; oracle use only
         name="linear-g",
     )
 
@@ -226,7 +188,7 @@ def builtin_vector_field(name: str, m: int = 2, d: int = 2, **params) -> VectorF
     linear-g:   g(y) = scale diag(y) (scale=1, m == d); unbounded, for the
                 exponential chain-rule oracle.
     sin-g:      g^{ab}(y) = amp sin(y^a + phase_ab) (amp=0.25) with drift
-                f(y) = drift cos(y) (drift=0.25); bounded with explicit c_g.
+                f(y) = drift cos(y) (drift=0.25); bounded with its derivatives.
     """
     if name == "sin-g":
         return _sin_g_field(m, d, params.pop("amp", 0.25), params.pop("drift", 0.25))
@@ -240,7 +202,7 @@ def builtin_vector_field(name: str, m: int = 2, d: int = 2, **params) -> VectorF
 
 
 # ---------------------------------------------------------------------------
-# controlled paths and rough integrals
+# controlled paths
 # ---------------------------------------------------------------------------
 
 
@@ -248,12 +210,9 @@ def builtin_vector_field(name: str, m: int = 2, d: int = 2, **params) -> VectorF
 class ControlledPath:
     """Node values with a Gubinelli derivative against a declared driver.
 
-    values has shape (n_nodes, *value_shape); gubinelli appends one driver
-    axis, shape (n_nodes, *value_shape, d).  Solutions store value_shape
-    (m,); integrands of rough integrals store (m, d), the trailing axis
-    being the one contracted with the driver.  Against a stacked driver the
-    value shape starts with the driver's member axes: B solutions store
-    (B, m).
+    values has shape (n_nodes, *members, m), members being the declared
+    driver's member axes (none for a single driver, (B,) for a stack of
+    B); gubinelli appends one driver axis, shape (n_nodes, *members, m, d).
     """
 
     grid: TimeGrid
@@ -276,8 +235,10 @@ class ControlledPath:
                     f"gubinelli driver axis {gub.shape[-1]} != driver dimension {self.driver.d}"
                 )
             members = self.driver.inc1.shape[1:-1]
-            if v.shape[1 : 1 + len(members)] != members:
-                raise ValueError(f"values shape {v.shape} lacks the member axes {members}")
+            if v.ndim != len(members) + 2 or v.shape[1:-1] != members:
+                raise ValueError(
+                    f"values shape {v.shape} must be (n_nodes, *member axes {members}, m)"
+                )
             if not self.grid.is_compatible(self.driver.grid):
                 raise ValueError("controlled path and driver live on different grids")
         object.__setattr__(self, "values", v)
@@ -304,10 +265,7 @@ class ControlledPath:
         """R_{i,j} = y_{i,j} - y'_i X1_{i,j}, node pairs (i, j) as in GridRoughPath.level2."""
         if self.driver is None:
             raise ValueError("remainders need a declared driver")
-        x = self.driver.values
-        # A stacked driver's member axes pair with the first value axes; the
-        # remaining value axes broadcast against X1.
-        x = x.reshape(x.shape[:-1] + (1,) * (self.gubinelli.ndim - x.ndim) + x.shape[-1:])
+        x = self.driver.values[..., None, :]  # X1 broadcast over the value axis m
         w1 = x[j] - x[i]
         gub = self.gubinelli[i]
         # y'_i X1_{i,j}, summed over the driver axis in index order: one
@@ -319,40 +277,6 @@ class ControlledPath:
         out = self.values[j] - self.values[i]
         out -= lin
         return out
-
-
-def controlled_integrand(vf: VectorField, cp: ControlledPath) -> ControlledPath:
-    """The integrand g(y) of the rough integral as a controlled path.
-
-    Values are g(y_t), shape (n, m, d); the Gubinelli derivative composes
-    the chain rule with y' = g(y):  G'[a, c, b] = sum_e d_e g^{a,c} g^{e,b}.
-    """
-    n = cp.grid.n_nodes
-    vals = np.empty((n, vf.m, vf.d))
-    gub = np.empty((n, vf.m, vf.d, vf.d))
-    for i in range(n):
-        y = cp.values[i]
-        gy = vf.g(y)
-        vals[i] = gy
-        gub[i] = np.einsum("ace,eb->acb", vf.dg(y), gy)
-    return ControlledPath(cp.grid, vals, gub, driver=cp.driver)
-
-
-def rough_integral(cp: ControlledPath, rp: GridRoughPath) -> np.ndarray:
-    """Compensated-sum rough integral of a controlled integrand over its grid.
-
-    Sum over grid intervals [u, v] of  y_u X1_{u,v} + y'_u X2_{u,v}  with
-    the contractions described in the module docstring.
-    """
-    if not cp.grid.is_compatible(rp.grid):
-        raise ValueError("integrand and driver live on different grids")
-    if cp.values.shape[-1] != rp.d:
-        raise ValueError(
-            f"integrand value axis {cp.values.shape[-1]} does not match driver dimension {rp.d}"
-        )
-    term1 = np.einsum("u...c,uc->...", cp.values[:-1], rp.inc1)
-    term2 = np.einsum("u...cb,ubc->...", cp.gubinelli[:-1], rp.inc2)
-    return term1 + term2
 
 
 # ---------------------------------------------------------------------------
@@ -404,17 +328,8 @@ def solve_rde(vf: VectorField, rp: GridRoughPath, y0: np.ndarray) -> ControlledP
 
 
 # ---------------------------------------------------------------------------
-# norms of solutions and bound evaluators
+# distances between solutions
 # ---------------------------------------------------------------------------
-
-
-def remainder_norm(cp: ControlledPath, rp: GridRoughPath, q: float) -> float:
-    """Exact q-variation of the remainder blocks y_{s,t} - y'_s X1_{s,t}."""
-    if not q >= 1.0:
-        raise ValueError(f"q must be >= 1, got {q}")
-    # Rebind to the given driver; the constructor checks grid compatibility.
-    ref = ControlledPath(cp.grid, cp.values, cp.gubinelli, driver=rp)
-    return block_variation(lambda i, j: euclidean_norms(ref.remainder(i, j)), q, rp.n_steps)
 
 
 @dataclass(frozen=True)
@@ -449,158 +364,3 @@ def solution_distance(a: ControlledPath, b: ControlledPath, p: float) -> Solutio
     )
     diff = a.values - b.values
     return SolutionDistance(euclidean_norms(diff).max(axis=0), pvar_seminorm(diff, p), rem)
-
-
-@dataclass(frozen=True)
-class AprioriBoundReport:
-    """Both a-priori estimates against the realised solution norms.
-
-    bound_sup majorises ||y||_inf; bound_var majorises
-    ||y_start|| + |||y|||_{p-var} + |||R^y|||_{q-var}.  Ratios are
-    bound / actual, so a ratio below 1 flags a falsification candidate.
-    """
-
-    bound_sup: float
-    actual_sup: float
-    bound_var: float
-    actual_var: float
-    n_intervals: int
-    eta: float
-    c_p: float
-    L: float
-    T: float
-
-    @property
-    def ratio_sup(self) -> float:
-        return self.bound_sup / self.actual_sup if self.actual_sup > 0 else math.inf
-
-    @property
-    def ratio_var(self) -> float:
-        return self.bound_var / self.actual_var if self.actual_var > 0 else math.inf
-
-    @property
-    def falsified(self) -> bool:
-        return self.ratio_sup < 1.0 or self.ratio_var < 1.0
-
-
-def apriori_bound_check(
-    vf: VectorField,
-    cp: ControlledPath,
-    p: float,
-    c_p: float = 1.0,
-    eta: float | None = None,
-) -> AprioriBoundReport:
-    """Evaluate the exponential a-priori bounds for a solved trajectory.
-
-    The interval count N uses the greedy stopping times of the declared
-    driver at level eta, defaulting to the proof's choice 1/(4 c_p c_g).
-    c_p is the unknown sewing constant, surfaced as configuration.
-    """
-    if cp.driver is None:
-        raise ValueError("controlled path must declare its driver")
-    if not c_p >= 1.0:
-        raise ValueError(f"c_p must be >= 1, got {c_p}")
-    if eta is None:
-        if not math.isfinite(vf.c_g) or vf.c_g <= 0.0:
-            raise ValueError("field has no usable c_g; pass eta explicitly")
-        eta = 1.0 / (4.0 * c_p * vf.c_g)
-    rp = cp.driver
-    n_int = greedy_stopping_times(rp, eta, p).count
-    g = cp.grid
-    big_t = g.t_max - g.t_min
-    L = vf.L
-    f0 = float(np.linalg.norm(vf.f(np.zeros(vf.m))))
-    if L > 0.0:
-        drift_term = f0 / L
-    else:
-        drift_term = 0.0 if f0 == 0.0 else math.inf
-    y_start = float(np.linalg.norm(cp.values[0]))
-    bracket = y_start + (drift_term + 1.0 / c_p) * n_int
-    grow = math.exp(4.0 * L * big_t)
-    bound_sup = bracket * grow
-    bound_var = bracket * grow * n_int ** ((p - 1.0) / p)
-    actual_sup = float(np.sqrt(np.einsum("id,id->i", cp.values, cp.values)).max())
-    actual_var = (
-        y_start + pvar_seminorm(cp.values, p) + remainder_norm(cp, rp, p / 2.0)
-    )
-    return AprioriBoundReport(
-        bound_sup=bound_sup,
-        actual_sup=actual_sup,
-        bound_var=bound_var,
-        actual_var=actual_var,
-        n_intervals=n_int,
-        eta=eta,
-        c_p=c_p,
-        L=L,
-        T=big_t,
-    )
-
-
-@dataclass(frozen=True)
-class IntegralDistanceReport:
-    """Explicit integral-distance bound against the measured distance."""
-
-    lhs: float
-    rhs: float
-    term_pair: float
-    term_level1: float
-    term_level2: float
-
-    @property
-    def satisfied(self) -> bool:
-        return self.lhs <= self.rhs
-
-
-def integral_distance_bound(
-    vf: VectorField, cp_true: ControlledPath, cp_delta: ControlledPath, p: float, c_p: float = 1.0
-) -> IntegralDistanceReport:
-    """Distance of the two rough integrals of g(y) against its explicit bound.
-
-    The left side is || int g(y) dX - int g(y^delta) dX^delta || over the
-    grid, both by compensated sums against each solution's own driver.
-    The right side is the explicit three-term estimate: a product term in
-    the solution distances, a level-1 driver distance term and a level-2
-    driver distance term, with the sewing constant c_p supplied by the
-    caller.
-    """
-    if cp_true.driver is None or cp_delta.driver is None:
-        raise ValueError("both controlled paths must declare their drivers")
-    if not math.isfinite(vf.c_g):
-        raise ValueError("bound evaluation needs a finite c_g")
-    rp = cp_true.driver
-    rp_d = cp_delta.driver
-    q = p / 2.0
-
-    z_true = rough_integral(controlled_integrand(vf, cp_true), rp)
-    z_delta = rough_integral(controlled_integrand(vf, cp_delta), rp_d)
-    lhs = float(np.linalg.norm(z_true - z_delta))
-
-    omega_hom = homogeneous_pvar_norm(rp, p)
-    y_pv = pvar_seminorm(cp_true.values, p)
-    yd_pv = pvar_seminorm(cp_delta.values, p)
-    ry_q = remainder_norm(cp_true, rp, q)
-    ryd_q = remainder_norm(cp_delta, rp_d, q)
-    dist = solution_distance(cp_true, cp_delta, p)
-
-    cg = vf.c_g
-    term_pair = (
-        15.0
-        * c_p
-        * max(cg**2 * omega_hom**2, cg * omega_hom)
-        * (yd_pv + y_pv + ry_q + 1.0)
-        * (dist.pvar + dist.sup + dist.remainder_qvar)
-    )
-    w1_pv = pvar_seminorm(rp.values, p)
-    wd_pv = pvar_seminorm(rp_d.values, p)
-    lvl1_dist = pvar_seminorm(rp.values - rp_d.values, p)
-    term_level1 = (yd_pv * (wd_pv + w1_pv) + ryd_q + 1.0) * max(cg**2, cg) * lvl1_dist
-    lvl2_dist = pvar_level2_distance(rp, rp_d, q)
-    term_level2 = 2.0 * cg**2 * c_p * (yd_pv + 1.0) * lvl2_dist
-
-    return IntegralDistanceReport(
-        lhs=lhs,
-        rhs=term_pair + term_level1 + term_level2,
-        term_pair=term_pair,
-        term_level1=term_level1,
-        term_level2=term_level2,
-    )

@@ -115,6 +115,12 @@ def pvar2_brute(block, q: float, i: int, j: int) -> float:
     return best ** (1.0 / q)
 
 
+def root_loop(total, p: float):
+    """total ** (1/p) one member at a time, by numpy's scalar power."""
+    roots = [x ** (1.0 / p) for x in np.ravel(total)]
+    return np.array(roots).reshape(np.shape(total))[()]
+
+
 def pvar_running_loop(block, p: float, i: int, j: int) -> list[float]:
     """Best partition sums over [i, k] for k = i+1..j, by the plain O(n^2) loop.
 

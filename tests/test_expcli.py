@@ -724,6 +724,14 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert repr(name) in err
 
+    def test_config_file_not_utf8_is_usage_error(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b"\xff\xfe" + json.dumps(dict(TINY_STOPPING)).encode())
+        assert main(["--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'config'" in err and "UTF-8" in err
+
     def test_config_file_unknown_key(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"experiment": "stopping", "wat": 1}))

@@ -3,7 +3,9 @@
 import ast
 import importlib
 import inspect
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import roughwz
@@ -150,3 +152,51 @@ def window_parameter_takers() -> list[str]:
 
 def test_only_restrict_takes_a_node_window():
     assert window_parameter_takers() == WINDOW_TAKERS
+
+
+ROOT = PACKAGE_DIR.parents[1]
+
+
+def named_uses(source: str) -> set[str]:
+    """Every name token of source code but the one right after def or class.
+
+    Strings and comments are not names, so docstrings and the entries of
+    __all__ lists do not count as uses.
+    """
+    uses, prev = set(), None
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NAME and prev not in ("def", "class"):
+            uses.add(tok.string)
+        prev = tok.string
+    return uses
+
+
+def package_exports() -> list[str]:
+    """The names that roughwz/__init__.py imports from its modules."""
+    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text())
+    return sorted(
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    )
+
+
+def test_named_uses_skips_definitions_strings_and_comments():
+    source = (
+        'def f(x):\n    """g is here."""\n    return g(x)  # h\n'
+        'class K:\n    pass\n__all__ = ["f", "K"]\n'
+    )
+    assert named_uses(source) == {"def", "x", "return", "g", "class", "pass", "__all__"}
+
+
+def test_every_export_is_reached():
+    # A public name must be used by the package itself, by an acceptance
+    # criterion or by the benchmark; a name only tests call is dead code.
+    paths = [p for p in sorted(PACKAGE_DIR.glob("*.py")) if p.name != "__init__.py"]
+    paths += [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
+    assert len(paths) >= 10
+    uses = set().union(*(named_uses(path.read_text()) for path in paths))
+    exports = package_exports()
+    assert len(exports) >= 40
+    assert [name for name in exports if name not in uses] == []

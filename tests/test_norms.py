@@ -35,6 +35,7 @@ from oracles import (
     pvar2_brute,
     pvar_brute,
     pvar_running_loop,
+    root_loop,
 )
 
 
@@ -91,6 +92,22 @@ class TestLevel1Variation:
         vals = rng.standard_normal((12, 3))
         tv = float(np.linalg.norm(np.diff(vals, axis=0), axis=1).sum())
         assert pvar_seminorm(vals, 1.0) == pytest.approx(tv, rel=1e-12)
+
+
+class TestRoot:
+    @pytest.mark.parametrize("p", [1.2, 1.4, 2.5, 2.8, 2.835, 3.0])
+    def test_stack_roots_equal_scalar_roots(self, p):
+        # The p-th root of a stack of totals has, per member, the bits of
+        # the scalar power on that member alone, over the whole float range.
+        rng = np.random.default_rng(43)
+        for shape in ((), (6,), (10, 6)):
+            total = 10.0 ** rng.uniform(-300.0, 300.0, shape)
+            got = norms._root(total, p)
+            want = root_loop(total, p)
+            assert np.shape(got) == shape and np.array_equal(got, want)
+            assert (type(got) is np.float64) == (shape == ())
+        lone = float(10.0 ** rng.uniform(-300.0, 300.0))
+        assert norms._root(lone, p) == root_loop(lone, p)
 
 
 class TestPartitionSums:

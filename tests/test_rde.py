@@ -1,6 +1,7 @@
-"""Vector fields, the one-step solver, rough integrals and bound reports."""
+"""Vector fields, the one-step solver, controlled paths and solution distances."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,16 +30,10 @@ from roughwz.rde import (
     ControlledPath,
     SolverBlowUpError,
     VectorField,
-    apriori_bound_check,
     builtin_vector_field,
-    controlled_integrand,
-    integral_distance_bound,
-    remainder_norm,
-    rough_integral,
     solution_distance,
     solve_rde,
 )
-from roughwz.wongzakai import DeltaParam, ww_delta
 
 from oracles import fd_jacobian, fit_slope, pvar2_brute, pvar_brute, rk4_path_ode
 
@@ -59,10 +54,8 @@ def zero_field(m=2, d=1):
         d=d,
         a_mat=np.zeros((m, m)),
         f=lambda y: np.zeros(m),
-        c_f=0.0,
         g=lambda y: np.zeros((m, d)),
         dg=lambda y: np.zeros((m, d, m)),
-        c_g=0.0,
         name="zero",
     )
 
@@ -99,8 +92,6 @@ class TestVectorFields:
 
     def test_lipschitz_data(self):
         vf = builtin_vector_field("sin-g", 2, 2, amp=0.25, drift=0.25)
-        assert vf.c_g == pytest.approx(0.25 * 2.0)
-        assert vf.L == pytest.approx(0.25)
         y = np.array([0.2, 0.4])
         assert np.allclose(vf.drift(y), vf.a_mat @ y + vf.f(y))
 
@@ -177,11 +168,9 @@ class TestSolverOracles:
             d=1,
             a_mat=np.array([[1e300]]),
             f=lambda y: np.zeros(1),
-            c_f=0.0,
-            g=lambda y: np.zeros((1, 1)),
+                g=lambda y: np.zeros((1, 1)),
             dg=lambda y: np.zeros((1, 1, 1)),
-            c_g=0.0,
-            name="stiff",
+                name="stiff",
         )
         with pytest.raises(SolverBlowUpError) as exc:
             solve_rde(vf, linear_lift(16), np.ones(1))
@@ -285,16 +274,24 @@ class TestControlledPaths:
         with pytest.raises(ValueError, match="driver"):
             cp.member(0)
 
+    def test_value_shape_is_members_then_one_axis(self):
+        # Against a driver the values are (n_nodes, *members, m); an (m, d)
+        # array is refused, not broadcast against X1.
+        rp = fbm_lift(8, seed=74)
+        pair = GridRoughPath.stack((rp, rp))
+        for driver, shape in ((rp, (9, 2, 2)), (rp, (9,)), (pair, (9, 2, 3, 2))):
+            with pytest.raises(ValueError, match=re.escape(str(shape))):
+                ControlledPath(rp.grid, np.zeros(shape), np.zeros(shape + (2,)), driver=driver)
+
     def test_slice_rows_equal_index_array_rows(self):
         # One arithmetic per pair in both index forms: the rows agree bit for
-        # bit, on single and stacked drivers, for solution (m,) and
-        # integrand (m, d) value shapes.
+        # bit, on single and stacked drivers.
         rng = np.random.default_rng(75)
         for _ in range(24):
             n = int(rng.integers(1, 30))
             d = int(rng.integers(1, 4))
             members = ((), (1,), (3,), (2, 3))[rng.integers(4)]
-            value_shape = (*members, int(rng.integers(1, 4)), *((d,) * int(rng.integers(2))))
+            value_shape = (*members, int(rng.integers(1, 4)))
             shape = (n, *members, d)
             driver = GridRoughPath(
                 TimeGrid(0.0, 1.0, n), rng.standard_normal(shape), rng.standard_normal(shape + (d,))
@@ -317,46 +314,6 @@ class TestControlledPaths:
         cp = solve_rde(vf, rp, np.zeros(2))
         for u in (0, 7, 32):
             assert np.allclose(cp.gubinelli[u], vf.g(cp.values[u]))
-
-    def test_integrand_layout(self):
-        rp = fbm_lift(16, seed=74)
-        vf = builtin_vector_field("sin-g", 2, 2)
-        cp = solve_rde(vf, rp, np.zeros(2))
-        ci = controlled_integrand(vf, cp)
-        assert ci.values.shape == (17, 2, 2)
-        assert ci.gubinelli.shape == (17, 2, 2, 2)
-        y = cp.values[5]
-        assert np.allclose(ci.values[5], vf.g(y))
-        want = np.einsum("ace,eb->acb", vf.dg(y), vf.g(y))
-        assert np.allclose(ci.gubinelli[5], want)
-
-
-class TestRoughIntegral:
-    def test_scalar_self_integral_telescopes(self):
-        grid = TimeGrid(0.0, 1.0, 64)
-        w = FbmSampler(grid, FbmParams(H=0.4, d=1, seed=71)).sample(0)
-        rp = lift_left_riemann(w)
-        cp = ControlledPath(grid, w.values.copy(), np.ones((65, 1, 1)), driver=rp)
-        got = rough_integral(cp, rp)
-        assert got == pytest.approx(0.5 * float(w.values[-1, 0]) ** 2, abs=1e-13)
-
-    def test_exponential_integral(self):
-        n = 1000
-        rp = linear_lift(n)
-        vf = builtin_vector_field("linear-g", 1, 1)
-        cp = solve_rde(vf, rp, np.ones(1))
-        got = rough_integral(ControlledPath(rp.grid, cp.values, cp.gubinelli, driver=rp), rp)
-        assert got == pytest.approx(math.e - 1.0, abs=1e-5)
-
-    def test_subinterval_additivity(self):
-        rp = fbm_lift(64, seed=75)
-        vf = builtin_vector_field("sin-g", 2, 2)
-        cp = controlled_integrand(vf, solve_rde(vf, rp, np.zeros(2)))
-        whole = rough_integral(cp, rp)
-        part = lambda i, j: rough_integral(cp.restrict(i, j), rp.restrict(i, j))
-        parts = part(0, 24) + part(24, 64)  # [0, 0.375] and [0.375, 1]
-        assert np.allclose(whole, parts, atol=1e-10)
-
 
 class TestDistancesAndBounds:
     def test_solution_distance_zero_on_identical(self):
@@ -384,16 +341,6 @@ class TestDistancesAndBounds:
         b = solve_rde(vf, rp, np.array([0.05, 0.0]))
         dist = solution_distance(a, b, 2.8)
         assert dist.pvar == pytest.approx(pvar_seminorm(a.values - b.values, 2.8), rel=1e-12)
-
-    def test_remainder_norm_matches_enumeration(self):
-        rp = fbm_lift(7, seed=79)
-        vf = builtin_vector_field("sin-g", 2, 2)
-        cp = solve_rde(vf, rp, np.zeros(2))
-        q = 1.4
-        block = cp.remainder
-        assert remainder_norm(cp, rp, q) == pytest.approx(
-            pvar2_brute(block, q, 0, 7), rel=1e-12
-        )
 
     @pytest.mark.parametrize("i_lo, i_hi", [(0, 8), (2, 6)])
     def test_remainder_distance_matches_enumeration(self, i_lo, i_hi):
@@ -475,90 +422,6 @@ class TestDistancesAndBounds:
                 pvar_brute(a.values - b.values, p, i_lo, i_hi), rel=1e-12
             )
 
-    def test_apriori_trivial_field(self):
-        rp = linear_lift(16)
-        vf = zero_field()
-        cp = solve_rde(vf, rp, np.array([3.0, 4.0]))
-        rep = apriori_bound_check(vf, cp, p=2.5, eta=1.0)
-        assert rep.actual_sup == pytest.approx(5.0)
-        assert rep.bound_sup >= rep.actual_sup
-        assert not rep.falsified
-        assert rep.eta == 1.0
-        assert rep.n_intervals == 2
-        assert rep.ratio_sup == pytest.approx(rep.bound_sup / rep.actual_sup)
-
-    def test_apriori_requires_eta_when_g_unbounded(self):
-        rp = linear_lift(8)
-        vf = builtin_vector_field("linear-g", 1, 1)
-        cp = solve_rde(vf, rp, np.ones(1))
-        with pytest.raises(ValueError):
-            apriori_bound_check(vf, cp, p=2.5)
-
-    def test_apriori_not_falsified_on_ensemble(self):
-        vf = builtin_vector_field("sin-g", 2, 2)
-        for counter in range(10):
-            rp = fbm_lift(128, seed=80, counter=counter)
-            cp = solve_rde(vf, rp, np.zeros(2))
-            rep = apriori_bound_check(vf, cp, p=2.8)
-            assert not rep.falsified
-            assert rep.ratio_sup >= 1.0
-            assert rep.ratio_var >= 1.0
-
-    def test_integral_distance_identical_pair_is_tight(self):
-        rp = fbm_lift(64, seed=81)
-        vf = builtin_vector_field("sin-g", 2, 2)
-        cp = solve_rde(vf, rp, np.zeros(2))
-        rep = integral_distance_bound(vf, cp, cp, p=2.8)
-        assert rep.lhs == 0.0
-        assert rep.rhs == 0.0
-        assert rep.satisfied
-
-    def test_integral_distance_bounds_paired_solves(self):
-        grid = TimeGrid(0.0, 1.0, 128).extended(8)
-        vf = builtin_vector_field("sin-g", 2, 2)
-        for counter in range(5):
-            path = FbmSampler(grid, FbmParams(H=0.45, d=2, seed=33)).sample(counter)
-            true_rp = lift_left_riemann(path.restrict(0, 128))
-            wz_rp = ww_delta(path, DeltaParam(4, grid.h)).restrict(0, 128)
-            a = solve_rde(vf, true_rp, np.zeros(2))
-            b = solve_rde(vf, wz_rp, np.zeros(2))
-            rep = integral_distance_bound(vf, a, b, p=2.8)
-            assert rep.satisfied
-            assert rep.lhs <= rep.rhs
-            assert rep.rhs == pytest.approx(
-                rep.term_pair + rep.term_level1 + rep.term_level2, rel=1e-12
-            )
-
-    def test_windowed_integral_distance_matches_restricted_paths(self):
-        # The bound of the solutions restricted to nodes [i, j] must equal
-        # the bound of the solutions and drivers cut down to [i, j] by hand.
-        grid = TimeGrid(0.0, 1.0, 64).extended(8)
-        vf = builtin_vector_field("sin-g", 2, 2)
-        path = FbmSampler(grid, FbmParams(H=0.45, d=2, seed=34)).sample(0)
-        true_rp = lift_left_riemann(path.restrict(0, 64))
-        wz_rp = ww_delta(path, DeltaParam(4, grid.h)).restrict(0, 64)
-        a = solve_rde(vf, true_rp, np.zeros(2))
-        b = solve_rde(vf, wz_rp, np.zeros(2))
-        i, j = 16, 48
-        rep = integral_distance_bound(vf, a.restrict(i, j), b.restrict(i, j), p=2.8)
-
-        def cut(cp):
-            return ControlledPath(
-                cp.grid.window(i, j),
-                cp.values[i : j + 1],
-                cp.gubinelli[i : j + 1],
-                driver=cp.driver.restrict(i, j),
-            )
-
-        whole = integral_distance_bound(vf, cut(a), cut(b), p=2.8)
-        assert rep.satisfied
-        assert rep.lhs == pytest.approx(whole.lhs, rel=1e-12)
-        for name in ("term_pair", "term_level1", "term_level2"):
-            assert getattr(rep, name) == pytest.approx(getattr(whole, name), rel=1e-9)
-        full = integral_distance_bound(vf, a, b, p=2.8)
-        assert rep.rhs < full.rhs
-
-
 class TestStackMembersEqualLonePaths:
     def test_every_measure_of_a_member_is_its_lone_paths(self):
         # stack(paths).member(k) gives bit for bit what paths[k] gives alone:
@@ -606,7 +469,7 @@ class TestStackMembersEqualLonePaths:
                     assert getattr(dist, part)[k] == getattr(solo_dist, part), part
 
 
-# Calls whose exponent, level or constant is NaN; each must be rejected, not
+# Calls whose exponent or level is NaN; each must be rejected, not
 # answered with NaN or a count of 1.
 NAN_CALLS = {
     "pvar_seminorm": lambda rp, cp, vf: pvar_seminorm(rp.values, math.nan),
@@ -618,12 +481,7 @@ NAN_CALLS = {
     "rho_pvar_metric": lambda rp, cp, vf: rho_pvar_metric(rp, rp, math.nan),
     "greedy_stopping_times(eta)": lambda rp, cp, vf: greedy_stopping_times(rp, math.nan, 2.5),
     "greedy_stopping_times(p)": lambda rp, cp, vf: greedy_stopping_times(rp, 0.5, math.nan),
-    "remainder_norm": lambda rp, cp, vf: remainder_norm(cp, rp, math.nan),
     "solution_distance": lambda rp, cp, vf: solution_distance(cp, cp, math.nan),
-    "apriori_bound_check(p)": lambda rp, cp, vf: apriori_bound_check(vf, cp, math.nan),
-    "apriori_bound_check(c_p)": lambda rp, cp, vf: apriori_bound_check(vf, cp, 2.8, c_p=math.nan),
-    "apriori_bound_check(eta)": lambda rp, cp, vf: apriori_bound_check(vf, cp, 2.8, eta=math.nan),
-    "integral_distance_bound(p)": lambda rp, cp, vf: integral_distance_bound(vf, cp, cp, math.nan),
 }
 
 
