@@ -177,7 +177,14 @@ def _linear_g_field(m: int, d: int, scale: float) -> VectorField:
     )
 
 
-VECTOR_FIELD_CATALOG = ("additive", "drift-only", "linear-g", "sin-g")
+# name -> (builder, its parameters with their defaults)
+_BUILTIN_FIELDS = {
+    "additive": (_additive_field, {"sigma": None}),
+    "drift-only": (_drift_only_field, {"rate": 1.0}),
+    "linear-g": (_linear_g_field, {"scale": 1.0}),
+    "sin-g": (_sin_g_field, {"amp": 0.25, "drift": 0.25}),
+}
+VECTOR_FIELD_CATALOG = tuple(_BUILTIN_FIELDS)
 
 
 def builtin_vector_field(name: str, m: int = 2, d: int = 2, **params) -> VectorField:
@@ -189,16 +196,15 @@ def builtin_vector_field(name: str, m: int = 2, d: int = 2, **params) -> VectorF
                 exponential chain-rule oracle.
     sin-g:      g^{ab}(y) = amp sin(y^a + phase_ab) (amp=0.25) with drift
                 f(y) = drift cos(y) (drift=0.25); bounded with its derivatives.
+    A parameter the field does not take raises ValueError.
     """
-    if name == "sin-g":
-        return _sin_g_field(m, d, params.pop("amp", 0.25), params.pop("drift", 0.25))
-    if name == "additive":
-        return _additive_field(m, d, params.pop("sigma", None))
-    if name == "drift-only":
-        return _drift_only_field(m, d, params.pop("rate", 1.0))
-    if name == "linear-g":
-        return _linear_g_field(m, d, params.pop("scale", 1.0))
-    raise ValueError(f"unknown vector field {name!r}; catalog: {VECTOR_FIELD_CATALOG}")
+    if name not in _BUILTIN_FIELDS:
+        raise ValueError(f"unknown vector field {name!r}; catalog: {VECTOR_FIELD_CATALOG}")
+    build, defaults = _BUILTIN_FIELDS[name]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ValueError(f"vector field {name!r} takes {sorted(defaults)}, not {unknown}")
+    return build(m, d, **{**defaults, **params})
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +224,7 @@ class ControlledPath:
     grid: TimeGrid
     values: np.ndarray
     gubinelli: np.ndarray
-    driver: GridRoughPath | None = field(default=None, compare=False)
+    driver: GridRoughPath = field(compare=False)
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -229,25 +235,22 @@ class ControlledPath:
             raise ValueError(
                 f"gubinelli shape {gub.shape} must be values shape {v.shape} plus a driver axis"
             )
-        if self.driver is not None:
-            if gub.shape[-1] != self.driver.d:
-                raise ValueError(
-                    f"gubinelli driver axis {gub.shape[-1]} != driver dimension {self.driver.d}"
-                )
-            members = self.driver.inc1.shape[1:-1]
-            if v.ndim != len(members) + 2 or v.shape[1:-1] != members:
-                raise ValueError(
-                    f"values shape {v.shape} must be (n_nodes, *member axes {members}, m)"
-                )
-            if not self.grid.is_compatible(self.driver.grid):
-                raise ValueError("controlled path and driver live on different grids")
+        if gub.shape[-1] != self.driver.d:
+            raise ValueError(
+                f"gubinelli driver axis {gub.shape[-1]} != driver dimension {self.driver.d}"
+            )
+        members = self.driver.inc1.shape[1:-1]
+        if v.ndim != len(members) + 2 or v.shape[1:-1] != members:
+            raise ValueError(
+                f"values shape {v.shape} must be (n_nodes, *member axes {members}, m)"
+            )
+        if not self.grid.is_compatible(self.driver.grid):
+            raise ValueError("controlled path and driver live on different grids")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "gubinelli", gub)
 
     def member(self, k: int | slice) -> "ControlledPath":
         """Member k of a path against a stacked driver, k an index or a slice (views)."""
-        if self.driver is None:
-            raise ValueError("member() needs the stacked driver; this controlled path has none")
         return ControlledPath(
             self.grid, self.values[:, k], self.gubinelli[:, k], driver=self.driver.member(k)
         )
@@ -258,13 +261,11 @@ class ControlledPath:
             self.grid.window(i_lo, i_hi),
             self.values[i_lo : i_hi + 1],
             self.gubinelli[i_lo : i_hi + 1],
-            driver=None if self.driver is None else self.driver.restrict(i_lo, i_hi),
+            driver=self.driver.restrict(i_lo, i_hi),
         )
 
     def remainder(self, i, j) -> np.ndarray:
         """R_{i,j} = y_{i,j} - y'_i X1_{i,j}, node pairs (i, j) as in GridRoughPath.level2."""
-        if self.driver is None:
-            raise ValueError("remainders need a declared driver")
         x = self.driver.values[..., None, :]  # X1 broadcast over the value axis m
         w1 = x[j] - x[i]
         gub = self.gubinelli[i]
@@ -354,8 +355,6 @@ def solution_distance(a: ControlledPath, b: ControlledPath, p: float) -> Solutio
     one, member(slice(0, 1)), against any stack), and one variation
     program per part measures every pair.
     """
-    if a.driver is None or b.driver is None:
-        raise ValueError("both controlled paths must declare their drivers")
     if not a.grid.is_compatible(b.grid):
         raise ValueError("controlled paths live on different grids")
 

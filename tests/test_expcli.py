@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import json
 import math
+import re
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -77,45 +78,43 @@ class TestConfigValidation:
         assert 1.0 / 3.0 < cfg.beta < cfg.beta_prime < cfg.H
         assert cfg.p == pytest.approx(1.0 / cfg.beta)
 
+    # Row ids are fixed, so a row keeps its id when rows are added or removed.
     @pytest.mark.parametrize(
         "field,kwargs",
         [
-            ("H", {"H": 0.6}),
-            ("H", {"H": 1.0 / 3.0}),
-            ("beta_prime", {"beta": 0.44, "beta_prime": 0.40}),
-            ("beta_prime", {"beta_prime": 0.48}),
-            ("q_moment", {"q_moment": 1.5}),
-            ("d", {"d": 0}),
-            ("t_min", {"t_min": 0.5}),
-            ("grid_n", {"grid_n": 1}),
-            ("delta_ladder", {"delta_ladder": (4, 8)}),
-            ("delta_ladder", {"delta_ladder": (4, 4, 2)}),
-            ("delta_ladder", {"delta_ladder": (2048,)}),
-            ("n_seeds", {"n_seeds": 0}),
-            ("field_name", {"field_name": "nope"}),
-            ("y0", {"y0": (1.0, 2.0, 3.0)}),
-            ("eta", {"eta": 0.0}),
-            ("metric_stride", {"experiment": "stopping", "metric_stride": 7}),
-            ("sup_ceiling", {"sup_ceiling": -1.0}),
-            ("n_seeds", {"n_seeds": 2.5}),
-            ("field_name", {"field_name": "linear-g", "d": 1, "m": 2}),
-            ("H", {"experiment": "stopping", "H": "0.4"}),
-            ("n_seeds", {"n_seeds": True}),
-            ("fixed_time", {"experiment": "noise", "fixed_time": math.nan}),
-            ("y0", {"y0": (math.nan, 0.0)}),
-            ("eta", {"experiment": "stopping", "eta": math.nan}),
-            ("eta", {"experiment": "stopping", "eta": 1e-300}),
-            ("eta", {"experiment": "stopping", "eta": 1e300}),
-            ("sup_ceiling", {"sup_ceiling": math.nan}),
-            ("q_moment", {"q_moment": math.inf}),
-            ("t_max", {"t_max": 10**400}),
-            ("beta", {"beta": math.nan}),
-            ("fixed_time", {"experiment": "noise", "fixed_time": 0.3}),
-            ("fixed_time", {"experiment": "noise", "fixed_time": 0.0}),
-            # Windows whose grid misses time 0 as a node.
-            ("t_min", {"experiment": "noise", "t_min": -0.3}),
-            ("t_min", {"experiment": "solution", "t_min": -0.3}),
-            ("t_min", {"experiment": "stopping", "t_min": -0.3, "grid_n": 64}),
+            pytest.param("H", {"H": 0.6}, id="H-kwargs0"),
+            pytest.param("H", {"H": 1.0 / 3.0}, id="H-kwargs1"),
+            pytest.param("d", {"d": 0}, id="d-kwargs5"),
+            pytest.param("grid_n", {"grid_n": 1}, id="grid_n-kwargs7"),
+            pytest.param("delta_ladder", {"delta_ladder": (4, 8)}, id="delta_ladder-kwargs8"),
+            pytest.param("delta_ladder", {"delta_ladder": (4, 4, 2)}, id="delta_ladder-kwargs9"),
+            pytest.param("delta_ladder", {"delta_ladder": (2048,)}, id="delta_ladder-kwargs10"),
+            pytest.param("n_seeds", {"n_seeds": 0}, id="n_seeds-kwargs11"),
+            pytest.param("field_name", {"field_name": "nope"}, id="field_name-kwargs12"),
+            pytest.param("y0", {"y0": (1.0, 2.0, 3.0)}, id="y0-kwargs13"),
+            pytest.param(
+                "metric_stride",
+                {"experiment": "stopping", "metric_stride": 7},
+                id="metric_stride-kwargs15",
+            ),
+            pytest.param("n_seeds", {"n_seeds": 2.5}, id="n_seeds-kwargs17"),
+            pytest.param(
+                "field_name",
+                {"field_name": "linear-g", "d": 1, "m": 2},
+                id="field_name-kwargs18",
+            ),
+            pytest.param("H", {"experiment": "stopping", "H": "0.4"}, id="H-kwargs19"),
+            pytest.param("n_seeds", {"n_seeds": True}, id="n_seeds-kwargs20"),
+            pytest.param("y0", {"y0": (math.nan, 0.0)}, id="y0-kwargs22"),
+            # Sizes no run could allocate, refused before any array is built.
+            pytest.param("grid_n", {"grid_n": 10**21}, id="grid_n-kwargs35"),
+            pytest.param(
+                "grid_n", {"experiment": "noise", "grid_n": 10**30}, id="grid_n-kwargs36"
+            ),
+            # beta rounds to 1/3, so the exponent chain fails in floating point.
+            pytest.param("H", {"H": float(np.nextafter(1.0 / 3.0, 1.0))}, id="H-kwargs37"),
+            # An int too large for a float.
+            pytest.param("H", {"H": 10**400}, id="H-kwargs38"),
         ],
     )
     def test_each_field_is_guarded(self, field, kwargs):
@@ -129,12 +128,11 @@ class TestConfigValidation:
         cfg = ExperimentConfig(
             experiment="stopping",
             H=np.float64(0.45),
-            t_max=1,
             n_seeds=np.int64(6),
             delta_ladder=[8, 4, 2],
             y0=np.array([0, 1]),
         )
-        assert type(cfg.n_seeds) is int and type(cfg.t_max) is float
+        assert type(cfg.n_seeds) is int and type(cfg.H) is float
         assert cfg.delta_ladder == (8, 4, 2) and cfg.y0 == (0.0, 1.0)
         json.dumps(asdict(cfg))
 
@@ -146,9 +144,20 @@ class TestConfigValidation:
             ExperimentConfig(experiment="noise", n_seeds=10)
         ExperimentConfig(experiment="solution", n_seeds=10)
 
-    def test_window_must_contain_zero(self):
-        cfg = ExperimentConfig(experiment="solution", t_min=-0.5, t_max=0.5)
-        assert cfg.grid.spans_zero
+    def test_fixed_settings_are_constants_not_fields(self):
+        cfg = ExperimentConfig(experiment="noise", H=0.4)
+        assert list(asdict(cfg)) == [
+            "experiment", "H", "d", "m", "grid_n", "delta_ladder", "n_seeds",
+            "field_name", "y0", "metric_stride", "master_seed", "out_dir",
+        ]
+        assert (cfg.t_min, cfg.t_max, cfg.fixed_time) == (0.0, 1.0, 1.0)
+        assert (cfg.eta, cfg.sup_ceiling) == (0.5, 0.05)
+        assert cfg.beta == 1.0 / 3.0 + (0.4 - 1.0 / 3.0) / 6.0
+        assert cfg.beta_prime == 1.0 / 3.0 + (0.4 - 1.0 / 3.0) / 2.0
+        constants = ("t_min", "t_max", "fixed_time", "eta", "sup_ceiling", "beta", "beta_prime")
+        for name in constants + ("q_moment",):
+            with pytest.raises(TypeError, match=name):
+                ExperimentConfig(experiment="noise", **{name: 0.4})
 
 
 class TestSlopeFit:
@@ -269,7 +278,7 @@ class TestReports:
             assert all(math.isinf(rows[0, delta, m.metric]) for delta in m.deltas)
             assert all(math.isnan(rows[1, delta, m.metric]) for delta in m.deltas)
             assert m.n_nonfinite == (2, 2)
-            assert all(math.isnan(v) for v in m.mean + m.rms + m.moment_q)
+            assert all(math.isnan(v) for v in m.mean + m.rms)
         doc = rep.to_json_dict()
         assert [m["n_nonfinite"] for m in doc["metrics"]] == [(2, 2)] * 3
         finite = run_solution_convergence(
@@ -370,7 +379,6 @@ class TestReports:
             delta_ladder=ladder,
             metric_stride=stride,
             n_seeds=30 if experiment == "noise" else 3,
-            fixed_time=0.5,
         )
         loop = oracles.noise_ladder_loop if experiment == "noise" else oracles.stopping_ladder_loop
         sampler = FbmSampler(
@@ -385,8 +393,7 @@ class TestReports:
 
     def test_noise_table_equals_the_per_member_loop(self):
         # One metric call per seed on the coarsened stack must give the
-        # table of one call per member, bit for bit.  fixed_time sits at an
-        # odd node, off the coarse grid.
+        # table of one call per member, bit for bit.
         rng = np.random.default_rng(97)
         for _ in range(4):
             grid_n = int(rng.choice([32, 64, 128]))
@@ -399,7 +406,6 @@ class TestReports:
                 delta_ladder=tuple(sorted(int(k) for k in rungs)[::-1]),
                 metric_stride=int(rng.choice([2, 4])),
                 n_seeds=30,
-                fixed_time=(2 * int(rng.integers(0, grid_n // 2)) + 1) / grid_n,
                 master_seed=int(rng.integers(2**31)),
             )
             sampler = FbmSampler(
@@ -658,6 +664,8 @@ class TestCli:
     ):
         # "taken" is an existing file, so it cannot be created as out_dir;
         # "fresh" must not be created by a run that stops on a config error.
+        # fixed_time and t_min are constants, not fields: a file that sets
+        # one stops on that key.
         monkeypatch.chdir(tmp_path)
         Path("taken").write_text("")
 
@@ -701,6 +709,13 @@ class TestCli:
         assert rc == 1
         assert "[FAIL] solution/smallest_delta_sup_ceiling" in out
 
+    def test_readme_config_example_builds(self):
+        # A key the example names that is no config field fails here.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (example,) = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+        raw = json.loads(example)
+        assert ExperimentConfig(**raw).experiment == raw["experiment"]
+
     def test_config_file_round_trip(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(dict(TINY_STOPPING)))
@@ -713,7 +728,13 @@ class TestCli:
             ("delta_ladder", {"delta_ladder": 5}),
             ("n_seeds", {"n_seeds": 2.5}),
             ("master_seed", {**TINY_STOPPING, "delta_ladder": [8, 4, 2], "master_seed": -1}),
+            # Constants, not fields: the key itself is refused.
             ("fixed_time", {"fixed_time": math.nan}),
+            ("eta", {"eta": 0.3}),
+            # Sizes no run could allocate, refused before any array is built.
+            ("grid_n", {"experiment": "solution", "grid_n": 10**21}),
+            ("grid_n", {"grid_n": 10**21}),
+            ("grid_n", {"experiment": "noise", "grid_n": 10**30}),
         ],
     )
     def test_bad_config_file_value_is_usage_error(self, capsys, tmp_path, name, fields):

@@ -73,6 +73,14 @@ class TestVectorFields:
         with pytest.raises(ValueError):
             builtin_vector_field("banana")
 
+    @pytest.mark.parametrize(
+        "name, params", [("sin-g", {"ampp": 3.0, "rate": 5.0}), ("additive", {"scale": 9.0})]
+    )
+    def test_unknown_parameters_are_refused(self, name, params):
+        with pytest.raises(ValueError) as exc:
+            builtin_vector_field(name, 2, 2, **params)
+        assert all(repr(key) in str(exc.value) for key in params)
+
     def test_builtin_derivatives_match_finite_differences(self):
         rng = np.random.default_rng(65)
         pts = rng.standard_normal((20, 2))
@@ -268,11 +276,6 @@ class TestControlledPaths:
         # R_{u,2} = y_{u,2} - 2 x_{u,2} for u = 0, 1.
         blk = cp.remainder(slice(0, 2), 2)
         assert np.allclose(blk.ravel(), [-3.0, -2.0])
-
-    def test_member_needs_a_driver(self):
-        cp = ControlledPath(TimeGrid(0.0, 1.0, 4), np.zeros((5, 3, 2)), np.zeros((5, 3, 2, 1)))
-        with pytest.raises(ValueError, match="driver"):
-            cp.member(0)
 
     def test_value_shape_is_members_then_one_axis(self):
         # Against a driver the values are (n_nodes, *members, m); an (m, d)
