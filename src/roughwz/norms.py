@@ -12,30 +12,31 @@ blocks.  Blocks of stacked paths, and their norms, carry member axes
 right after the pair axis.
 
 Two kernels consume pair norms.  partition_sums is the exact O(n^2)
-p-variation program: over nodes i_lo..j the maximal partition sum
-satisfies
+p-variation program: over nodes 0..j the maximal partition sum satisfies
 
     best[j] = max_{i < j} ( best[i] + |block_{i,j}|^p ),
 
-because an optimal partition of [i_lo, j] ends with some block [i, j].  It
-reads one row, norms(slice(i_lo, j), j), per right end and yields best[j]
-for one right end after another, so greedy stopping can exit early and
-restart at its stopping node; block_variation runs it over the whole grid.
-Over member axes the same program, and the final root, run per member, so
-a stack member's variation is that path's own bit for bit.  The Hoelder
+because an optimal partition of [0, j] ends with some block [i, j].  It
+reads one row, norms(slice(0, j), j), per right end and yields best[j]
+for one right end after another, so greedy stopping can exit early;
+block_variation runs it over the whole grid.  Over member axes the same
+program, and the final root, run per member, so a stack member's
+variation is that path's own bit for bit.  The Hoelder
 sup takes  max |block_{i,j}| / (t_j - t_i)^alpha  over the same pairs in
 no particular order, so it reads runs of whole and split rows as index
 arrays, each run at most _RUN_PAIRS pair x member values (a lone 129-node
 path is one run, a 6-member stack of it four), and reduces over the
 pair axis only, per member.  Every norm is taken over the whole grid of
-its path; over nodes [i, j] it is the norm of rp.restrict(i, j).
+its path; over nodes [i, j] it is the norm of rp.restrict(i, j), and no
+measure takes a node range.
 
 The homogeneous rough-path norm combines the levels as
 
     |||X|||_{p-var}^p = ||X1||_{p-var}^p + ||X2||_{q-var}^q,   q = p / 2,
 
 and the greedy stopping times  tau_{i+1} = first node past tau_i where it
-reaches eta over [tau_i, .]  read the same running sums.
+reaches eta over [tau_i, .]  read the same running sums, restarting at
+each stopping node on the path restricted to [tau_i, end].
 """
 
 from __future__ import annotations
@@ -88,19 +89,17 @@ def frobenius_norms(blocks: np.ndarray) -> np.ndarray:
     return euclidean_norms(blocks.reshape(*lead, rows * cols))
 
 
-def partition_sums(
-    norms: PairNorms, p: float, i_lo: int, i_hi: int
-) -> Iterator[float | np.ndarray]:
-    """Yield max over partitions of [i_lo, j] of sum |block|^p for j = i_lo+1, ..., i_hi.
+def partition_sums(norms: PairNorms, p: float, n_steps: int) -> Iterator[float | np.ndarray]:
+    """Yield max over partitions of [0, j] of sum |block|^p for j = 1, ..., n_steps.
 
     Each yield is a float, or an array over the member axes of the norms.
     """
-    for r in range(1, i_hi - i_lo + 1):
-        terms = norms(slice(i_lo, i_lo + r), i_lo + r) ** p
-        if r == 1:
-            best = np.zeros((i_hi - i_lo + 1,) + terms.shape[1:])
-        best[r] = (best[:r] + terms).max(axis=0)
-        yield best[r]
+    for j in range(1, n_steps + 1):
+        terms = norms(slice(0, j), j) ** p
+        if j == 1:
+            best = np.zeros((n_steps + 1,) + terms.shape[1:])
+        best[j] = (best[:j] + terms).max(axis=0)
+        yield best[j]
 
 
 def _root(total: float | np.ndarray, p: float) -> float | np.ndarray:
@@ -110,7 +109,7 @@ def _root(total: float | np.ndarray, p: float) -> float | np.ndarray:
 
 def block_variation(norms: PairNorms, p: float, n_steps: int) -> float | np.ndarray:
     """Exact p-variation of the blocks behind a pair-norm function over nodes 0..n_steps."""
-    for best in partition_sums(norms, p, 0, n_steps):
+    for best in partition_sums(norms, p, n_steps):
         pass
     return _root(best, p)
 
@@ -163,10 +162,10 @@ def _level2_gap_norms(a: GridRoughPath, b: GridRoughPath) -> PairNorms:
     return lambda i, j: frobenius_norms(a.level2(i, j) - b.level2(i, j))
 
 
-def _homogeneous_sums(rp: GridRoughPath, p: float, start: int) -> Iterator[float | np.ndarray]:
-    """Yield ||X1||_{p-var}^p + ||X2||_{q-var}^q over [start, j] for j = start+1, ..., n_steps."""
-    lvl1 = partition_sums(_increment_norms(rp.values), p, start, rp.n_steps)
-    lvl2 = partition_sums(_level2_norms(rp), p / 2.0, start, rp.n_steps)
+def _homogeneous_sums(rp: GridRoughPath, p: float) -> Iterator[float | np.ndarray]:
+    """Yield ||X1||_{p-var}^p + ||X2||_{q-var}^q over [0, j] for j = 1, ..., n_steps."""
+    lvl1 = partition_sums(_increment_norms(rp.values), p, rp.n_steps)
+    lvl2 = partition_sums(_level2_norms(rp), p / 2.0, rp.n_steps)
     for best1, best2 in zip(lvl1, lvl2):
         yield best1 + best2
 
@@ -202,7 +201,7 @@ def homogeneous_pvar_norm(rp: GridRoughPath, p: float) -> float | np.ndarray:
     """(||X1||_{p-var}^p + ||X2||_{q-var}^q)^{1/p} with q = p/2."""
     if not p >= 2.0:
         raise ValueError(f"homogeneous norm needs p >= 2 so that q = p/2 >= 1, got p={p}")
-    for total in _homogeneous_sums(rp, p, 0):
+    for total in _homogeneous_sums(rp, p):
         pass
     return _root(total, p)
 
@@ -279,8 +278,6 @@ class StoppingTimes:
 
     times: np.ndarray
     indices: np.ndarray
-    eta: float
-    p: float
 
     @property
     def count(self) -> int:
@@ -293,7 +290,8 @@ def greedy_stopping_times(rp: GridRoughPath, eta: float, p: float) -> StoppingTi
     Grid convention: each stopping node is the first node where the norm
     is >= eta, so the norm over every interval except possibly the last
     is at least eta and N <= 1 + eta^{-p} |||X|||_{p-var}^p holds by
-    superadditivity of the p-th power.
+    superadditivity of the p-th power.  The search from each stopping
+    node runs on the path restricted to [that node, end].
     """
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
@@ -306,7 +304,7 @@ def greedy_stopping_times(rp: GridRoughPath, eta: float, p: float) -> StoppingTi
     indices = [0]
     while indices[-1] < n:
         start = indices[-1]
-        sums = enumerate(_homogeneous_sums(rp, p, start), start + 1)
+        sums = enumerate(_homogeneous_sums(rp.restrict(start, n), p), start + 1)
         indices.append(next((j for j, total in sums if total >= thresh), n))
     idx = np.asarray(indices, dtype=int)
-    return StoppingTimes(times=rp.grid.times[idx], indices=idx, eta=eta, p=p)
+    return StoppingTimes(times=rp.grid.times[idx], indices=idx)

@@ -1,9 +1,8 @@
 """Rough differential equations driven by grid rough paths.
 
-Solves  dy = (A y + f(y)) dt + g(y) dX  with the explicit one-step scheme
+Solves  dy = f(y) dt + g(y) dX  with the explicit one-step scheme
 
-    y_v = y_u + (A y_u + f(y_u)) (v - u) + g(y_u) X1_{u,v}
-        + Dg(y_u)[g(y_u)] X2_{u,v},
+    y_v = y_u + f(y_u) (v - u) + g(y_u) X1_{u,v} + Dg(y_u)[g(y_u)] X2_{u,v},
 
 whose driver terms are the degree-2 local expansion of the rough integral;
 the scheme restarts exactly at grid nodes, which is what makes discrete
@@ -72,33 +71,24 @@ class SolverBlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class VectorField:
-    """Coefficients of dy = (A y + f(y)) dt + g(y) dX.
+    """Coefficients of dy = f(y) dt + g(y) dX.
 
     f maps R^m to R^m; g maps R^m to R^{m x d} with derivative tensor
-    dg(y)[a, b, e] = d g^{a,b} / d y^e.
+    dg(y)[a, b, e] = d g^{a,b} / d y^e.  A linear drift A y is one more
+    term of f.
 
-    The builtin fields, and drift, also take states with leading member
-    axes, shape (..., m), and return (..., m), (..., m, d) and
-    (..., m, d, m).  A custom field needs that only to be solved against a
-    stacked driver; single-state callables serve every other use.
+    The builtin fields also take states with leading member axes, shape
+    (..., m), and return (..., m), (..., m, d) and (..., m, d, m).  A
+    custom field needs that only to be solved against a stacked driver;
+    single-state callables serve every other use.
     """
 
     m: int
     d: int
-    a_mat: np.ndarray
     f: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
     dg: Callable[[np.ndarray], np.ndarray]
     name: str = "custom"
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.a_mat, dtype=float)
-        if a.shape != (self.m, self.m):
-            raise ValueError(f"A must be ({self.m}, {self.m}), got {a.shape}")
-        object.__setattr__(self, "a_mat", a)
-
-    def drift(self, y: np.ndarray) -> np.ndarray:
-        return y @ self.a_mat.T + self.f(y)
 
 
 def _sin_g_field(m: int, d: int, amp: float, drift: float) -> VectorField:
@@ -118,7 +108,6 @@ def _sin_g_field(m: int, d: int, amp: float, drift: float) -> VectorField:
     return VectorField(
         m=m,
         d=d,
-        a_mat=np.zeros((m, m)),
         f=f,
         g=g,
         dg=dg,
@@ -134,7 +123,6 @@ def _additive_field(m: int, d: int, sigma: np.ndarray | None) -> VectorField:
     return VectorField(
         m=m,
         d=d,
-        a_mat=np.zeros((m, m)),
         f=np.zeros_like,
         g=lambda y: np.broadcast_to(sig, y.shape[:-1] + (m, d)),
         dg=lambda y: np.zeros(y.shape[:-1] + (m, d, m)),
@@ -146,7 +134,6 @@ def _drift_only_field(m: int, d: int, rate: float) -> VectorField:
     return VectorField(
         m=m,
         d=d,
-        a_mat=np.zeros((m, m)),
         f=lambda y: -rate * y,
         g=lambda y: np.zeros(y.shape[:-1] + (m, d)),
         dg=lambda y: np.zeros(y.shape[:-1] + (m, d, m)),
@@ -169,7 +156,6 @@ def _linear_g_field(m: int, d: int, scale: float) -> VectorField:
     return VectorField(
         m=m,
         d=d,
-        a_mat=np.zeros((m, m)),
         f=np.zeros_like,
         g=g,
         dg=dg,
@@ -221,10 +207,14 @@ class ControlledPath:
     B); gubinelli appends one driver axis, shape (n_nodes, *members, m, d).
     """
 
-    grid: TimeGrid
     values: np.ndarray
     gubinelli: np.ndarray
     driver: GridRoughPath = field(compare=False)
+
+    @property
+    def grid(self) -> TimeGrid:
+        """The declared driver's grid."""
+        return self.driver.grid
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -244,24 +234,19 @@ class ControlledPath:
             raise ValueError(
                 f"values shape {v.shape} must be (n_nodes, *member axes {members}, m)"
             )
-        if not self.grid.is_compatible(self.driver.grid):
-            raise ValueError("controlled path and driver live on different grids")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "gubinelli", gub)
 
     def member(self, k: int | slice) -> "ControlledPath":
         """Member k of a path against a stacked driver, k an index or a slice (views)."""
-        return ControlledPath(
-            self.grid, self.values[:, k], self.gubinelli[:, k], driver=self.driver.member(k)
-        )
+        return ControlledPath(self.values[:, k], self.gubinelli[:, k], self.driver.member(k))
 
     def restrict(self, i_lo: int, i_hi: int) -> "ControlledPath":
         """Window onto node indices [i_lo, i_hi] (views), the driver restricted with it."""
         return ControlledPath(
-            self.grid.window(i_lo, i_hi),
             self.values[i_lo : i_hi + 1],
             self.gubinelli[i_lo : i_hi + 1],
-            driver=self.driver.restrict(i_lo, i_hi),
+            self.driver.restrict(i_lo, i_hi),
         )
 
     def remainder(self, i, j) -> np.ndarray:
@@ -313,7 +298,7 @@ def solve_rde(vf: VectorField, rp: GridRoughPath, y0: np.ndarray) -> ControlledP
             gw = gy @ inc2[u]  # gw[..., e, c] = sum_b g^{e,b} X2^{b,c}
             y = (
                 y
-                + vf.drift(y) * h
+                + vf.f(y) * h
                 + (gy @ inc1[u][..., None])[..., 0]
                 + np.einsum("...ace,...ec->...a", vf.dg(y), gw)
             )
@@ -325,7 +310,7 @@ def solve_rde(vf: VectorField, rp: GridRoughPath, y0: np.ndarray) -> ControlledP
         dead = np.logical_or.accumulate(~np.isfinite(values).all(axis=-1), axis=0)
         values[dead] = np.nan
         gub[dead] = np.nan
-    return ControlledPath(rp.grid, values, gub, driver=rp)
+    return ControlledPath(values, gub, rp)
 
 
 # ---------------------------------------------------------------------------

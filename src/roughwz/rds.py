@@ -62,7 +62,7 @@ class CocycleProbe:
     steps_per_unit: int = 256
 
     def __post_init__(self) -> None:
-        if self.t1 <= 0.0 or self.t2 < 0.0:
+        if not (self.t1 > 0.0 and self.t2 >= 0.0):
             raise ValueError(f"need t1 > 0 and t2 >= 0, got t1={self.t1}, t2={self.t2}")
         object.__setattr__(self, "y0", np.asarray(self.y0, dtype=float))
 

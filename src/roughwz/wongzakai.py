@@ -40,11 +40,11 @@ class DeltaParam:
     h: float
 
     def __post_init__(self) -> None:
-        if self.multiple < 1:
+        if not self.multiple >= 1:
             raise ValueError(f"multiple must be >= 1, got {self.multiple}")
-        if self.h <= 0.0:
+        if not self.h > 0.0:
             raise ValueError(f"h must be positive, got {self.h}")
-        if self.delta > 1.0 + 1e-12:
+        if not self.delta <= 1.0 + 1e-12:
             raise ValueError(f"delta = {self.delta} exceeds 1")
 
     @property
@@ -59,7 +59,7 @@ class DeltaParam:
 def _check_width(path: SamplePath, dp: DeltaParam) -> int:
     k = dp.multiple
     g = path.grid
-    if abs(g.h - dp.h) > 1e-9 * g.h:
+    if not abs(g.h - dp.h) <= 1e-9 * g.h:
         raise ValueError(f"delta spacing {dp.h} does not match grid spacing {g.h}")
     if k >= g.n_steps:
         raise ValueError(

@@ -18,6 +18,8 @@ import numpy as np
 
 from roughwz.lift import GridRoughPath, lift_left_riemann
 from roughwz.norms import (
+    euclidean_norms,
+    frobenius_norms,
     greedy_stopping_times,
     homogeneous_pvar_norm,
     rho_alpha_metric,
@@ -195,6 +197,36 @@ def greedy_stops_brute(values: np.ndarray, block, p: float, eta: float) -> list[
                 nxt = j
                 break
         stops.append(nxt)
+    return stops
+
+
+def greedy_stops_restarting(rp: GridRoughPath, eta: float, p: float) -> list[int]:
+    """Greedy stopping nodes by restarting the node-range program on the whole path.
+
+    The program greedy_stopping_times ran before it restarted on the
+    restricted path: from each stopping node `start` it runs the two
+    partition-sum programs over nodes [start, j] of rp itself, reading rp's
+    blocks (prefix sums from rp's first node), and stops at the first j
+    where their sum reaches eta^p.
+    """
+
+    def running(norms, q, start, n):
+        best = np.zeros(n - start + 1)
+        for r in range(1, n - start + 1):
+            terms = norms(slice(start, start + r), start + r) ** q
+            best[r] = (best[:r] + terms).max(axis=0)
+            yield best[r]
+
+    v = rp.values
+    level1 = lambda i, j: euclidean_norms(v[j] - v[i])
+    level2 = lambda i, j: frobenius_norms(rp.level2(i, j))
+    n = rp.n_steps
+    stops = [0]
+    while stops[-1] < n:
+        start = stops[-1]
+        sums = zip(running(level1, p, start, n), running(level2, p / 2.0, start, n))
+        hits = (j for j, (a, b) in enumerate(sums, start + 1) if a + b >= eta**p)
+        stops.append(next(hits, n))
     return stops
 
 

@@ -222,7 +222,7 @@ class TestReports:
                 return solved
             values, gub = solved.values.copy(), solved.gubinelli.copy()
             values[7:, 1] = gub[7:, 1] = np.nan
-            return ControlledPath(solved.grid, values, gub, driver=drivers)
+            return ControlledPath(values, gub, driver=drivers)
 
         monkeypatch.setattr("roughwz.expcli.solve_rde", solve_and_blow_up)
         cfg = ExperimentConfig(

@@ -6,6 +6,7 @@ import inspect
 import io
 import re
 import tokenize
+import types
 from pathlib import Path
 
 import roughwz
@@ -120,38 +121,62 @@ def test_readme_names_resolve():
     assert [name for name in names if not resolves(name)] == []
 
 
-# A window is taken by restricting a path, never by parameters of a measure;
-# partition_sums keeps its node range because greedy stopping restarts the
-# program at each stopping node.
+# A window is taken by restricting a path, never by parameters of a measure.
 WINDOW_TAKERS = [
     "fbm.SamplePath.restrict",
     "fbm.TimeGrid.window",
     "lift.GridRoughPath.restrict",
-    "norms.partition_sums",
     "rde.ControlledPath.restrict",
 ]
+WINDOW_PARAMETERS = {"i_lo", "i_hi", "start"}
 
 
-def window_parameter_takers() -> list[str]:
-    """Every public function and method of an exported class with an i_lo or i_hi parameter."""
-    hits = set()
-    for mod in submodules():
-        prefix = mod.__name__.split(".")[-1]
-        for name in mod.__all__:
-            obj = getattr(mod, name)
-            if inspect.isclass(obj):
-                methods = inspect.getmembers(obj, inspect.isfunction)
-                funcs = [(f"{name}.{attr}", fn) for attr, fn in methods]
-            else:
-                funcs = [(name, obj)] if inspect.isfunction(obj) else []
-            for qualname, fn in funcs:
-                if {"i_lo", "i_hi"} & set(inspect.signature(fn).parameters):
-                    hits.add(f"{prefix}.{qualname}")
-    return sorted(hits)
+def window_takers_of(mod) -> list[str]:
+    """Functions of mod with a window parameter.
+
+    Read are the exported functions, every method of an exported class and
+    the private module-level functions defined in mod.
+    """
+    prefix = mod.__name__.split(".")[-1]
+    funcs = []
+    for name in mod.__all__:
+        obj = getattr(mod, name)
+        if inspect.isclass(obj):
+            methods = inspect.getmembers(obj, inspect.isfunction)
+            funcs += [(f"{name}.{attr}", fn) for attr, fn in methods]
+        elif inspect.isfunction(obj):
+            funcs.append((name, obj))
+    funcs += [
+        (name, obj)
+        for name, obj in vars(mod).items()
+        if name.startswith("_") and inspect.isfunction(obj) and obj.__module__ == mod.__name__
+    ]
+    return sorted(
+        f"{prefix}.{qualname}"
+        for qualname, fn in funcs
+        if WINDOW_PARAMETERS & set(inspect.signature(fn).parameters)
+    )
+
+
+def test_window_detector_sees_private_functions_and_start():
+    mod = types.ModuleType("roughwz.fake")
+    source = (
+        "from os.path import join as _join\n"
+        "__all__ = ['f', 'K']\n"
+        "def f(x, i_lo): pass\n"
+        "def g(x, start): pass\n"
+        "def _h(rp, p, start): pass\n"
+        "def _ok(rp, p): pass\n"
+        "class K:\n"
+        "    def restrict(self, i_lo, i_hi): pass\n"
+        "    def _span(self, i_hi): pass\n"
+    )
+    exec(source, vars(mod))
+    assert window_takers_of(mod) == ["fake.K._span", "fake.K.restrict", "fake._h", "fake.f"]
 
 
 def test_only_restrict_takes_a_node_window():
-    assert window_parameter_takers() == WINDOW_TAKERS
+    assert sorted(hit for mod in submodules() for hit in window_takers_of(mod)) == WINDOW_TAKERS
 
 
 ROOT = PACKAGE_DIR.parents[1]

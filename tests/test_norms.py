@@ -30,6 +30,7 @@ from roughwz.norms import (
 
 from oracles import (
     greedy_stops_brute,
+    greedy_stops_restarting,
     holder_sup_loop,
     homogeneous_brute,
     pvar2_brute,
@@ -113,29 +114,31 @@ class TestRoot:
 class TestPartitionSums:
     @pytest.mark.parametrize("level", [1, 2])
     def test_running_sums_match_loop_reference(self, level):
-        # Past enumeration sizes, against the plain pairwise loop.
+        # Past enumeration sizes, against the plain pairwise loop over the
+        # same nodes [5, 48] of the whole path.
         rp = random_lift(np.random.default_rng(29), 48)
-        v = rp.values
-        block = (lambda i, j: v[j] - v[i]) if level == 1 else rp.level2
+        window = rp.restrict(5, 48)
+        block_of = lambda x: x.level1 if level == 1 else x.level2
         p = 2.8 / level
         norms = euclidean_norms if level == 1 else frobenius_norms
-        got = list(partition_sums(lambda i, j: norms(block(i, j)), p, 5, 48))
-        want = pvar_running_loop(block, p, 5, 48)
+        block = block_of(window)
+        got = list(partition_sums(lambda i, j: norms(block(i, j)), p, 43))
+        want = pvar_running_loop(block_of(rp), p, 5, 48)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_running_sums_are_windowed_variations(self):
         # A window's prefix sums start at its first node, so the running
         # sums are read over the window [3, 20] itself.
         window = random_lift(np.random.default_rng(31), 20).restrict(3, 20)
-        running = list(partition_sums(level2_norms(window), 1.4, 0, 17))
+        running = list(partition_sums(level2_norms(window), 1.4, 17))
         for j, best in enumerate(running, 1):
             prefix = window.restrict(0, j)
             assert block_variation(level2_norms(prefix), 1.4, j) == best ** (1.0 / 1.4)
 
     def test_batched_sums_match_per_member_programs(self):
         # Norms with a member axis after the pair axis run one program per
-        # member: the running sums of a stack, and its variations over
-        # restricted windows, are bit-identical to each member's own, on
+        # member: the running sums of a restricted stack, and its
+        # variations, are bit-identical to each restricted member's own, on
         # random windows and at both levels.
         rng = np.random.default_rng(43)
         for _ in range(8):
@@ -147,12 +150,13 @@ class TestPartitionSums:
             window = stack.restrict(i_lo, i_hi)
             level1_norms = lambda rp: lambda i, j: euclidean_norms(rp.values[j] - rp.values[i])
             for p, norms_of in ((2.8, level1_norms), (1.4, level2_norms)):
-                got = np.array(list(partition_sums(norms_of(stack), p, i_lo, i_hi)))
+                got = np.array(list(partition_sums(norms_of(window), p, i_hi - i_lo)))
                 var = block_variation(norms_of(window), p, i_hi - i_lo)
                 for k, rp in enumerate(lifts):
-                    solo = list(partition_sums(norms_of(rp), p, i_lo, i_hi))
+                    solo_window = rp.restrict(i_lo, i_hi)
+                    solo = list(partition_sums(norms_of(solo_window), p, i_hi - i_lo))
                     assert np.array_equal(got[:, k], solo)
-                    want = block_variation(norms_of(rp.restrict(i_lo, i_hi)), p, i_hi - i_lo)
+                    want = block_variation(norms_of(solo_window), p, i_hi - i_lo)
                     assert var[k] == want
 
     def test_batched_variation_matches_enumeration(self):
@@ -462,6 +466,19 @@ class TestGreedyStopping:
             st = greedy_stopping_times(rp, eta, 2.0)
             want = greedy_stops_brute(rp.values, rp.level2, 2.0, eta)
             assert st.indices.tolist() == want
+
+    def test_matches_restarting_program_over_the_whole_path(self):
+        # Restarting on the restricted path reads blocks through prefix sums
+        # from the stopping node instead of from node 0; the stopping nodes
+        # stay those of the node-range program it replaced.
+        rng = np.random.default_rng(97)
+        for _ in range(300):
+            n, d = int(rng.integers(4, 81)), int(rng.integers(1, 4))
+            rp = random_lift(rng, n, d)
+            p = float(rng.uniform(2.0, 3.2))
+            eta = float(rng.uniform(0.05, 1.2)) * homogeneous_pvar_norm(rp, p)
+            st = greedy_stopping_times(rp, eta, p)
+            assert st.indices.tolist() == greedy_stops_restarting(rp, eta, p)
 
     def test_count_bound_holds(self):
         grid = TimeGrid(0.0, 1.0, 64)

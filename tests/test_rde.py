@@ -34,6 +34,8 @@ from roughwz.rde import (
     solution_distance,
     solve_rde,
 )
+from roughwz.rds import CocycleProbe
+from roughwz.wongzakai import DeltaParam
 
 from oracles import fd_jacobian, fit_slope, pvar2_brute, pvar_brute, rk4_path_ode
 
@@ -52,7 +54,6 @@ def zero_field(m=2, d=1):
     return VectorField(
         m=m,
         d=d,
-        a_mat=np.zeros((m, m)),
         f=lambda y: np.zeros(m),
         g=lambda y: np.zeros((m, d)),
         dg=lambda y: np.zeros((m, d, m)),
@@ -101,7 +102,7 @@ class TestVectorFields:
     def test_lipschitz_data(self):
         vf = builtin_vector_field("sin-g", 2, 2, amp=0.25, drift=0.25)
         y = np.array([0.2, 0.4])
-        assert np.allclose(vf.drift(y), vf.a_mat @ y + vf.f(y))
+        assert np.allclose(vf.f(y), 0.25 * np.cos(y))
 
     def test_sin_g_bound_is_respected(self):
         vf = builtin_vector_field("sin-g", 3, 2, amp=0.4)
@@ -146,7 +147,7 @@ class TestSolverOracles:
         for n in (128, 256, 512):
             rp, t = smooth_driver(n)
             cp = solve_rde(vf, rp, y0)
-            rhs = lambda tt, yy: vf.drift(yy) + vf.g(yy) @ np.array([np.cos(tt), 2 * tt])
+            rhs = lambda tt, yy: vf.f(yy) + vf.g(yy) @ np.array([np.cos(tt), 2 * tt])
             ref = rk4_path_ode(rhs, y0, t)
             errs.append(float(np.abs(cp.values - ref).max()))
         # Euler handles the drift term, so order one once drift is on.
@@ -174,11 +175,10 @@ class TestSolverOracles:
         vf = VectorField(
             m=1,
             d=1,
-            a_mat=np.array([[1e300]]),
-            f=lambda y: np.zeros(1),
-                g=lambda y: np.zeros((1, 1)),
+            f=lambda y: 1e300 * y,
+            g=lambda y: np.zeros((1, 1)),
             dg=lambda y: np.zeros((1, 1, 1)),
-                name="stiff",
+            name="stiff",
         )
         with pytest.raises(SolverBlowUpError) as exc:
             solve_rde(vf, linear_lift(16), np.ones(1))
@@ -259,8 +259,8 @@ class TestBatchedSolver:
             GridRoughPath.stack((fbm_lift(16, seed=88), fbm_lift(16, seed=88, d=1)))
         pair = GridRoughPath.stack((fbm_lift(16, seed=88), fbm_lift(16, seed=88, counter=1)))
         with pytest.raises(ValueError, match="member axes"):
-            ControlledPath(pair.grid, np.zeros((17, 3, 2)), np.zeros((17, 3, 2, 2)), driver=pair)
-        cp = ControlledPath(pair.grid, np.zeros((17, 2, 3)), np.zeros((17, 2, 3, 2)), driver=pair)
+            ControlledPath(np.zeros((17, 3, 2)), np.zeros((17, 3, 2, 2)), driver=pair)
+        cp = ControlledPath(np.zeros((17, 2, 3)), np.zeros((17, 2, 3, 2)), driver=pair)
         assert cp.member(slice(1, None)).values.shape == (17, 1, 3)
         assert cp.member(0).driver.inc1.shape == (16, 2)
 
@@ -270,9 +270,7 @@ class TestControlledPaths:
         grid = TimeGrid(0.0, 0.5, 2)
         driver_vals = np.array([[0.0], [1.0], [3.0]])
         driver = lift_left_riemann(SamplePath(grid, driver_vals))
-        cp = ControlledPath(
-            grid, np.array([[0.0], [1.0], [3.0]]), np.full((3, 1, 1), 2.0), driver=driver
-        )
+        cp = ControlledPath(np.array([[0.0], [1.0], [3.0]]), np.full((3, 1, 1), 2.0), driver=driver)
         # R_{u,2} = y_{u,2} - 2 x_{u,2} for u = 0, 1.
         blk = cp.remainder(slice(0, 2), 2)
         assert np.allclose(blk.ravel(), [-3.0, -2.0])
@@ -284,7 +282,7 @@ class TestControlledPaths:
         pair = GridRoughPath.stack((rp, rp))
         for driver, shape in ((rp, (9, 2, 2)), (rp, (9,)), (pair, (9, 2, 3, 2))):
             with pytest.raises(ValueError, match=re.escape(str(shape))):
-                ControlledPath(rp.grid, np.zeros(shape), np.zeros(shape + (2,)), driver=driver)
+                ControlledPath(np.zeros(shape), np.zeros(shape + (2,)), driver=driver)
 
     def test_slice_rows_equal_index_array_rows(self):
         # One arithmetic per pair in both index forms: the rows agree bit for
@@ -300,7 +298,6 @@ class TestControlledPaths:
                 TimeGrid(0.0, 1.0, n), rng.standard_normal(shape), rng.standard_normal(shape + (d,))
             )
             cp = ControlledPath(
-                driver.grid,
                 rng.standard_normal((n + 1, *value_shape)),
                 rng.standard_normal((n + 1, *value_shape, d)),
                 driver=driver,
@@ -331,7 +328,7 @@ class TestDistancesAndBounds:
         vf = builtin_vector_field("sin-g", 2, 2)
         a = solve_rde(vf, rp, np.zeros(2))
         shift = np.array([0.3, -0.4])
-        b = ControlledPath(a.grid, a.values + shift, a.gubinelli.copy(), driver=rp)
+        b = ControlledPath(a.values + shift, a.gubinelli.copy(), driver=rp)
         dist = solution_distance(a, b, 2.8)
         assert dist.sup == pytest.approx(0.5, rel=1e-12)
         assert dist.pvar == pytest.approx(0.0, abs=1e-12)
@@ -472,8 +469,9 @@ class TestStackMembersEqualLonePaths:
                     assert getattr(dist, part)[k] == getattr(solo_dist, part), part
 
 
-# Calls whose exponent or level is NaN; each must be rejected, not
-# answered with NaN or a count of 1.
+# Calls whose exponent, level, spacing or time is NaN; each must be
+# rejected, not answered with NaN or a count of 1, nor fail later with a
+# message about something else.
 NAN_CALLS = {
     "pvar_seminorm": lambda rp, cp, vf: pvar_seminorm(rp.values, math.nan),
     "pvar_level2": lambda rp, cp, vf: pvar_level2(rp, math.nan),
@@ -485,6 +483,13 @@ NAN_CALLS = {
     "greedy_stopping_times(eta)": lambda rp, cp, vf: greedy_stopping_times(rp, math.nan, 2.5),
     "greedy_stopping_times(p)": lambda rp, cp, vf: greedy_stopping_times(rp, 0.5, math.nan),
     "solution_distance": lambda rp, cp, vf: solution_distance(cp, cp, math.nan),
+    "DeltaParam(h)": lambda rp, cp, vf: DeltaParam(2, math.nan),
+    "CocycleProbe(t1)": lambda rp, cp, vf: CocycleProbe(
+        t1=math.nan, t2=0.5, y0=np.zeros(2), seed=0, fbm=FbmParams(H=0.45, d=2, seed=1)
+    ),
+    "CocycleProbe(t2)": lambda rp, cp, vf: CocycleProbe(
+        t1=0.5, t2=math.nan, y0=np.zeros(2), seed=0, fbm=FbmParams(H=0.45, d=2, seed=1)
+    ),
 }
 
 
