@@ -33,10 +33,11 @@ The noise and stopping experiments compare lifts on a coarsened stack
 (every metric_stride-th node, level 2 rebuilt through Chen's relation, so
 the restriction is exact).  Each lift is coarsened before it is stacked, so
 no seed holds its whole fine stack.  noise measures all approximants
-against member 0 in one call per metric; stopping takes one member at a
-time.  The solution experiment ignores metric_stride: its distances run on
-the full grid_n grid, where its gates (the sup ceiling above all) are
-calibrated.
+against member 0 in one call per metric; stopping finds the greedy
+stopping times of the whole stack in one call and takes the homogeneous
+norm one approximant at a time.  The solution experiment ignores
+metric_stride: its distances run on the full grid_n grid, where its gates
+(the sup ceiling above all) are calibrated.
 
 Seeds run one after another, each from its own stream
 (master_seed, seed_index).  Reports: a CSV with one row per seed x delta x
@@ -636,11 +637,10 @@ def run_stopping_time_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
 
     def measure(idx: int, path, lifts) -> np.ndarray:
         coarse = GridRoughPath.stack(rp.coarsen(cfg.stride) for rp in lifts)
-        st_true = greedy_stopping_times(coarse.member(0), cfg.eta, p)
+        st_true, *st_wzs = greedy_stopping_times(coarse, cfg.eta, p)
         out = np.empty((3, n_delta))
-        for col in range(n_delta):
+        for col, st_wz in enumerate(st_wzs):
             wz = coarse.member(col + 1)
-            st_wz = greedy_stopping_times(wz, cfg.eta, p)
             m = min(len(st_true.times), len(st_wz.times))
             out[0, col] = np.abs(st_true.times[:m] - st_wz.times[:m]).max()
             total = homogeneous_pvar_norm(wz, p) ** p

@@ -18,10 +18,10 @@ p-variation program: over nodes 0..j the maximal partition sum satisfies
 
 because an optimal partition of [0, j] ends with some block [i, j].  It
 reads one row, norms(slice(0, j), j), per right end and yields best[j]
-for one right end after another, so greedy stopping can exit early;
-block_variation runs it over the whole grid.  Over member axes the same
-program, and the final root, run per member, so a stack member's
-variation is that path's own bit for bit.  The Hoelder
+for one right end after another, so greedy stopping can restart members
+between right ends; block_variation runs it over the whole grid.  Over
+member axes the same program, and the final root, run per member, so a
+stack member's variation is that path's own bit for bit.  The Hoelder
 sup takes  max |block_{i,j}| / (t_j - t_i)^alpha  over the same pairs in
 no particular order, so it reads runs of whole and split rows as index
 arrays, each run at most _RUN_PAIRS pair x member values (a lone 129-node
@@ -35,14 +35,15 @@ The homogeneous rough-path norm combines the levels as
     |||X|||_{p-var}^p = ||X1||_{p-var}^p + ||X2||_{q-var}^q,   q = p / 2,
 
 and the greedy stopping times  tau_{i+1} = first node past tau_i where it
-reaches eta over [tau_i, .]  read the same running sums, restarting at
-each stopping node on the path restricted to [tau_i, end].
+reaches eta over [tau_i, .]  read the same running sums, in one pass over
+right ends for every member of a stack; each member restarts at its own
+stopping nodes through the restart mask partition_sums takes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Generator
 
 import numpy as np
 
@@ -68,6 +69,10 @@ __all__ = [
 # norms(i, j) -> block norms over node pairs (i, j), shape (pairs, *members).
 PairNorms = Callable[[slice | np.ndarray, int | np.ndarray], np.ndarray]
 
+# Running partition sums, one per right end; a caller may send back a boolean
+# mask of members to restart (see partition_sums).
+_RunningSums = Generator[float | np.ndarray, np.ndarray | None, None]
+
 # Most pair x member values one pass of the Hoelder sup reads (0.13 MB per
 # float64 array of them).
 _RUN_PAIRS = 1 << 14
@@ -89,17 +94,25 @@ def frobenius_norms(blocks: np.ndarray) -> np.ndarray:
     return euclidean_norms(blocks.reshape(*lead, rows * cols))
 
 
-def partition_sums(norms: PairNorms, p: float, n_steps: int) -> Iterator[float | np.ndarray]:
+def partition_sums(norms: PairNorms, p: float, n_steps: int) -> _RunningSums:
     """Yield max over partitions of [0, j] of sum |block|^p for j = 1, ..., n_steps.
 
     Each yield is a float, or an array over the member axes of the norms.
+    A caller may send back a boolean mask over the members (a 0-d one for a
+    lone path) after the yield for j: the masked members restart at node j,
+    and from then on yield the sums over partitions of [j, .].  Their sums
+    before j become -inf and their sum at j becomes 0, so a left end before
+    j never wins the max.  A plain for loop sends nothing.
     """
     for j in range(1, n_steps + 1):
         terms = norms(slice(0, j), j) ** p
         if j == 1:
             best = np.zeros((n_steps + 1,) + terms.shape[1:])
         best[j] = (best[:j] + terms).max(axis=0)
-        yield best[j]
+        restart = yield best[j]
+        if restart is not None:
+            best[:j, restart] = -np.inf
+            best[j, restart] = 0.0
 
 
 def _root(total: float | np.ndarray, p: float) -> float | np.ndarray:
@@ -162,12 +175,16 @@ def _level2_gap_norms(a: GridRoughPath, b: GridRoughPath) -> PairNorms:
     return lambda i, j: frobenius_norms(a.level2(i, j) - b.level2(i, j))
 
 
-def _homogeneous_sums(rp: GridRoughPath, p: float) -> Iterator[float | np.ndarray]:
-    """Yield ||X1||_{p-var}^p + ||X2||_{q-var}^q over [0, j] for j = 1, ..., n_steps."""
+def _homogeneous_sums(rp: GridRoughPath, p: float) -> _RunningSums:
+    """Yield ||X1||_{p-var}^p + ||X2||_{q-var}^q over [0, j] for j = 1, ..., n_steps.
+
+    A restart mask sent back goes to both levels' partition_sums.
+    """
     lvl1 = partition_sums(_increment_norms(rp.values), p, rp.n_steps)
     lvl2 = partition_sums(_level2_norms(rp), p / 2.0, rp.n_steps)
-    for best1, best2 in zip(lvl1, lvl2):
-        yield best1 + best2
+    restart = None
+    for _ in range(rp.n_steps):
+        restart = yield lvl1.send(restart) + lvl2.send(restart)
 
 
 # ---------------------------------------------------------------------------
@@ -284,27 +301,37 @@ class StoppingTimes:
         return len(self.times) - 1
 
 
-def greedy_stopping_times(rp: GridRoughPath, eta: float, p: float) -> StoppingTimes:
-    """Greedy stopping nodes of one rough path.
+def greedy_stopping_times(
+    rp: GridRoughPath, eta: float, p: float
+) -> StoppingTimes | tuple[StoppingTimes, ...]:
+    """Greedy stopping nodes of a rough path, or of each member of a stack.
 
     Grid convention: each stopping node is the first node where the norm
     is >= eta, so the norm over every interval except possibly the last
     is at least eta and N <= 1 + eta^{-p} |||X|||_{p-var}^p holds by
-    superadditivity of the p-th power.  The search from each stopping
-    node runs on the path restricted to [that node, end].
+    superadditivity of the p-th power.  One pass of the homogeneous
+    running sums over right ends serves every member: a member whose sum
+    reaches eta^p at node j restarts there.  A lone path gives one
+    StoppingTimes; a stack with one member axis gives a tuple of them in
+    member order.
     """
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
     if not p >= 2.0:
         raise ValueError(f"homogeneous norm needs p >= 2, got {p}")
-    if rp.inc1.ndim != 2:
-        raise ValueError(f"expected one rough path, got a stack of shape {rp.inc1.shape[1:-1]}")
+    members = rp.inc1.shape[1:-1]
+    if len(members) > 1:
+        raise ValueError(f"expected one member axis at most, got a stack of shape {members}")
     n = rp.n_steps
     thresh = eta**p
-    indices = [0]
-    while indices[-1] < n:
-        start = indices[-1]
-        sums = enumerate(_homogeneous_sums(rp.restrict(start, n), p), start + 1)
-        indices.append(next((j for j, total in sums if total >= thresh), n))
-    idx = np.asarray(indices, dtype=int)
-    return StoppingTimes(times=rp.grid.times[idx], indices=idx)
+    stops = np.zeros((n + 1,) + members, dtype=bool)
+    stops[[0, n]] = True
+    sums = _homogeneous_sums(rp, p)
+    total = next(sums)
+    for j in range(1, n):
+        stops[j] = total >= thresh
+        # None skips the mask writes at the many right ends where no member stops.
+        total = sums.send(stops[j] if stops[j].any() else None)
+    per_member = [np.flatnonzero(col) for col in stops.reshape(n + 1, -1).T]
+    found = tuple(StoppingTimes(times=rp.grid.times[idx], indices=idx) for idx in per_member)
+    return found if members else found[0]

@@ -17,6 +17,7 @@ on one shared sampled path and comparisons across deltas are paired.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,8 @@ class DeltaParam:
     h: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.multiple, numbers.Integral) or isinstance(self.multiple, bool):
+            raise ValueError(f"multiple must be an integer, got {self.multiple!r}")
         if not self.multiple >= 1:
             raise ValueError(f"multiple must be >= 1, got {self.multiple}")
         if not self.h > 0.0:

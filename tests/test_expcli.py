@@ -24,6 +24,7 @@ from roughwz.expcli import (
 )
 from roughwz.fbm import CovarianceFactorizationError, FbmParams, FbmSampler, TimeGrid
 from roughwz.lift import GridRoughPath
+from roughwz.norms import greedy_stopping_times, homogeneous_pvar_norm
 from roughwz.rde import ControlledPath, builtin_vector_field, solution_distance, solve_rde
 from roughwz.wongzakai import ww_delta
 
@@ -339,6 +340,29 @@ class TestReports:
         cfg = ExperimentConfig(experiment="solution", n_seeds=2, grid_n=32, delta_ladder=(4, 2))
         rep = run_suite(cfg)
         assert seen == {"solve": [32, 32], "distance": 2}
+        assert all(np.isfinite(value) for *_, value in rep.rows)
+
+    def test_stopping_makes_one_greedy_call_per_seed(self, monkeypatch):
+        # The benchmark's tracer also wraps expcli.greedy_stopping_times and
+        # expcli.homogeneous_pvar_norm by name.  Greedy stopping takes each
+        # seed's whole coarse stack at once; the homogeneous norm still takes
+        # one approximant at a time.
+        seen = {"greedy": [], "homogeneous": 0}
+
+        def counting_greedy(rp, eta, p):
+            seen["greedy"].append(rp.inc1.shape[1:-1])
+            return greedy_stopping_times(rp, eta, p)
+
+        def counting_homogeneous(rp, p):
+            seen["homogeneous"] += 1
+            return homogeneous_pvar_norm(rp, p)
+
+        monkeypatch.setattr("roughwz.expcli.greedy_stopping_times", counting_greedy)
+        monkeypatch.setattr("roughwz.expcli.homogeneous_pvar_norm", counting_homogeneous)
+        ladder = (8, 4, 2)
+        cfg = ExperimentConfig(experiment="stopping", n_seeds=3, grid_n=64, delta_ladder=ladder)
+        rep = run_suite(cfg)
+        assert seen == {"greedy": [(1 + len(ladder),)] * 3, "homogeneous": 3 * len(ladder)}
         assert all(np.isfinite(value) for *_, value in rep.rows)
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)

@@ -468,9 +468,8 @@ class TestGreedyStopping:
             assert st.indices.tolist() == want
 
     def test_matches_restarting_program_over_the_whole_path(self):
-        # Restarting on the restricted path reads blocks through prefix sums
-        # from the stopping node instead of from node 0; the stopping nodes
-        # stay those of the node-range program it replaced.
+        # The masked pass repeats the restarting program's arithmetic: both
+        # read blocks through prefix sums from node 0.
         rng = np.random.default_rng(97)
         for _ in range(300):
             n, d = int(rng.integers(4, 81)), int(rng.integers(1, 4))
@@ -490,11 +489,28 @@ class TestGreedyStopping:
                 whole = homogeneous_pvar_norm(rp, 2.5)
                 assert st.count <= 1 + eta ** (-2.5) * whole**2.5 + 1e-9
 
+    def test_stack_members_match_restarting_program(self):
+        # One masked pass restarts each member at its own stopping nodes.
+        rng = np.random.default_rng(101)
+        for _ in range(60):
+            n, d, size = int(rng.integers(4, 81)), int(rng.integers(1, 4)), int(rng.integers(1, 7))
+            grid = TimeGrid(0.0, 1.0, n)
+            paths = [random_lift(rng, n, d) for _ in range(size)]
+            stack = GridRoughPath.stack(paths)
+            p = float(rng.uniform(2.0, 3.2))
+            eta = float(rng.uniform(0.05, 1.2)) * homogeneous_pvar_norm(paths[0], p)
+            found = greedy_stopping_times(stack, eta, p)
+            assert isinstance(found, tuple) and len(found) == size
+            for st, rp in zip(found, paths):
+                assert st.indices.tolist() == greedy_stops_restarting(rp, eta, p)
+                assert np.array_equal(st.times, grid.times[st.indices])
+
     def test_stack_rejected(self):
-        # Each member restarts at its own stopping nodes.
-        stack = GridRoughPath.stack([linear_lift(8), linear_lift(8)])
-        with pytest.raises(ValueError, match="one rough path"):
-            greedy_stopping_times(stack, 0.5, 2.0)
+        # A stack with more than one member axis has no member order.
+        pair = GridRoughPath.stack([linear_lift(8), linear_lift(8)])
+        rp = GridRoughPath(pair.grid, pair.inc1[:, None], pair.inc2[:, None])
+        with pytest.raises(ValueError, match="one member axis"):
+            greedy_stopping_times(rp, 0.5, 2.0)
 
     def test_window_and_structure(self):
         rng = np.random.default_rng(59)

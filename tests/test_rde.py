@@ -457,10 +457,15 @@ class TestStackMembersEqualLonePaths:
             solved = solve_rde(vf, stack, y0)
             dist = solution_distance(solved, solved.member(slice(0, 1)), p)
             first = solve_rde(vf, paths[0], y0)
+            eta = 0.3 * stacked["homogeneous_pvar_norm"][0]
+            stops = greedy_stopping_times(stack, eta, p)
             for k, rp in enumerate(paths):
                 for name, value in measures(rp, paths[0]).items():
                     assert stacked[name].shape == (size,)
                     assert stacked[name][k] == value, name
+                lone = greedy_stopping_times(rp, eta, p)
+                assert np.array_equal(stops[k].indices, lone.indices)
+                assert np.array_equal(stops[k].times, lone.times)
                 solo = solve_rde(vf, rp, y0)
                 assert np.array_equal(solved.member(k).values, solo.values)
                 assert np.array_equal(solved.member(k).gubinelli, solo.gubinelli)

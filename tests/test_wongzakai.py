@@ -40,6 +40,17 @@ class TestDeltaParam:
         with pytest.raises(ValueError):
             DeltaParam(9, 0.25)
 
+    @pytest.mark.parametrize("multiple, ok", [(2.5, False), (True, False), (np.int64(2), True)])
+    def test_multiple_must_be_an_integer(self, multiple, ok):
+        # A width counts whole grid steps; a bool is not a count.
+        path = hand_path()
+        if ok:
+            w = w_delta(path, DeltaParam(multiple, path.grid.h))
+            assert np.array_equal(w.values, w_delta(path, DeltaParam(2, path.grid.h)).values)
+        else:
+            with pytest.raises(ValueError, match="multiple"):
+                DeltaParam(multiple, path.grid.h)
+
 
 class TestDifferenceQuotient:
     def test_hand_case(self):
