@@ -264,8 +264,16 @@ class ExperimentConfig:
             raise ConfigError("y0", f"y0 has {len(self.y0)} entries for m = {self.m}")
         stride = self.stride
         if self.experiment != "solution" and (stride < 1 or self.grid_n % stride != 0):
+            if self.metric_stride:
+                raise ConfigError(
+                    "metric_stride", f"stride {stride} must divide grid_n = {self.grid_n}"
+                )
+            div = self._stride_divisor
             raise ConfigError(
-                "metric_stride", f"stride {stride} must divide grid_n = {self.grid_n}"
+                "grid_n",
+                f"the calibrated metric stride grid_n // {div} = {stride} does not divide "
+                f"grid_n = {self.grid_n}; pick a grid_n that it divides, such as a multiple "
+                f"of {div}, or set metric_stride",
             )
         if self.master_seed < 0:
             raise ConfigError("master_seed", f"seed must be >= 0, got {self.master_seed}")
@@ -285,12 +293,13 @@ class ExperimentConfig:
 
     @property
     def stride(self) -> int:
-        if self.metric_stride:
-            return self.metric_stride
+        return self.metric_stride or max(self.grid_n // self._stride_divisor, 1)
+
+    @property
+    def _stride_divisor(self) -> int:
         # Stopping times flip whole cells at threshold crossings, so that
         # experiment needs a finer comparison grid than the distance metrics.
-        divisor = 512 if self.experiment == "stopping" else 128
-        return max(self.grid_n // divisor, 1)
+        return 512 if self.experiment == "stopping" else 128
 
     @property
     def grid(self) -> TimeGrid:
@@ -496,7 +505,7 @@ def _run_ladder(
     sampler = FbmSampler(
         grid.extended(cfg.delta_ladder[0]), FbmParams(H=cfg.H, d=cfg.d, seed=cfg.master_seed)
     )
-    dps = [DeltaParam.for_grid(grid, k) for k in cfg.delta_ladder]
+    dps = [DeltaParam(k, grid.h) for k in cfg.delta_ladder]
 
     def one_seed(idx: int) -> np.ndarray:
         path = sampler.sample(idx)

@@ -17,6 +17,7 @@ spans 0 must contain as a node.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -65,6 +66,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n_steps, numbers.Integral) or isinstance(self.n_steps, bool):
+            raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if not self.t_max > self.t_min:

@@ -115,11 +115,8 @@ def _sin_g_field(m: int, d: int, amp: float, drift: float) -> VectorField:
     )
 
 
-def _additive_field(m: int, d: int, sigma: np.ndarray | None) -> VectorField:
-    sig = np.eye(m, d) if sigma is None else np.asarray(sigma, dtype=float)
-    if sig.shape != (m, d):
-        raise ValueError(f"sigma must be ({m}, {d}), got {sig.shape}")
-
+def _additive_field(m: int, d: int) -> VectorField:
+    sig = np.eye(m, d)
     return VectorField(
         m=m,
         d=d,
@@ -141,14 +138,14 @@ def _drift_only_field(m: int, d: int, rate: float) -> VectorField:
     )
 
 
-def _linear_g_field(m: int, d: int, scale: float) -> VectorField:
+def _linear_g_field(m: int, d: int) -> VectorField:
     if m != d:
         raise ValueError(f"linear-g needs m == d, got m={m}, d={d}")
     eye = np.eye(m)
-    dg_const = scale * (eye[:, :, None] * eye[:, None, :])
+    dg_const = eye[:, :, None] * eye[:, None, :]
 
     def g(y: np.ndarray) -> np.ndarray:
-        return scale * (y[..., :, None] * eye)
+        return y[..., :, None] * eye
 
     def dg(y: np.ndarray) -> np.ndarray:
         return np.broadcast_to(dg_const, y.shape[:-1] + dg_const.shape)
@@ -165,9 +162,9 @@ def _linear_g_field(m: int, d: int, scale: float) -> VectorField:
 
 # name -> (builder, its parameters with their defaults)
 _BUILTIN_FIELDS = {
-    "additive": (_additive_field, {"sigma": None}),
+    "additive": (_additive_field, {}),
     "drift-only": (_drift_only_field, {"rate": 1.0}),
-    "linear-g": (_linear_g_field, {"scale": 1.0}),
+    "linear-g": (_linear_g_field, {}),
     "sin-g": (_sin_g_field, {"amp": 0.25, "drift": 0.25}),
 }
 VECTOR_FIELD_CATALOG = tuple(_BUILTIN_FIELDS)
@@ -176,10 +173,10 @@ VECTOR_FIELD_CATALOG = tuple(_BUILTIN_FIELDS)
 def builtin_vector_field(name: str, m: int = 2, d: int = 2, **params) -> VectorField:
     """Named coefficient sets used by tests and the experiment CLI.
 
-    additive:   g constant (default eye), no drift; solutions are y0 + g X1.
+    additive:   g = eye(m, d), no drift; solutions are y0 + g X1.
     drift-only: g = 0, f(y) = -rate y (rate=1); solutions ignore the driver.
-    linear-g:   g(y) = scale diag(y) (scale=1, m == d); unbounded, for the
-                exponential chain-rule oracle.
+    linear-g:   g(y) = diag(y) (m == d); unbounded, for the exponential
+                chain-rule oracle.
     sin-g:      g^{ab}(y) = amp sin(y^a + phase_ab) (amp=0.25) with drift
                 f(y) = drift cos(y) (drift=0.25); bounded with its derivatives.
     A parameter the field does not take raises ValueError.

@@ -78,7 +78,7 @@ def _probe_driver(probe: CocycleProbe) -> GridRoughPath:
     path = sampler.sample(probe.seed)
     if probe.delta_multiple is None:
         return lift_left_riemann(path.restrict(0, n))
-    return ww_delta(path, DeltaParam.for_grid(grid, probe.delta_multiple))
+    return ww_delta(path, DeltaParam(probe.delta_multiple, grid.h))
 
 
 def cocycle_residual(vf: VectorField, probe: CocycleProbe) -> float:

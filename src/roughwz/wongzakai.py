@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fbm import SamplePath, TimeGrid
+from .fbm import SamplePath
 from .lift import GridRoughPath, lift_smooth_quadrature
 
 __all__ = [
@@ -53,10 +53,6 @@ class DeltaParam:
     @property
     def delta(self) -> float:
         return self.multiple * self.h
-
-    @classmethod
-    def for_grid(cls, grid: TimeGrid, multiple: int) -> "DeltaParam":
-        return cls(multiple=multiple, h=grid.h)
 
 
 def _check_width(path: SamplePath, dp: DeltaParam) -> int:

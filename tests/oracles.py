@@ -230,6 +230,17 @@ def greedy_stops_restarting(rp: GridRoughPath, eta: float, p: float) -> list[int
     return stops
 
 
+def einsum_remainder(cp, i, j) -> np.ndarray:
+    """R_{i,j} = y_{i,j} - y'_i X1_{i,j} of a lone controlled path, by one einsum.
+
+    The formula ControlledPath.remainder had before it summed over the
+    driver axis in a loop of ufunc passes.
+    """
+    x = cp.driver.values
+    lin = np.einsum("i...d,id->i...", cp.gubinelli[i], x[j] - x[i])
+    return cp.values[j] - cp.values[i] - lin
+
+
 def smoothed_value(times: np.ndarray, values: np.ndarray, t: float, delta: float) -> np.ndarray:
     """One node of the width-delta smoothing, by trapezoid quadrature.
 
@@ -287,7 +298,7 @@ def noise_ladder_loop(cfg, path) -> np.ndarray:
     coarse_true = lift_left_riemann(path.restrict(0, n)).coarsen(cfg.stride)
     out = np.empty((3, len(cfg.delta_ladder)))
     for col, k in enumerate(cfg.delta_ladder):
-        wz = ww_delta(path, DeltaParam.for_grid(cfg.grid, k))
+        wz = ww_delta(path, DeltaParam(k, cfg.grid.h))
         w_fixed = wz.level1(wz.grid.zero_index, wz.grid.index_of(cfg.fixed_time))
         out[0, col] = float(np.linalg.norm(path.value_at(cfg.fixed_time) - w_fixed))
         coarse_wz = wz.restrict(0, n).coarsen(cfg.stride)
@@ -307,7 +318,7 @@ def noise_member_loop(cfg, path) -> np.ndarray:
     lifts = GridRoughPath.stack(
         [lift_left_riemann(path.restrict(0, n))]
         + [
-            ww_delta(path, DeltaParam.for_grid(cfg.grid, k)).restrict(0, n)
+            ww_delta(path, DeltaParam(k, cfg.grid.h)).restrict(0, n)
             for k in cfg.delta_ladder
         ]
     )
@@ -335,7 +346,7 @@ def stopping_ladder_loop(cfg, path) -> np.ndarray:
     st_true = greedy_stopping_times(coarse_true, cfg.eta, p)
     out = np.empty((3, len(cfg.delta_ladder)))
     for col, k in enumerate(cfg.delta_ladder):
-        dp = DeltaParam.for_grid(cfg.grid, k)
+        dp = DeltaParam(k, cfg.grid.h)
         coarse_wz = ww_delta(path, dp).restrict(0, n).coarsen(cfg.stride)
         st_wz = greedy_stopping_times(coarse_wz, cfg.eta, p)
         m_common = min(len(st_true.times), len(st_wz.times))

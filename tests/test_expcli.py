@@ -116,6 +116,12 @@ class TestConfigValidation:
             pytest.param("H", {"H": float(np.nextafter(1.0 / 3.0, 1.0))}, id="H-kwargs37"),
             # An int too large for a float.
             pytest.param("H", {"H": 10**400}, id="H-kwargs38"),
+            # The calibrated stride (1000 // 128 = 7, 2000 // 512 = 3) does not
+            # divide grid_n: the field the user set is to blame.
+            pytest.param("grid_n", {"experiment": "noise", "grid_n": 1000}, id="grid_n-kwargs39"),
+            pytest.param(
+                "grid_n", {"experiment": "stopping", "grid_n": 2000}, id="grid_n-kwargs40"
+            ),
         ],
     )
     def test_each_field_is_guarded(self, field, kwargs):
@@ -681,6 +687,7 @@ class TestCli:
             ("t_min", {"experiment": "noise", "t_min": -0.3, "out_dir": "fresh"}),
             ("t_min", {"experiment": "solution", "t_min": -0.3, "out_dir": "fresh"}),
             ("t_min", {**TINY_STOPPING, "t_min": -0.3, "grid_n": 64, "out_dir": "fresh"}),
+            ("grid_n", {"experiment": "noise", "grid_n": 1000, "out_dir": "fresh"}),
         ],
     )
     def test_bad_field_stops_before_any_seed_is_sampled(

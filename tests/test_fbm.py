@@ -56,6 +56,15 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(0.0, 1.0, 0)
 
+    @pytest.mark.parametrize("n_steps, ok", [(2.5, False), (True, False), (np.int64(4), True)])
+    def test_n_steps_must_be_an_integer(self, n_steps, ok):
+        # A grid counts whole steps; a bool is not a count.
+        if ok:
+            assert np.array_equal(TimeGrid(0.0, 1.0, n_steps).times, TimeGrid(0.0, 1.0, 4).times)
+        else:
+            with pytest.raises(ValueError, match="n_steps"):
+                TimeGrid(0.0, 1.0, n_steps)
+
 
 class TestSamplePath:
     def test_zero_node_must_vanish(self):

@@ -13,7 +13,12 @@ from roughwz.lift import (
     lift_smooth_quadrature,
 )
 
-from oracles import chen_fold, coarsen_reference, fit_slope, level2_ordered_pairs
+from oracles import fit_slope, level2_ordered_pairs
+from test_conformance import assert_rows
+
+# Tests that only call assert_rows moved into tests/test_conformance.py; they
+# keep their ids and read the result of the rows that hold their cases.
+FORMS = "level1,level2,remainder[slices,index arrays]~ints,slices"
 
 
 def random_rough_path(rng, n=12, d=2, geometric=False):
@@ -25,17 +30,6 @@ def random_rough_path(rng, n=12, d=2, geometric=False):
     inc1 = rng.standard_normal((n, d))
     inc2 = rng.standard_normal((n, d, d))
     return GridRoughPath(grid, inc1, inc2)
-
-
-def random_stack(rng, n, d, members):
-    """Generic per-step data with the given member axes."""
-    shape = (n, *members, d)
-    return GridRoughPath(
-        TimeGrid(0.0, 1.0, n), rng.standard_normal(shape), rng.standard_normal(shape + (d,))
-    )
-
-
-MEMBER_SHAPES = ((), (1,), (3,), (2, 3))
 
 
 def linear_path(velocity, n=8, t_max=1.0):
@@ -58,13 +52,7 @@ def monomial_pair_derivative(path):
 
 class TestChenReconstruction:
     def test_level2_matches_sequential_fold(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            rp = random_rough_path(rng)
-            i, j = sorted(rng.choice(13, size=2, replace=False))
-            x, a = chen_fold(rp.inc1, rp.inc2, i, j)
-            assert np.allclose(rp.level1(i, j), x, atol=1e-12)
-            assert np.allclose(rp.level2(i, j), a, atol=1e-12)
+        assert_rows("level1,level2~chen_fold")
 
     def test_split_recombine_identity(self):
         rng = np.random.default_rng(1)
@@ -93,29 +81,10 @@ class TestChenReconstruction:
             chen_combine(Level2Value(0.0, 0.3, m), Level2Value(0.4, 1.0, m), x, x)
 
     def test_block_and_gap_views_agree(self):
-        rng = np.random.default_rng(4)
-        rp = random_rough_path(rng, n=12, d=2, geometric=True)
-        # Rows of level2(slice(i_lo, j), j) share the right endpoint: entry k is (i_lo+k, j).
-        blk = rp.level2(slice(3, 9), 9)
-        assert blk.shape == (6, 2, 2)
-        for off in range(6):
-            assert np.allclose(blk[off], rp.level2(3 + off, 9), atol=1e-14)
+        assert_rows(FORMS)
 
     def test_level2_over_index_arrays_matches_block_rows(self):
-        # Same arithmetic per pair as the slice form, so the rows agree bit for bit.
-        rng = np.random.default_rng(8)
-        for _ in range(12):
-            n = int(rng.integers(2, 20))
-            d = int(rng.integers(1, 4))
-            rp = random_rough_path(rng, n, d, geometric=bool(rng.integers(2)))
-            stack = GridRoughPath.stack([random_rough_path(rng, n, d) for _ in range(3)])
-            j, i = np.nonzero(np.arange(n + 1)[None, :] < np.arange(n + 1)[:, None])
-            for path in (rp, stack):
-                rows = np.concatenate([path.level2(slice(0, jj), jj) for jj in range(1, n + 1)])
-                assert path.level2(i, j).shape == rows.shape
-                assert np.array_equal(path.level2(i, j), rows)
-                pick = rng.integers(0, len(i), size=5)
-                assert np.array_equal(path.level2(i[pick], j[pick]), rows[pick])
+        assert_rows(FORMS)
 
     def test_restrict_and_coarsen(self):
         rng = np.random.default_rng(5)
@@ -132,79 +101,16 @@ class TestChenReconstruction:
 
 
 class TestPairForms:
-    """A row of pairs as slice(i_lo, j), j or as index arrays: the same blocks bit for bit."""
-
     def test_slice_rows_equal_index_array_rows(self):
-        rng = np.random.default_rng(9)
-        for _ in range(24):
-            n = int(rng.integers(1, 30))
-            d = int(rng.integers(1, 4))
-            members = MEMBER_SHAPES[rng.integers(len(MEMBER_SHAPES))]
-            rp = random_stack(rng, n, d, members)
-            j = int(rng.integers(1, n + 1))
-            i_lo = int(rng.integers(0, j))
-            left, right = np.arange(i_lo, j), np.full(j - i_lo, j)
-            for level in (rp.level1, rp.level2):
-                row = level(slice(i_lo, j), j)
-                assert row.shape[: 1 + len(members)] == (j - i_lo, *members)
-                assert np.array_equal(row, level(left, right))
-                for k in range(i_lo, j):
-                    assert np.array_equal(row[k - i_lo], level(k, j))
+        assert_rows(FORMS)
 
     def test_coarsen_equals_reference(self):
-        rng = np.random.default_rng(10)
-        for _ in range(24):
-            n = int(rng.choice([1, 2, 6, 12, 16, 30]))
-            d = int(rng.integers(1, 4))
-            members = MEMBER_SHAPES[rng.integers(len(MEMBER_SHAPES))]
-            rp = random_stack(rng, n, d, members)
-            if not members and rng.integers(2):
-                rp = random_rough_path(rng, n, d, geometric=True)
-            stride = int(rng.choice([s for s in range(1, n + 1) if n % s == 0]))
-            coarse = rp.coarsen(stride)
-            inc1, inc2 = coarsen_reference(rp, stride)
-            assert coarse.grid == TimeGrid(0.0, 1.0, n // stride)
-            assert np.array_equal(coarse.inc1, inc1)
-            assert np.array_equal(coarse.inc2, inc2)
+        assert_rows("coarsen~coarsen_reference")
 
 
 class TestStacks:
-    # A stack runs the same numpy operations on every member as the member's
-    # own path does, so everything rebuilt from stacked increments is
-    # bit-identical to the member's own.
     def test_members_match_their_own_paths(self):
-        rng = np.random.default_rng(6)
-        for _ in range(12):
-            n = int(rng.choice([2, 3, 8, 12, 24, 30]))
-            d = int(rng.integers(1, 4))
-            geometric = bool(rng.integers(2))
-            paths = [random_rough_path(rng, n, d, geometric) for _ in range(rng.integers(1, 6))]
-            stack = GridRoughPath.stack(paths)
-            assert stack.inc1.shape == (n, len(paths), d) and stack.d == d
-            i_lo = int(rng.integers(0, n))
-            j = int(rng.integers(i_lo + 1, n + 1))
-            stride = int(rng.choice([s for s in range(1, n + 1) if n % s == 0]))
-            window = stack.restrict(i_lo, j)
-            coarse = stack.coarsen(stride)
-            for k, rp in enumerate(paths):
-                member = stack.member(k)
-                assert np.shares_memory(member.inc1, stack.inc1)
-                assert np.shares_memory(member.inc2, stack.inc2)
-                assert np.array_equal(member.values, rp.values)
-                assert np.array_equal(stack.values[:, k], rp.values)
-                rows = slice(i_lo, j), j
-                assert np.array_equal(stack.level2(*rows)[:, k], rp.level2(*rows))
-                assert np.array_equal(stack.level2(i_lo, j)[k], rp.level2(i_lo, j))
-                for got, want in ((window.member(k), rp.restrict(i_lo, j)),
-                                  (coarse.member(k), rp.coarsen(stride))):
-                    assert got.grid == want.grid
-                    assert np.array_equal(got.inc1, want.inc1)
-                    assert np.array_equal(got.inc2, want.inc2)
-                    assert np.array_equal(got.values, want.values)
-            tail = stack.member(slice(1, None))
-            assert np.array_equal(tail.values, stack.values[:, 1:])
-            rows = slice(i_lo, j), j
-            assert np.array_equal(tail.level2(*rows), stack.level2(*rows)[:, 1:])
+        assert_rows("stack member data~lone paths", "coarsen~coarsen_reference")
 
     def test_stack_rejects_empty_and_mixed_paths(self):
         rng = np.random.default_rng(7)

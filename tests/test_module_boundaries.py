@@ -225,3 +225,25 @@ def test_every_export_is_reached():
     exports = package_exports()
     assert len(exports) >= 40
     assert [name for name in exports if name not in uses] == []
+
+
+def unused_oracles(oracle_source: str, test_sources: list[str]) -> list[str]:
+    """Top-level functions of oracle_source that no test source and no other of them names."""
+    funcs = [node for node in ast.parse(oracle_source).body if isinstance(node, ast.FunctionDef)]
+    uses = set().union(*(named_uses(source) for source in test_sources))
+    for fn in funcs:
+        uses |= named_uses(ast.get_source_segment(oracle_source, fn)) - {fn.name}
+    return [fn.name for fn in funcs if fn.name not in uses]
+
+
+def test_unused_oracle_detector_flags_an_oracle_nothing_names():
+    source = "def a():\n    return b()\n\n\ndef b():\n    pass\n\n\ndef c(x):\n    return c(x)\n"
+    assert unused_oracles(source, ["from oracles import a\n# c\n"]) == ["c"]
+    assert unused_oracles(source, ["oracles.c(1)\n"]) == ["a"]
+
+
+def test_every_oracle_is_named_by_a_test_or_another_oracle():
+    # A reference program that no test reaches checks nothing.
+    tests = [path.read_text() for path in sorted((ROOT / "tests").glob("test_*.py"))]
+    assert len(tests) >= 9
+    assert unused_oracles((ROOT / "tests" / "oracles.py").read_text(), tests) == []

@@ -1,7 +1,7 @@
 """Variation norms, metrics and greedy threshold times.
 
-Every dynamic-programming result is checked against exhaustive partition
-enumeration from oracles.py on instances small enough to enumerate.
+Hand cases, frozen values and properties; every comparison with a reference
+program from oracles.py is a row of tests/test_conformance.py.
 """
 
 from itertools import combinations
@@ -28,16 +28,11 @@ from roughwz.norms import (
     rho_pvar_metric,
 )
 
-from oracles import (
-    greedy_stops_brute,
-    greedy_stops_restarting,
-    holder_sup_loop,
-    homogeneous_brute,
-    pvar2_brute,
-    pvar_brute,
-    pvar_running_loop,
-    root_loop,
-)
+from test_conformance import assert_rows
+
+# Tests that only call assert_rows moved into tests/test_conformance.py; they
+# keep their ids and read the result of the rows that hold their cases.
+LEVEL2 = "pvar_level2,pvar_level2_distance~pvar2_brute"
 
 
 def linear_lift(n, t_max=1.0):
@@ -65,26 +60,10 @@ class TestLevel1Variation:
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_matches_enumeration(self, p):
-        rng = np.random.default_rng(int(10 * p))
-        for _ in range(25):
-            n = rng.integers(2, 9)
-            vals = rng.standard_normal((n + 1, 2))
-            assert pvar_seminorm(vals, p) == pytest.approx(pvar_brute(vals, p), rel=1e-12)
+        assert_rows("pvar_seminorm~pvar_brute")
 
     def test_batched_paths_match_their_own_variations(self):
-        # (n, B, d) holds B paths; each value is that path's own program,
-        # bit for bit.
-        rng = np.random.default_rng(47)
-        for n, batch in ((1, 1), (8, 3), (30, 6)):
-            for _ in range(3):
-                d = int(rng.integers(1, 4))
-                vals = rng.standard_normal((n + 1, batch, d))
-                got = pvar_seminorm(vals, 2.8)
-                assert got.shape == (batch,)
-                for k in range(batch):
-                    assert got[k] == pvar_seminorm(vals[:, k], 2.8)
-                    if n <= 8:
-                        assert got[k] == pytest.approx(pvar_brute(vals[:, k], 2.8), rel=1e-12)
+        assert_rows("pvar_seminorm~pvar_brute")
         assert np.array_equal(pvar_seminorm(np.zeros((1, 4, 2)), 2.8), np.zeros(4))
         assert pvar_seminorm(np.zeros((1, 2)), 2.8) == 0.0
 
@@ -98,33 +77,13 @@ class TestLevel1Variation:
 class TestRoot:
     @pytest.mark.parametrize("p", [1.2, 1.4, 2.5, 2.8, 2.835, 3.0])
     def test_stack_roots_equal_scalar_roots(self, p):
-        # The p-th root of a stack of totals has, per member, the bits of
-        # the scalar power on that member alone, over the whole float range.
-        rng = np.random.default_rng(43)
-        for shape in ((), (6,), (10, 6)):
-            total = 10.0 ** rng.uniform(-300.0, 300.0, shape)
-            got = norms._root(total, p)
-            want = root_loop(total, p)
-            assert np.shape(got) == shape and np.array_equal(got, want)
-            assert (type(got) is np.float64) == (shape == ())
-        lone = float(10.0 ** rng.uniform(-300.0, 300.0))
-        assert norms._root(lone, p) == root_loop(lone, p)
+        assert_rows("norms._root~root_loop")
 
 
 class TestPartitionSums:
     @pytest.mark.parametrize("level", [1, 2])
     def test_running_sums_match_loop_reference(self, level):
-        # Past enumeration sizes, against the plain pairwise loop over the
-        # same nodes [5, 48] of the whole path.
-        rp = random_lift(np.random.default_rng(29), 48)
-        window = rp.restrict(5, 48)
-        block_of = lambda x: x.level1 if level == 1 else x.level2
-        p = 2.8 / level
-        norms = euclidean_norms if level == 1 else frobenius_norms
-        block = block_of(window)
-        got = list(partition_sums(lambda i, j: norms(block(i, j)), p, 43))
-        want = pvar_running_loop(block_of(rp), p, 5, 48)
-        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        assert_rows("partition_sums~pvar_running_loop")
 
     def test_running_sums_are_windowed_variations(self):
         # A window's prefix sums start at its first node, so the running
@@ -136,38 +95,10 @@ class TestPartitionSums:
             assert block_variation(level2_norms(prefix), 1.4, j) == best ** (1.0 / 1.4)
 
     def test_batched_sums_match_per_member_programs(self):
-        # Norms with a member axis after the pair axis run one program per
-        # member: the running sums of a restricted stack, and its
-        # variations, are bit-identical to each restricted member's own, on
-        # random windows and at both levels.
-        rng = np.random.default_rng(43)
-        for _ in range(8):
-            n = int(rng.integers(2, 40))
-            i_lo = int(rng.integers(0, n))
-            i_hi = int(rng.integers(i_lo + 1, n + 1))
-            lifts = [random_lift(rng, n) for _ in range(int(rng.integers(1, 7)))]
-            stack = GridRoughPath.stack(lifts)
-            window = stack.restrict(i_lo, i_hi)
-            level1_norms = lambda rp: lambda i, j: euclidean_norms(rp.values[j] - rp.values[i])
-            for p, norms_of in ((2.8, level1_norms), (1.4, level2_norms)):
-                got = np.array(list(partition_sums(norms_of(window), p, i_hi - i_lo)))
-                var = block_variation(norms_of(window), p, i_hi - i_lo)
-                for k, rp in enumerate(lifts):
-                    solo_window = rp.restrict(i_lo, i_hi)
-                    solo = list(partition_sums(norms_of(solo_window), p, i_hi - i_lo))
-                    assert np.array_equal(got[:, k], solo)
-                    want = block_variation(norms_of(solo_window), p, i_hi - i_lo)
-                    assert var[k] == want
+        assert_rows("partition_sums~pvar_running_loop", "stack member data~lone paths")
 
     def test_batched_variation_matches_enumeration(self):
-        rng = np.random.default_rng(53)
-        lifts = [random_lift(rng, 8) for _ in range(4)]
-        stack = GridRoughPath.stack(lifts)
-        for i_lo, i_hi in ((0, 8), (1, 6), (3, 4)):
-            got = block_variation(level2_norms(stack.restrict(i_lo, i_hi)), 1.4, i_hi - i_lo)
-            for k, rp in enumerate(lifts):
-                want = pvar2_brute(rp.level2, 1.4, i_lo, i_hi)
-                assert got[k] == pytest.approx(want, rel=1e-12)
+        assert_rows(LEVEL2)
 
     @pytest.mark.parametrize("window", [(5, 5), (6, 5), (-1, 5), (0, 21)])
     def test_bad_window_rejected(self, window):
@@ -184,18 +115,10 @@ class TestLevel2Variation:
 
     @pytest.mark.parametrize("q", [1.0, 1.5])
     def test_matches_enumeration(self, q):
-        rng = np.random.default_rng(int(17 * q))
-        for _ in range(10):
-            rp = random_lift(rng, int(rng.integers(3, 8)))
-            n = rp.n_steps
-            got = pvar_level2(rp, q)
-            assert got == pytest.approx(pvar2_brute(rp.level2, q, 0, n), rel=1e-12)
+        assert_rows(LEVEL2)
 
     def test_window_argument(self):
-        rng = np.random.default_rng(23)
-        rp = random_lift(rng, 9)
-        got = pvar_level2(rp.restrict(2, 7), 1.0)
-        assert got == pytest.approx(pvar2_brute(rp.level2, 1.0, 2, 7), rel=1e-12)
+        assert_rows(LEVEL2)
 
 
 class TestHomogeneousNorm:
@@ -208,12 +131,7 @@ class TestHomogeneousNorm:
             homogeneous_pvar_norm(linear_lift(4), 1.5)
 
     def test_matches_enumeration(self):
-        rng = np.random.default_rng(29)
-        for p in (2.0, 2.7):
-            rp = random_lift(rng, 6)
-            got = homogeneous_pvar_norm(rp, p)
-            want = homogeneous_brute(rp.values, rp.level2, p, 0, rp.n_steps)
-            assert got == pytest.approx(want, rel=1e-12)
+        assert_rows("homogeneous_pvar_norm~homogeneous_brute")
 
     def test_pth_power_superadditive(self):
         # Concatenation can only grow the p-th power; the stopping-time
@@ -291,51 +209,20 @@ class TestHolderSeminorm:
             holder_seminorm(np.array(times), np.arange(4.0), 0.4)
 
 
-def increment_block_norms(pts):
-    return lambda i, j: euclidean_norms(pts[j] - pts[i])
-
-
-def gap_block_norms(a, b):
-    return lambda i, j: frobenius_norms(a.level2(i, j) - b.level2(i, j))
+HOLDER = "holder_seminorm,rho_alpha_metric~holder_sup_loop"
+CAPS = {1: "cap=1", 7: "cap=7", norms._RUN_PAIRS: "cap=default"}
 
 
 class TestHolderPairRuns:
     """The pair-run Hoelder sup against the per-right-end loop it replaced, with ==."""
 
     @pytest.mark.parametrize("run_pairs", [1, 7, norms._RUN_PAIRS])
-    def test_matches_per_right_end_loop(self, monkeypatch, run_pairs):
-        monkeypatch.setattr(norms, "_RUN_PAIRS", run_pairs)
-        rng = np.random.default_rng(61)
-        for _ in range(12):
-            n = int(rng.integers(2, 40))
-            d = int(rng.integers(1, 4))
-            alpha = float(rng.uniform(0.1, 0.9))
-            times = np.cumsum(rng.uniform(0.01, 0.2, n + 1))
-            pts = rng.standard_normal((n + 1, d)).cumsum(axis=0)
-            ref = holder_sup_loop(increment_block_norms(pts), times, alpha)
-            assert holder_seminorm(times, pts, alpha) == ref
-            a, b = random_lift(rng, n, d), random_lift(rng, n, d)
-            ref = holder_sup_loop(
-                increment_block_norms(a.values - b.values), a.grid.times, alpha
-            ) + holder_sup_loop(gap_block_norms(a, b), a.grid.times, 2.0 * alpha)
-            assert rho_alpha_metric(a, b, alpha) == ref
+    def test_matches_per_right_end_loop(self, run_pairs):
+        assert_rows(f"{HOLDER}[{CAPS[run_pairs]}]")
 
     @pytest.mark.parametrize("run_pairs", [7, norms._RUN_PAIRS])
-    def test_grid_with_more_pairs_than_one_run(self, monkeypatch, run_pairs):
-        monkeypatch.setattr(norms, "_RUN_PAIRS", run_pairs)
-        rng = np.random.default_rng(67)
-        n = 199  # 200 nodes, 19900 pairs: more than 2^14
-        assert n * (n + 1) // 2 > 1 << 14
-        a, b = random_lift(rng, n, 2), random_lift(rng, n, 2)
-        times = a.grid.times
-        pts = a.values
-        assert holder_seminorm(times, pts, 0.45) == holder_sup_loop(
-            increment_block_norms(pts), times, 0.45
-        )
-        ref = holder_sup_loop(
-            increment_block_norms(a.values - b.values), times, 0.45
-        ) + holder_sup_loop(gap_block_norms(a, b), times, 0.9)
-        assert rho_alpha_metric(a, b, 0.45) == ref
+    def test_grid_with_more_pairs_than_one_run(self, run_pairs):
+        assert_rows(f"{HOLDER}[{CAPS[run_pairs]},long]")
 
     @pytest.mark.parametrize("run_pairs", [1, 7, norms._RUN_PAIRS])
     def test_every_pair_is_read(self, monkeypatch, run_pairs):
@@ -355,35 +242,23 @@ class TestHolderPairRuns:
     @pytest.mark.parametrize("run_pairs", [1, 7, 1 << 14])
     def test_stack_member_sups_do_not_depend_on_the_cap(self, monkeypatch, run_pairs):
         # The cap counts pair x member values, so a stack's pairs are split
-        # into other runs than a lone path's; each member's sup stays the
-        # per-right-end loop's.
+        # into other runs than a lone path's; every pass reads at most the
+        # cap, or one pair's members.  The members' sups are conformance rows.
+        assert_rows(f"{HOLDER}[{CAPS[run_pairs]}]")
         monkeypatch.setattr(norms, "_RUN_PAIRS", run_pairs)
         rng = np.random.default_rng(73)
         for _ in range(8):
             n, d, size = int(rng.integers(1, 30)), int(rng.integers(1, 4)), int(rng.integers(1, 8))
-            alpha = float(rng.uniform(0.1, 0.9))
-            times = np.cumsum(rng.uniform(0.01, 0.2, n + 1))
             pts = rng.standard_normal((n + 1, size, d)).cumsum(axis=0)
-            block_norms = increment_block_norms(pts)
             read = []
 
             def counted(i, j):
-                read.append(block_norms(i, j))
+                read.append(euclidean_norms(pts[j] - pts[i]))
                 return read[-1]
 
-            got = norms._holder_sup(counted, times, alpha)
-            assert got.shape == (size,)
-            # Every pass reads at most the cap, or one pair's members.
+            times = np.cumsum(rng.uniform(0.01, 0.2, n + 1))
+            assert norms._holder_sup(counted, times, 0.4).shape == (size,)
             assert max(r.size for r in read) <= max(run_pairs, size)
-            for k in range(size):
-                assert got[k] == holder_sup_loop(increment_block_norms(pts[:, k]), times, alpha)
-            lifts = [random_lift(rng, n, d) for _ in range(size)]
-            stack = GridRoughPath.stack(lifts)
-            first = stack.member(slice(0, 1))
-            got = norms._holder_sup(gap_block_norms(stack, first), stack.grid.times, alpha)
-            for k, rp in enumerate(lifts):
-                want = holder_sup_loop(gap_block_norms(rp, lifts[0]), rp.grid.times, alpha)
-                assert got[k] == want
 
 
 class TestRoughMetrics:
@@ -428,14 +303,7 @@ class TestRoughMetrics:
         assert np.isnan(rho_pvar_metric(broken, clean, 2.0))
 
     def test_pvar_distance_matches_enumeration(self):
-        rng = np.random.default_rng(43)
-        for _ in range(8):
-            n = int(rng.integers(3, 7))
-            ra = random_lift(rng, n)
-            rb = random_lift(rng, n)
-            diff = lambda i, j: ra.level2(i, j) - rb.level2(i, j)
-            got = pvar_level2_distance(ra, rb, 1.5)
-            assert got == pytest.approx(pvar2_brute(diff, 1.5, 0, n), rel=1e-12)
+        assert_rows(LEVEL2)
 
 
 class TestGreedyStopping:
@@ -459,25 +327,10 @@ class TestGreedyStopping:
         assert st.count == 1
 
     def test_matches_brute_force(self):
-        rng = np.random.default_rng(53)
-        for _ in range(10):
-            rp = random_lift(rng, int(rng.integers(4, 9)))
-            eta = float(rng.uniform(0.4, 1.5))
-            st = greedy_stopping_times(rp, eta, 2.0)
-            want = greedy_stops_brute(rp.values, rp.level2, 2.0, eta)
-            assert st.indices.tolist() == want
+        assert_rows("greedy_stopping_times~greedy_stops_brute")
 
     def test_matches_restarting_program_over_the_whole_path(self):
-        # The masked pass repeats the restarting program's arithmetic: both
-        # read blocks through prefix sums from node 0.
-        rng = np.random.default_rng(97)
-        for _ in range(300):
-            n, d = int(rng.integers(4, 81)), int(rng.integers(1, 4))
-            rp = random_lift(rng, n, d)
-            p = float(rng.uniform(2.0, 3.2))
-            eta = float(rng.uniform(0.05, 1.2)) * homogeneous_pvar_norm(rp, p)
-            st = greedy_stopping_times(rp, eta, p)
-            assert st.indices.tolist() == greedy_stops_restarting(rp, eta, p)
+        assert_rows("greedy_stopping_times~greedy_stops_restarting")
 
     def test_count_bound_holds(self):
         grid = TimeGrid(0.0, 1.0, 64)
@@ -490,20 +343,7 @@ class TestGreedyStopping:
                 assert st.count <= 1 + eta ** (-2.5) * whole**2.5 + 1e-9
 
     def test_stack_members_match_restarting_program(self):
-        # One masked pass restarts each member at its own stopping nodes.
-        rng = np.random.default_rng(101)
-        for _ in range(60):
-            n, d, size = int(rng.integers(4, 81)), int(rng.integers(1, 4)), int(rng.integers(1, 7))
-            grid = TimeGrid(0.0, 1.0, n)
-            paths = [random_lift(rng, n, d) for _ in range(size)]
-            stack = GridRoughPath.stack(paths)
-            p = float(rng.uniform(2.0, 3.2))
-            eta = float(rng.uniform(0.05, 1.2)) * homogeneous_pvar_norm(paths[0], p)
-            found = greedy_stopping_times(stack, eta, p)
-            assert isinstance(found, tuple) and len(found) == size
-            for st, rp in zip(found, paths):
-                assert st.indices.tolist() == greedy_stops_restarting(rp, eta, p)
-                assert np.array_equal(st.times, grid.times[st.indices])
+        assert_rows("greedy_stopping_times~greedy_stops_restarting")
 
     def test_stack_rejected(self):
         # A stack with more than one member axis has no member order.

@@ -28,7 +28,7 @@ def smooth_path(n, extra=0):
 
 class TestDeltaParam:
     def test_width_is_multiple_of_step(self):
-        dp = DeltaParam.for_grid(TimeGrid(0.0, 1.0, 8), 4)
+        dp = DeltaParam(4, TimeGrid(0.0, 1.0, 8).h)
         assert dp.multiple == 4
         assert dp.delta == pytest.approx(0.5)
 
