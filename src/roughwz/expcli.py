@@ -173,9 +173,9 @@ class ExperimentConfig:
     max(grid_n/128, 1) node spacing (grid_n/512 for the stopping runs,
     whose greedy times need a finer grid to move smoothly); the noise and
     stopping comparisons then run on a manageable sub-grid, which measured
-    cleanest for per-seed monotonicity.  The solution experiment neither
-    uses nor checks metric_stride: it measures its distances on the full
-    grid.  field_name, y0 and m only shape the solution runs.
+    cleanest for per-seed monotonicity; a negative metric_stride is refused.
+    The solution experiment uses metric_stride no further: it measures its
+    distances on the full grid.  field_name, y0 and m only shape the solution runs.
     out_dir, when set, is where run_suite writes its reports.
     Values are checked against the field types and stored as them: integral
     values for int fields, finite real ones for float fields (y0 entries
@@ -262,8 +262,13 @@ class ExperimentConfig:
             raise ConfigError("field_name", str(exc)) from exc
         if len(self.y0) != self.m:
             raise ConfigError("y0", f"y0 has {len(self.y0)} entries for m = {self.m}")
+        if self.metric_stride < 0:
+            raise ConfigError(
+                "metric_stride",
+                f"must be >= 0, where 0 picks the calibrated stride; got {self.metric_stride}",
+            )
         stride = self.stride
-        if self.experiment != "solution" and (stride < 1 or self.grid_n % stride != 0):
+        if self.experiment != "solution" and self.grid_n % stride != 0:
             if self.metric_stride:
                 raise ConfigError(
                     "metric_stride", f"stride {stride} must divide grid_n = {self.grid_n}"

@@ -17,18 +17,23 @@ p-variation program: over nodes 0..j the maximal partition sum satisfies
     best[j] = max_{i < j} ( best[i] + |block_{i,j}|^p ),
 
 because an optimal partition of [0, j] ends with some block [i, j].  It
-reads one row, norms(slice(0, j), j), per right end and yields best[j]
-for one right end after another, so greedy stopping can restart members
-between right ends; block_variation runs it over the whole grid.  Over
-member axes the same program, and the final root, run per member, so a
-stack member's variation is that path's own bit for bit.  The Hoelder
-sup takes  max |block_{i,j}| / (t_j - t_i)^alpha  over the same pairs in
-no particular order, so it reads runs of whole and split rows as index
-arrays, each run at most _RUN_PAIRS pair x member values (a lone 129-node
-path is one run, a 6-member stack of it four), and reduces over the
-pair axis only, per member.  Every norm is taken over the whole grid of
-its path; over nodes [i, j] it is the norm of rp.restrict(i, j), and no
-measure takes a node range.
+yields best[j] for one right end after another, so greedy stopping can
+restart members between right ends; block_variation runs it over the
+whole grid.  Over member axes the same program, and the final root, run
+per member, so a stack member's variation is that path's own bit for bit.
+
+Both kernels read pairs through _pair_runs: every pair, ordered by right
+end and then left end, as index arrays in runs of whole and split rows,
+each run at most _RUN_PAIRS pair x member values (a lone 129-node path is
+one run, a 6-member stack of it four).  The Hoelder sup takes
+max |block_{i,j}| / (t_j - t_i)^alpha  over each run and reduces over the
+pair axis only, per member.  partition_sums reads the runs into one table
+of |block|^p when the grid's pairs x members fit _TABLE_PAIRS (the
+129-node noise grid with its 6 members does), and each right end then
+reads its row of the table; on larger grids (513-node stopping, 1025-node
+solution) it reads one row, norms(slice(0, j), j), per right end.  Every
+norm is taken over the whole grid of its path; over nodes [i, j] it is
+the norm of rp.restrict(i, j), and no measure takes a node range.
 
 The homogeneous rough-path norm combines the levels as
 
@@ -43,7 +48,7 @@ stopping nodes through the restart mask partition_sums takes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator
+from typing import Callable, Generator, Iterator
 
 import numpy as np
 
@@ -73,9 +78,13 @@ PairNorms = Callable[[slice | np.ndarray, int | np.ndarray], np.ndarray]
 # mask of members to restart (see partition_sums).
 _RunningSums = Generator[float | np.ndarray, np.ndarray | None, None]
 
-# Most pair x member values one pass of the Hoelder sup reads (0.13 MB per
-# float64 array of them).
+# Most pair x member values one run of _pair_runs reads (0.13 MB per float64
+# array of them).
 _RUN_PAIRS = 1 << 14
+# Most pair x member values partition_sums keeps as one table of |block|^p
+# (0.5 MB of float64): the 129-node noise grid fits, the 513- and 1025-node
+# grids, where a table measured no faster than per-row reads, do not.
+_TABLE_PAIRS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -103,11 +112,23 @@ def partition_sums(norms: PairNorms, p: float, n_steps: int) -> _RunningSums:
     and from then on yield the sums over partitions of [j, .].  Their sums
     before j become -inf and their sum at j becomes 0, so a left end before
     j never wins the max.  A plain for loop sends nothing.
+
+    A grid whose pair x member values fit _TABLE_PAIRS has every |block|^p
+    read first, run by run, into one table; a larger one has one row,
+    norms(slice(0, j), j), read per right end.
     """
+    members = _member_shape(norms)
+    best = np.zeros((n_steps + 1,) + members)
+    n_pairs = n_steps * (n_steps + 1) // 2
+    table = None
+    if n_pairs * int(np.prod(members)) <= _TABLE_PAIRS:
+        table, k = np.empty((n_pairs,) + members), 0
+        for i, j in _pair_runs(n_steps + 1, members):
+            table[k : k + len(i)] = norms(i, j) ** p
+            k += len(i)
     for j in range(1, n_steps + 1):
-        terms = norms(slice(0, j), j) ** p
-        if j == 1:
-            best = np.zeros((n_steps + 1,) + terms.shape[1:])
+        k = j * (j - 1) // 2  # position of pair (0, j) in the table
+        terms = norms(slice(0, j), j) ** p if table is None else table[k : k + j]
         best[j] = (best[:j] + terms).max(axis=0)
         restart = yield best[j]
         if restart is not None:
@@ -122,31 +143,47 @@ def _root(total: float | np.ndarray, p: float) -> float | np.ndarray:
 
 def block_variation(norms: PairNorms, p: float, n_steps: int) -> float | np.ndarray:
     """Exact p-variation of the blocks behind a pair-norm function over nodes 0..n_steps."""
+    if n_steps == 0:
+        return np.zeros(_member_shape(norms))[()]
     for best in partition_sums(norms, p, n_steps):
         pass
     return _root(best, p)
 
 
-def _holder_sup(norms: PairNorms, times: np.ndarray, alpha: float) -> float | np.ndarray:
-    """sup over node pairs i < j of |block_{i,j}| / (t_j - t_i)^alpha, per member.
+def _member_shape(norms: PairNorms) -> tuple[int, ...]:
+    """The member axes of a pair-norm function, read off an empty run of pairs."""
+    none = np.arange(0)
+    return norms(none, none).shape[1:]
 
-    The pairs, ordered by right end and then left end, are read as index
-    arrays in runs of at most _RUN_PAIRS pair x member values; the member
-    shape is read off an empty run.  A member is NaN if any of its ratios is.
+
+def _pair_runs(n_nodes: int, members: tuple[int, ...]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Node pairs i < j as index arrays (i, j), in runs of at most _RUN_PAIRS pair x member values.
+
+    The pairs are ordered by right end and then left end; a run holds at
+    least one pair.
     """
-    nodes = np.arange(len(times))
-    members = norms(nodes[:0], nodes[:0]).shape[1:]
+    nodes = np.arange(n_nodes)
     run = max(_RUN_PAIRS // int(np.prod(members)), 1)
     row_start = nodes * (nodes - 1) // 2  # position of pair (0, j) in that order
-    n_pairs = len(times) * (len(times) - 1) // 2
-    out = np.zeros(members)
+    n_pairs = n_nodes * (n_nodes - 1) // 2
     for k0 in range(0, n_pairs, run):
         k1 = min(k0 + run, n_pairs)
         j0, j1 = np.searchsorted(row_start, [k0, k1 - 1], side="right") - 1
         rows = nodes[j0 : j1 + 1, None]
         j, i = np.nonzero(nodes[:j1] < rows)
         skip = k0 - row_start[j0]
-        i, j = i[skip : skip + k1 - k0], j[skip : skip + k1 - k0] + j0
+        yield i[skip : skip + k1 - k0], j[skip : skip + k1 - k0] + j0
+
+
+def _holder_sup(norms: PairNorms, times: np.ndarray, alpha: float) -> float | np.ndarray:
+    """sup over node pairs i < j of |block_{i,j}| / (t_j - t_i)^alpha, per member.
+
+    The pairs are read in the runs of _pair_runs.  A member is NaN if any
+    of its ratios is.
+    """
+    members = _member_shape(norms)
+    out = np.zeros(members)
+    for i, j in _pair_runs(len(times), members):
         gaps = (times[j] - times[i]) ** alpha
         ratio = norms(i, j) / gaps.reshape(gaps.shape + (1,) * len(members))
         out = np.maximum(out, ratio.max(axis=0))

@@ -137,6 +137,23 @@ def pvar_running_loop(block, p: float, i: int, j: int) -> list[float]:
     return best[1:]
 
 
+def partition_sums_rows(norms, p: float, n_steps: int):
+    """Running partition sums reading one row norms(slice(0, j), j) per right end.
+
+    The program norms.partition_sums ran on every grid before it read small
+    grids from a table of every pair; restart masks sent back act as there.
+    """
+    for j in range(1, n_steps + 1):
+        terms = norms(slice(0, j), j) ** p
+        if j == 1:
+            best = np.zeros((n_steps + 1,) + terms.shape[1:])
+        best[j] = (best[:j] + terms).max(axis=0)
+        restart = yield best[j]
+        if restart is not None:
+            best[:j, restart] = -np.inf
+            best[j, restart] = 0.0
+
+
 def holder_sup_loop(block_norms, times: np.ndarray, alpha: float) -> float:
     """sup over node pairs i < j of |block_{i,j}| / (t_j - t_i)^alpha, one right end at a time.
 

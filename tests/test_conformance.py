@@ -184,6 +184,7 @@ class Row:
     cases: Cases
     whole: bool = False
     run_pairs: int | None = None  # norms._RUN_PAIRS while the row runs
+    table_pairs: int | None = None  # norms._TABLE_PAIRS while the row runs
 
 
 def agree(got, want, comparison) -> bool:
@@ -242,6 +243,27 @@ def running_sums(c):
     w = c.win(c.rp)
     levels = ((increments(w.values), c.p), (level2s(w), c.q))
     return tuple(c.first(np.array(list(norms.partition_sums(f, q, w.n_steps)))) for f, q in levels)
+
+
+def table_sums(c, program, variation):
+    """Over both levels of the window: the running sums of program, the same
+    with each member restarted wherever its sum reaches eta_share of its last
+    plain one, and variation(norms, p, n_steps)."""
+    w = c.win(c.rp)
+    out = []
+    for f, q in ((increments(w.values), c.p), (level2s(w), c.q)):
+        plain = np.array(list(program(f, q, w.n_steps)))
+        sums, restart, again = [], None, program(f, q, w.n_steps)
+        for _ in range(w.n_steps):
+            sums.append(np.array(again.send(restart)))  # a copy: a restart rewrites the yield
+            restart = sums[-1] >= c.eta_share * plain[-1]
+        out += [c.first(plain), c.first(np.array(sums)), variation(f, q, w.n_steps)]
+    return tuple(out)
+
+
+def rows_variation(f, q, n_steps):
+    *_, last = oracles.partition_sums_rows(f, q, n_steps)
+    return oracles.root_loop(last, q)
 
 
 def roots(c, root):
@@ -400,6 +422,10 @@ SHORT = Cases(lone=12, stacks=8, n=(1, 40), stack_n=(1, 30))
 LONG = Cases(lone=1, stacks=0, n=(1, 200))
 HOLDER_RUNS = [("cap=1", 1, SHORT), ("cap=7", 7, SHORT), ("cap=7,long", 7, LONG),
                ("cap=default", None, SHORT), ("cap=default,long", None, LONG)]
+# (cap, norms._TABLE_PAIRS) of the table rows: 0 reads every grid by rows, 1
+# reads a table of a lone path's one pair only, and at the default cap every
+# case reads a table, stacks of 64 to 128 steps too (the noise grid has 128).
+TABLE_CAPS = [("cap=0", 0), ("cap=1", 1), ("cap=default", None)]
 
 ROWS = [
     Row("pvar_seminorm~pvar_brute",
@@ -421,6 +447,11 @@ ROWS = [
         lambda c: (oracles.pvar_running_loop(c.rp.level1, c.p, *c.window),
                    oracles.pvar_running_loop(c.rp.level2, c.q, *c.window)),
         Tol(1e-12, WINDOWED), Cases(lone=4, stacks=4, n=(2, 64))),
+    *(Row(f"partition_sums[table]~partition_sums_rows[{cap}]",
+          lambda c: table_sums(c, norms.partition_sums, norms.block_variation),
+          lambda c: table_sums(c, oracles.partition_sums_rows, rows_variation),
+          EXACT, Cases(lone=12, stacks=12, n=(1, 40), stack_n=(64, 128)), table_pairs=table_pairs)
+      for cap, table_pairs in TABLE_CAPS),
     Row("norms._root~root_loop", lambda c: roots(c, norms._root),
         lambda c: roots(c, oracles.root_loop), EXACT,
         Cases(lone=6, stacks=12, n=(1, 12), p=(1.0, 3.5)), whole=True),
@@ -473,6 +504,8 @@ def failures(row_id: str) -> tuple[str, ...]:
     with pytest.MonkeyPatch.context() as mp:
         if row.run_pairs is not None:
             mp.setattr(norms, "_RUN_PAIRS", row.run_pairs)
+        if row.table_pairs is not None:
+            mp.setattr(norms, "_TABLE_PAIRS", row.table_pairs)
         for k, case in enumerate(draw(row.id, row.cases)):
             if row.whole:
                 checks = [(row.fast(case), row.oracle(case), row.comparison)]

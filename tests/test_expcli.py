@@ -122,6 +122,8 @@ class TestConfigValidation:
             pytest.param(
                 "grid_n", {"experiment": "stopping", "grid_n": 2000}, id="grid_n-kwargs40"
             ),
+            # A negative stride is refused by every experiment, solution too.
+            pytest.param("metric_stride", {"metric_stride": -2}, id="metric_stride-kwargs41"),
         ],
     )
     def test_each_field_is_guarded(self, field, kwargs):
@@ -657,6 +659,14 @@ class TestCli:
     def test_bad_ladder_string(self, capsys):
         assert main(["--experiment", "stopping", "--delta-ladder", "a,b"]) == 2
         assert "delta_ladder" in capsys.readouterr().err
+
+    def test_negative_metric_stride_is_usage_error(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "noise", "n_seeds": 30, "metric_stride": -2}))
+        assert main(["--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'metric_stride'" in err and ">= 0" in err and "divide" not in err
 
     def test_field_dimension_mismatch_is_usage_error(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from roughwz import norms
+from roughwz.expcli import ExperimentConfig
 from roughwz.fbm import FbmParams, FbmSampler, SamplePath, TimeGrid
 from roughwz.lift import GridRoughPath, lift_left_riemann
 from roughwz.norms import (
@@ -105,6 +106,39 @@ class TestPartitionSums:
         rp = random_lift(np.random.default_rng(37), 20)
         with pytest.raises(ValueError, match="window"):
             pvar_level2(rp.restrict(*window), 1.4)
+
+    @pytest.mark.parametrize("members", [(), (4,), (2, 3)])
+    def test_no_steps_give_zeros_of_the_member_shape(self, members):
+        pts = np.ones((1, *members, 2))
+        got = block_variation(lambda i, j: euclidean_norms(pts[j] - pts[i]), 2.5, 0)
+        want = pvar_seminorm(pts, 2.5)
+        assert type(got) is type(want) and np.shape(got) == members
+        assert np.array_equal(got, want) and not np.any(got)
+
+    # The calibrated stacks: noise measures its 6 ladder members on the coarse
+    # grid, stopping the driver's lift and 5 ladder lifts, solution 5 ladder
+    # solutions on the full grid.
+    @pytest.mark.parametrize(
+        "experiment, n_steps, members, tabled",
+        [("noise", 128, 6, True), ("stopping", 512, 6, False), ("solution", 1024, 5, False)],
+    )
+    def test_only_the_noise_grid_reads_a_table(self, experiment, n_steps, members, tabled):
+        cfg = ExperimentConfig(experiment=experiment, n_seeds=30)
+        steps = cfg.grid_n if experiment == "solution" else cfg.grid_n // cfg.stride
+        assert (steps, len(cfg.delta_ladder) + (experiment == "stopping")) == (n_steps, members)
+        pts = np.zeros((n_steps + 1, members, 1))
+        reads = []
+
+        def read(i, j):
+            out = euclidean_norms(pts[j] - pts[i])
+            reads.append((isinstance(i, slice), out.size))
+            return out
+
+        next(partition_sums(read, cfg.p, n_steps))
+        by_rows, sizes = zip(*reads)
+        assert any(by_rows) is not tabled
+        # A table is read in runs of at most the run cap, never in one call.
+        assert not tabled or (len(reads) > 2 and max(sizes) <= norms._RUN_PAIRS)
 
 
 class TestLevel2Variation:
@@ -239,7 +273,7 @@ class TestHolderPairRuns:
                 ]
                 assert holder_seminorm(times, pts, 0.4) == max(ratios, default=0.0)
 
-    @pytest.mark.parametrize("run_pairs", [1, 7, 1 << 14])
+    @pytest.mark.parametrize("run_pairs", [1, 7, norms._RUN_PAIRS])
     def test_stack_member_sups_do_not_depend_on_the_cap(self, monkeypatch, run_pairs):
         # The cap counts pair x member values, so a stack's pairs are split
         # into other runs than a lone path's; every pass reads at most the
