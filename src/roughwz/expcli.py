@@ -817,6 +817,15 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, CovarianceFactorizationError, GridAlignmentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        given = [k for k in ("d", "m", "grid_n", "n_seeds") if k in fields]
+        sizes = ", ".join(f"{k} = {fields[k]}" for k in given)
+        print(
+            f"error: out of memory at {sizes or 'the default sizes'} "
+            f"({exc or 'MemoryError'}); reduce the sizes",
+            file=sys.stderr,
+        )
+        return 2
     for gate in report.gates:
         status = "pass" if gate.passed else "FAIL"
         seeds = ""

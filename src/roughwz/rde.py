@@ -88,7 +88,6 @@ class VectorField:
     f: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
     dg: Callable[[np.ndarray], np.ndarray]
-    name: str = "custom"
 
 
 def _sin_g_field(m: int, d: int, amp: float, drift: float) -> VectorField:
@@ -105,14 +104,7 @@ def _sin_g_field(m: int, d: int, amp: float, drift: float) -> VectorField:
     def f(y: np.ndarray) -> np.ndarray:
         return drift * np.cos(y)
 
-    return VectorField(
-        m=m,
-        d=d,
-        f=f,
-        g=g,
-        dg=dg,
-        name="sin-g",
-    )
+    return VectorField(m=m, d=d, f=f, g=g, dg=dg)
 
 
 def _additive_field(m: int, d: int) -> VectorField:
@@ -123,7 +115,6 @@ def _additive_field(m: int, d: int) -> VectorField:
         f=np.zeros_like,
         g=lambda y: np.broadcast_to(sig, y.shape[:-1] + (m, d)),
         dg=lambda y: np.zeros(y.shape[:-1] + (m, d, m)),
-        name="additive",
     )
 
 
@@ -134,7 +125,6 @@ def _drift_only_field(m: int, d: int, rate: float) -> VectorField:
         f=lambda y: -rate * y,
         g=lambda y: np.zeros(y.shape[:-1] + (m, d)),
         dg=lambda y: np.zeros(y.shape[:-1] + (m, d, m)),
-        name="drift-only",
     )
 
 
@@ -150,14 +140,7 @@ def _linear_g_field(m: int, d: int) -> VectorField:
     def dg(y: np.ndarray) -> np.ndarray:
         return np.broadcast_to(dg_const, y.shape[:-1] + dg_const.shape)
 
-    return VectorField(
-        m=m,
-        d=d,
-        f=np.zeros_like,
-        g=g,
-        dg=dg,
-        name="linear-g",
-    )
+    return VectorField(m=m, d=d, f=np.zeros_like, g=g, dg=dg)
 
 
 # name -> (builder, its parameters with their defaults)
@@ -270,11 +253,13 @@ class ControlledPath:
 def solve_rde(vf: VectorField, rp: GridRoughPath, y0: np.ndarray) -> ControlledPath:
     """Explicit one-step solution over the driver's whole window.
 
-    A single driver raises SolverBlowUpError at the first non-finite state.
-    A stacked driver advances every member from y0 in one step loop, the
-    field's callables seeing states of shape (*members, m); a member whose
-    state leaves the finite range is NaN from that node on while the others
-    carry on, so its first NaN node locates its blow-up.
+    A lone driver is a stack with no member axes: one step loop advances
+    every member from y0, the field's callables seeing states of shape
+    (*members, m), and each member sums as its lone driver does.  One rule
+    handles blow-ups: a member is dead from the first node where its state
+    is not finite.  A stack's dead members are NaN from that node on while
+    the others carry on, so a member's first NaN node locates its blow-up;
+    a lone driver raises SolverBlowUpError at that node.
     """
     if vf.d != rp.d:
         raise ValueError(f"field expects d={vf.d} driver components, driver has {rp.d}")
@@ -292,21 +277,22 @@ def solve_rde(vf: VectorField, rp: GridRoughPath, y0: np.ndarray) -> ControlledP
         for u in range(n):
             gy = vf.g(y)
             gub[u] = gy
-            gw = gy @ inc2[u]  # gw[..., e, c] = sum_b g^{e,b} X2^{b,c}
+            # gw[..., c*m + e] = sum_b g^{e,b} X2^{b,c}, in the (c, e) order of dg[..., a, c, e].
+            gw = np.swapaxes(gy @ inc2[u], -1, -2).reshape(members + (vf.d * vf.m, 1))
             y = (
                 y
                 + vf.f(y) * h
                 + (gy @ inc1[u][..., None])[..., 0]
-                + np.einsum("...ace,...ec->...a", vf.dg(y), gw)
+                + (vf.dg(y).reshape(members + (vf.m, vf.d * vf.m)) @ gw)[..., 0]
             )
-            if not members and not np.isfinite(y).all():
-                raise SolverBlowUpError(u + 1, float(rp.grid.times[u + 1]))
             values[u + 1] = y
         gub[n] = vf.g(y)
-    if members:
-        dead = np.logical_or.accumulate(~np.isfinite(values).all(axis=-1), axis=0)
-        values[dead] = np.nan
-        gub[dead] = np.nan
+    dead = np.logical_or.accumulate(~np.isfinite(values).all(axis=-1), axis=0)
+    if dead.ndim == 1 and dead[-1]:
+        node = int(dead.argmax())
+        raise SolverBlowUpError(node, float(rp.grid.times[node]))
+    values[dead] = np.nan
+    gub[dead] = np.nan
     return ControlledPath(values, gub, rp)
 
 

@@ -258,6 +258,24 @@ def einsum_remainder(cp, i, j) -> np.ndarray:
     return cp.values[j] - cp.values[i] - lin
 
 
+def einsum_solve(vf, rp: GridRoughPath, y0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and Gubinelli derivatives of the one-step scheme on a lone driver.
+
+    The step solve_rde took before its second-order term became one matmul:
+    (Dg(y) g(y) X2)^a = sum_{c,e} dg[a, c, e] (g X2)[e, c], by einsum.
+    """
+    y = np.asarray(y0, dtype=float)
+    values, gub = [y], []
+    for u in range(rp.n_steps):
+        gy = vf.g(y)
+        gub.append(gy)
+        second = np.einsum("ace,ec->a", vf.dg(y), gy @ rp.inc2[u])
+        y = y + vf.f(y) * rp.grid.h + (gy @ rp.inc1[u][:, None])[:, 0] + second
+        values.append(y)
+    gub.append(vf.g(y))
+    return np.array(values), np.array(gub)
+
+
 def smoothed_value(times: np.ndarray, values: np.ndarray, t: float, delta: float) -> np.ndarray:
     """One node of the width-delta smoothing, by trapezoid quadrature.
 

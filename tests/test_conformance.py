@@ -324,9 +324,21 @@ def pair_forms(c, loop):
     return tuple(out)
 
 
+def sin_g(c):
+    """The sin-g field and a start state, m (1 to 3) and y0 drawn from the case's seed."""
+    rng = c.rng()
+    m = int(rng.integers(1, 4))
+    return rde.builtin_vector_field("sin-g", m, c.d), 0.5 * rng.standard_normal(m)
+
+
 def solve(c, driver):
-    y0 = 0.5 * c.rng().standard_normal(2)
-    return rde.solve_rde(rde.builtin_vector_field("sin-g", 2, c.d), driver, y0)
+    vf, y0 = sin_g(c)
+    return rde.solve_rde(vf, driver, y0)
+
+
+def einsum_solved(c):
+    vf, y0 = sin_g(c)
+    return ((0.0, 1.0, c.n), *oracles.einsum_solve(vf, c.rp, y0))
 
 
 def distance(c, a, b):
@@ -415,6 +427,10 @@ CHEN = (
     "sums; an entry that chen_fold gives as 0, such as the upper triangle of a geometric "
     "step, is held to 1e-12 absolute"
 )
+STEPPED = (
+    "einsum sums the second-order term's (c, e) pairs in another order than one matmul, "
+    "and each step carries the rounding on; an entry near 0 is held to 1e-12 absolute"
+)
 SHIFTED = "the Hoelder gaps t_j - t_i are differences of translated node times"
 # (cap, norms._RUN_PAIRS, cases) of the Hoelder rows; the long grid, n = 200 with
 # 20100 node pairs, holds more pairs than one run of the default cap.
@@ -472,6 +488,8 @@ ROWS = [
     Row("coarsen~coarsen_reference", lambda c: c.rp.coarsen(c.stride),
         lambda c: ((0.0, 1.0, c.n // c.stride), *oracles.coarsen_reference(c.rp, c.stride)),
         EXACT, Cases(lone=12, stacks=12, n=(1, 30))),
+    Row("solve_rde~einsum_solve", lambda c: solve(c, c.rp), einsum_solved,
+        Tol(1e-12, STEPPED, floor=1.0), Cases(lone=12, stacks=6, n=(1, 40))),
     Row("solution_distance~enumeration",
         lambda c: distance(c, solve(c, c.rp), solve(c, c.other)),
         enumerated_distance,

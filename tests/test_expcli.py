@@ -688,6 +688,21 @@ class TestCli:
         assert rc == 2
         assert "negative circulant eigenvalue" in capsys.readouterr().err
 
+    # The field check of the config and the sampler set-up each allocate
+    # arrays that grow with d.  d stays small where the field check is real.
+    @pytest.mark.parametrize("target, d", [("builtin_vector_field", 10**9), ("FbmSampler", 3)])
+    def test_out_of_memory_is_usage_error(self, capsys, monkeypatch, tmp_path, target, d):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(f"Unable to allocate 14.9 GiB for an array with shape (2, {d})")
+
+        monkeypatch.setattr(f"roughwz.expcli.{target}", out_of_memory)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "stopping", "d": d, "n_seeds": 2}))
+        assert main(["--config", str(cfg_path), "--grid-n", "64", "--delta-ladder", "4,2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert f"d = {d}" in err and "grid_n = 64" in err and "14.9 GiB" in err
+
     @pytest.mark.parametrize(
         "name, fields",
         [

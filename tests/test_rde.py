@@ -164,12 +164,22 @@ class TestSolverOracles:
             f=lambda y: 1e300 * y,
             g=lambda y: np.zeros((1, 1)),
             dg=lambda y: np.zeros((1, 1, 1)),
-            name="stiff",
         )
         with pytest.raises(SolverBlowUpError) as exc:
             solve_rde(vf, linear_lift(16), np.ones(1))
         assert exc.value.node_index >= 1
         assert 0.0 < exc.value.time <= 1.0
+
+    def test_non_finite_start_is_a_blow_up_at_node_zero(self):
+        # The one blow-up rule: a lone driver raises at the first non-finite
+        # node, and every member of a stack is NaN from that node on.
+        vf = builtin_vector_field("sin-g", 2, 2)
+        y0 = np.array([np.inf, 0.0])
+        rp = fbm_lift(16, seed=75)
+        with pytest.raises(SolverBlowUpError) as exc:
+            solve_rde(vf, rp, y0)
+        assert (exc.value.node_index, exc.value.time) == (0, 0.0)
+        assert np.isnan(solve_rde(vf, GridRoughPath.stack((rp, rp)), y0).values).all()
 
 
 def overflowing_lift(n, node, seed=86):
@@ -182,8 +192,9 @@ def overflowing_lift(n, node, seed=86):
 
 
 class TestBatchedSolver:
-    # The stacked step runs the same numpy operations on stacked states as
-    # the single-driver step does on one state, so results are bit-identical.
+    # A lone driver is a stack with no member axes: the step runs the same
+    # numpy operations, each contraction one matmul, on stacked states as on
+    # one state, so a member is bit-identical to its lone solve at every m and d.
     @pytest.mark.parametrize(
         "name, m", [("additive", 3), ("drift-only", 2), ("linear-g", 2), ("sin-g", 2), ("sin-g", 3)]
     )
@@ -202,16 +213,18 @@ class TestBatchedSolver:
             assert np.array_equal(cp.values, solo.values)
             assert np.array_equal(cp.gubinelli, solo.gubinelli)
 
-    @pytest.mark.xfail(
-        strict=True, reason="a stack with m = d = 3 solves otherwise than its members alone"
-    )
-    def test_batch_matches_per_driver_solves_at_m_and_d_three(self):
-        vf = builtin_vector_field("sin-g", 3, 3)
-        y0 = np.linspace(0.4, -0.3, 3)
-        members = [fbm_lift(64, seed=85, d=3, counter=k) for k in range(6)]
+    @pytest.mark.parametrize("name", VECTOR_FIELD_CATALOG)
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("size", [1, 6])
+    def test_batch_matches_per_driver_solves_at_m_equal_d(self, name, m, size):
+        vf = builtin_vector_field(name, m, m)
+        y0 = np.linspace(0.4, -0.3, m)
+        members = [fbm_lift(64, seed=85, d=m, counter=k) for k in range(size)]
         solved = solve_rde(vf, GridRoughPath.stack(members), y0)
         for k, rp in enumerate(members):
-            assert np.array_equal(solved.member(k).values, solve_rde(vf, rp, y0).values)
+            solo = solve_rde(vf, rp, y0)
+            assert np.array_equal(solved.member(k).values, solo.values)
+            assert np.array_equal(solved.member(k).gubinelli, solo.gubinelli)
 
     def test_blown_up_member_is_masked_and_located(self):
         vf = builtin_vector_field("linear-g", 2, 2)
