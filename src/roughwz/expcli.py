@@ -34,8 +34,8 @@ The noise and stopping experiments compare lifts on a coarsened stack
 the restriction is exact).  Each lift is coarsened before it is stacked, so
 no seed holds its whole fine stack.  noise measures all approximants
 against member 0 in one call per metric; stopping finds the greedy
-stopping times of the whole stack in one call and takes the homogeneous
-norm one approximant at a time.  The solution experiment ignores
+stopping times of the whole stack in one call and the homogeneous norms
+of all its approximants in another.  The solution experiment ignores
 metric_stride: its distances run on the full grid_n grid, where its gates
 (the sup ceiling above all) are calibrated.
 
@@ -152,6 +152,13 @@ def _as_field_type(value, hint):
 # 2**63 make numpy fail with a traceback rather than a config error.
 _MAX_GRID_N = 2**24
 
+# d and m above this are refused before the field check builds the vector
+# field, whose coefficient tables hold m x d values (14.9 GiB at m = 2 and
+# d = 10**9).  A lift holds d**2 level-2 values per node and member, 50 GB
+# for a 6-member ladder on 1025 nodes at the bound, so the bound refuses
+# no size a calibrated run could hold.
+_MAX_DIM = 2**10
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -176,6 +183,7 @@ class ExperimentConfig:
     cleanest for per-seed monotonicity; a negative metric_stride is refused.
     The solution experiment uses metric_stride no further: it measures its
     distances on the full grid.  field_name, y0 and m only shape the solution runs.
+    d and m are at most 2**10.
     out_dir, when set, is where run_suite writes its reports.
     Values are checked against the field types and stored as them: integral
     values for int fields, finite real ones for float fields (y0 entries
@@ -224,10 +232,10 @@ class ExperimentConfig:
                 f"H = {self.H!r} is too close to 1/3 for 1/3 < beta < beta_prime < H "
                 f"in floating point (beta = {self.beta!r}, beta_prime = {self.beta_prime!r})",
             )
-        if self.d < 1:
-            raise ConfigError("d", f"driver dimension must be >= 1, got {self.d}")
-        if self.m < 1:
-            raise ConfigError("m", f"state dimension must be >= 1, got {self.m}")
+        if not 1 <= self.d <= _MAX_DIM:
+            raise ConfigError("d", f"driver dimension must be 1 to {_MAX_DIM}, got {self.d}")
+        if not 1 <= self.m <= _MAX_DIM:
+            raise ConfigError("m", f"state dimension must be 1 to {_MAX_DIM}, got {self.m}")
         if self.grid_n == 0:
             default_n = 4096 if self.experiment == "noise" else 1024
             object.__setattr__(self, "grid_n", default_n)
@@ -652,12 +660,13 @@ def run_stopping_time_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
     def measure(idx: int, path, lifts) -> np.ndarray:
         coarse = GridRoughPath.stack(rp.coarsen(cfg.stride) for rp in lifts)
         st_true, *st_wzs = greedy_stopping_times(coarse, cfg.eta, p)
+        norms_wz = homogeneous_pvar_norm(coarse.member(slice(1, None)), p)
         out = np.empty((3, n_delta))
         for col, st_wz in enumerate(st_wzs):
-            wz = coarse.member(col + 1)
             m = min(len(st_true.times), len(st_wz.times))
             out[0, col] = np.abs(st_true.times[:m] - st_wz.times[:m]).max()
-            total = homogeneous_pvar_norm(wz, p) ** p
+            # A scalar power per member: numpy's array power may round an ulp off.
+            total = norms_wz[col] ** p
             out[1, col] = 1.0 + total / thresh - st_wz.count
             out[2, col] = st_wz.count
         return out

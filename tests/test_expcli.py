@@ -124,6 +124,10 @@ class TestConfigValidation:
             ),
             # A negative stride is refused by every experiment, solution too.
             pytest.param("metric_stride", {"metric_stride": -2}, id="metric_stride-kwargs41"),
+            # Dimensions past the bound, refused before the field is built.
+            pytest.param("d", {"d": 2**10 + 1}, id="d-kwargs42"),
+            pytest.param("m", {"m": 2**10 + 1}, id="m-kwargs43"),
+            pytest.param("m", {"m": 0}, id="m-kwargs44"),
         ],
     )
     def test_each_field_is_guarded(self, field, kwargs):
@@ -350,19 +354,19 @@ class TestReports:
         assert seen == {"solve": [32, 32], "distance": 2}
         assert all(np.isfinite(value) for *_, value in rep.rows)
 
-    def test_stopping_makes_one_greedy_call_per_seed(self, monkeypatch):
+    def test_stopping_makes_one_greedy_and_one_homogeneous_call_per_seed(self, monkeypatch):
         # The benchmark's tracer also wraps expcli.greedy_stopping_times and
         # expcli.homogeneous_pvar_norm by name.  Greedy stopping takes each
-        # seed's whole coarse stack at once; the homogeneous norm still takes
-        # one approximant at a time.
-        seen = {"greedy": [], "homogeneous": 0}
+        # seed's whole coarse stack at once, the homogeneous norm the stack
+        # of its approximants.
+        seen = {"greedy": [], "homogeneous": []}
 
         def counting_greedy(rp, eta, p):
             seen["greedy"].append(rp.inc1.shape[1:-1])
             return greedy_stopping_times(rp, eta, p)
 
         def counting_homogeneous(rp, p):
-            seen["homogeneous"] += 1
+            seen["homogeneous"].append(rp.inc1.shape[1:-1])
             return homogeneous_pvar_norm(rp, p)
 
         monkeypatch.setattr("roughwz.expcli.greedy_stopping_times", counting_greedy)
@@ -370,7 +374,7 @@ class TestReports:
         ladder = (8, 4, 2)
         cfg = ExperimentConfig(experiment="stopping", n_seeds=3, grid_n=64, delta_ladder=ladder)
         rep = run_suite(cfg)
-        assert seen == {"greedy": [(1 + len(ladder),)] * 3, "homogeneous": 3 * len(ladder)}
+        assert seen == {"greedy": [(1 + len(ladder),)] * 3, "homogeneous": [(len(ladder),)] * 3}
         assert all(np.isfinite(value) for *_, value in rep.rows)
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
@@ -420,6 +424,22 @@ class TestReports:
             float(value)
             for idx in range(cfg.n_seeds)
             for value in loop(cfg, sampler.sample(idx)).T.ravel()
+        ]
+        assert [value for *_, value in run_suite(cfg).rows] == expected
+
+    def test_calibrated_stopping_rows_equal_the_per_rung_loop(self):
+        # At the calibrated grid (1024 steps, stride 2, ladder 32..2) the
+        # norms run far enough for a power that rounds an ulp off to show in
+        # the rows; the 64-step ladder tables above miss such a change.
+        cfg = ExperimentConfig(experiment="stopping", n_seeds=2)
+        sampler = FbmSampler(
+            cfg.grid.extended(cfg.delta_ladder[0]),
+            FbmParams(H=cfg.H, d=cfg.d, seed=cfg.master_seed),
+        )
+        expected = [
+            float(value)
+            for idx in range(cfg.n_seeds)
+            for value in oracles.stopping_ladder_loop(cfg, sampler.sample(idx)).T.ravel()
         ]
         assert [value for *_, value in run_suite(cfg).rows] == expected
 
@@ -689,8 +709,9 @@ class TestCli:
         assert "negative circulant eigenvalue" in capsys.readouterr().err
 
     # The field check of the config and the sampler set-up each allocate
-    # arrays that grow with d.  d stays small where the field check is real.
-    @pytest.mark.parametrize("target, d", [("builtin_vector_field", 10**9), ("FbmSampler", 3)])
+    # arrays that grow with d, up to the bound on d.  d stays small where the
+    # field check is real.
+    @pytest.mark.parametrize("target, d", [("builtin_vector_field", 2**10), ("FbmSampler", 3)])
     def test_out_of_memory_is_usage_error(self, capsys, monkeypatch, tmp_path, target, d):
         def out_of_memory(*args, **kwargs):
             raise MemoryError(f"Unable to allocate 14.9 GiB for an array with shape (2, {d})")
@@ -791,6 +812,8 @@ class TestCli:
             ("grid_n", {"experiment": "solution", "grid_n": 10**21}),
             ("grid_n", {"grid_n": 10**21}),
             ("grid_n", {"experiment": "noise", "grid_n": 10**30}),
+            ("d", {"d": 10**9}),
+            ("m", {"experiment": "solution", "m": 10**9}),
         ],
     )
     def test_bad_config_file_value_is_usage_error(self, capsys, tmp_path, name, fields):
