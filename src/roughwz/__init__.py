@@ -32,7 +32,6 @@ from .lift import (
     lift_smooth_quadrature,
 )
 from .norms import (
-    StoppingTimes,
     block_variation,
     euclidean_norms,
     frobenius_norms,

@@ -659,16 +659,20 @@ def run_stopping_time_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
 
     def measure(idx: int, path, lifts) -> np.ndarray:
         coarse = GridRoughPath.stack(rp.coarsen(cfg.stride) for rp in lifts)
-        st_true, *st_wzs = greedy_stopping_times(coarse, cfg.eta, p)
+        stops = greedy_stopping_times(coarse, cfg.eta, p)
         norms_wz = homogeneous_pvar_norm(coarse.member(slice(1, None)), p)
+        times = coarse.grid.times
+        counts = stops.sum(axis=0) - 1
+        t_true = times[stops[:, 0]]
         out = np.empty((3, n_delta))
-        for col, st_wz in enumerate(st_wzs):
-            m = min(len(st_true.times), len(st_wz.times))
-            out[0, col] = np.abs(st_true.times[:m] - st_wz.times[:m]).max()
+        for col in range(n_delta):
+            t_wz = times[stops[:, col + 1]]
+            m = min(len(t_true), len(t_wz))
+            out[0, col] = np.abs(t_true[:m] - t_wz[:m]).max()
             # A scalar power per member: numpy's array power may round an ulp off.
             total = norms_wz[col] ** p
-            out[1, col] = 1.0 + total / thresh - st_wz.count
-            out[2, col] = st_wz.count
+            out[1, col] = 1.0 + total / thresh - counts[col + 1]
+            out[2, col] = counts[col + 1]
         return out
 
     def gates(tables, summaries) -> list[GateResult]:
@@ -747,6 +751,8 @@ def _config_from_file(path: str) -> dict:
         raise ConfigError("config", f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError("config", f"{path} nests too deeply to read") from None
     if not isinstance(raw, dict):
         raise ConfigError("config", f"{path} must hold a JSON object")
     allowed = set(ExperimentConfig.__dataclass_fields__)

@@ -149,7 +149,8 @@ class SamplePath:
     values: np.ndarray  # (n_nodes, d)
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
+        # A view, so that making it read-only leaves the caller's array writeable.
+        v = np.asarray(self.values, dtype=float).view()
         if v.ndim == 1:
             v = v[:, None]
         if v.shape[0] != self.grid.n_nodes:

@@ -42,12 +42,13 @@ The homogeneous rough-path norm combines the levels as
 and the greedy stopping times  tau_{i+1} = first node past tau_i where it
 reaches eta over [tau_i, .]  read the same running sums, in one pass over
 right ends for every member of a stack; each member restarts at its own
-stopping nodes through the restart mask partition_sums takes.
+stopping nodes through the restart mask partition_sums takes.  Like every
+other measure they come back with the member axes of the path: a bool
+mask over (node, *members) that is True at each member's stopping nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Generator, Iterator
 
 import numpy as np
@@ -56,7 +57,6 @@ from .lift import GridRoughPath
 
 __all__ = [
     "PairNorms",
-    "StoppingTimes",
     "block_variation",
     "euclidean_norms",
     "frobenius_norms",
@@ -320,48 +320,26 @@ def rho_pvar_metric(a: GridRoughPath, b: GridRoughPath, p: float) -> float | np.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StoppingTimes:
-    """Greedy exhaustion times of the homogeneous norm at level eta.
-
-    times[0] is the grid start; afterwards times[i+1] is the first node
-    past times[i] where the homogeneous p-variation norm over
-    [times[i], times[i+1]] reaches eta, the final time being capped at the
-    grid end.  count = len(times) - 1 is the interval count N.
-    """
-
-    times: np.ndarray
-    indices: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return len(self.times) - 1
-
-
-def greedy_stopping_times(
-    rp: GridRoughPath, eta: float, p: float
-) -> StoppingTimes | tuple[StoppingTimes, ...]:
+def greedy_stopping_times(rp: GridRoughPath, eta: float, p: float) -> np.ndarray:
     """Greedy stopping nodes of a rough path, or of each member of a stack.
 
-    Grid convention: each stopping node is the first node where the norm
-    is >= eta, so the norm over every interval except possibly the last
-    is at least eta and N <= 1 + eta^{-p} |||X|||_{p-var}^p holds by
-    superadditivity of the p-th power.  One pass of the homogeneous
-    running sums over right ends serves every member: a member whose sum
-    reaches eta^p at node j restarts there.  A lone path gives one
-    StoppingTimes; a stack with one member axis gives a tuple of them in
-    member order.
+    Returns a bool array of shape (n_steps + 1, *members), True at node 0,
+    at node n_steps and at every stopping node: the first node j past the
+    previous stop s where the homogeneous p-variation norm over [s, j]
+    reaches eta.  So the norm over every interval except possibly the last
+    is at least eta, and the interval count N = stops.sum(axis=0) - 1
+    satisfies N <= 1 + eta^{-p} |||X|||_{p-var}^p by superadditivity of
+    the p-th power.  One pass of the homogeneous running sums over right
+    ends serves every member: a member whose sum reaches eta^p at node j
+    restarts there.
     """
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
     if not p >= 2.0:
         raise ValueError(f"homogeneous norm needs p >= 2, got {p}")
-    members = rp.inc1.shape[1:-1]
-    if len(members) > 1:
-        raise ValueError(f"expected one member axis at most, got a stack of shape {members}")
     n = rp.n_steps
     thresh = eta**p
-    stops = np.zeros((n + 1,) + members, dtype=bool)
+    stops = np.zeros((n + 1,) + rp.inc1.shape[1:-1], dtype=bool)
     stops[[0, n]] = True
     sums = _homogeneous_sums(rp, p)
     total = next(sums)
@@ -369,6 +347,4 @@ def greedy_stopping_times(
         stops[j] = total >= thresh
         # None skips the mask writes at the many right ends where no member stops.
         total = sums.send(stops[j] if stops[j].any() else None)
-    per_member = [np.flatnonzero(col) for col in stops.reshape(n + 1, -1).T]
-    found = tuple(StoppingTimes(times=rp.grid.times[idx], indices=idx) for idx in per_member)
-    return found if members else found[0]
+    return stops

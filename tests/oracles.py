@@ -5,8 +5,9 @@ folds instead of prefix sums, exhaustive partition enumeration instead of
 dynamic programming, quadrature over fine slices instead of closed forms.
 Agreement between these and the library is the point of the tests, so none
 of this may import from roughwz internals beyond plain data access.  The
-per-rung experiment loops at the end call public layer functions only: they
-are the loops that the experiments' stacked ladder replaced.
+per-rung experiment loops at the end call public layer functions and the
+programs above only: they are the loops that the experiments' stacked
+ladder replaced.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from roughwz.lift import GridRoughPath, lift_left_riemann
 from roughwz.norms import (
     euclidean_norms,
     frobenius_norms,
-    greedy_stopping_times,
     homogeneous_pvar_norm,
     rho_alpha_metric,
     rho_pvar_metric,
@@ -373,20 +373,23 @@ def stopping_ladder_loop(cfg, path) -> np.ndarray:
     """One stopping seed's (metric, delta) table, one ladder rung at a time.
 
     Rows: displacement of the greedy stopping times, interval-count bound
-    margin and interval count of the coarsened approximant.
+    margin and interval count of the coarsened approximant.  The stopping
+    nodes come from greedy_stops_restarting, not from the library.
     """
     n = cfg.grid_n
     p = cfg.p
     coarse_true = lift_left_riemann(path.restrict(0, n)).coarsen(cfg.stride)
-    st_true = greedy_stopping_times(coarse_true, cfg.eta, p)
+    times = coarse_true.grid.times
+    t_true = times[greedy_stops_restarting(coarse_true, cfg.eta, p)]
     out = np.empty((3, len(cfg.delta_ladder)))
     for col, k in enumerate(cfg.delta_ladder):
         dp = DeltaParam(k, cfg.grid.h)
         coarse_wz = ww_delta(path, dp).restrict(0, n).coarsen(cfg.stride)
-        st_wz = greedy_stopping_times(coarse_wz, cfg.eta, p)
-        m_common = min(len(st_true.times), len(st_wz.times))
-        out[0, col] = float(np.max(np.abs(st_true.times[:m_common] - st_wz.times[:m_common])))
+        t_wz = times[greedy_stops_restarting(coarse_wz, cfg.eta, p)]
+        count = len(t_wz) - 1
+        m_common = min(len(t_true), len(t_wz))
+        out[0, col] = float(np.max(np.abs(t_true[:m_common] - t_wz[:m_common])))
         total = homogeneous_pvar_norm(coarse_wz, p) ** p
-        out[1, col] = 1.0 + total / cfg.eta**p - st_wz.count
-        out[2, col] = st_wz.count
+        out[1, col] = 1.0 + total / cfg.eta**p - count
+        out[2, col] = count
     return out

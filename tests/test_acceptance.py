@@ -180,15 +180,15 @@ def test_criterion_04_partition_sandwich_and_count_bound():
         whole_h = homogeneous_pvar_norm(sub, p2)
         if whole_h > 0:
             eta = float(rng.uniform(0.25, 1.0)) * whole_h
-            st = greedy_stopping_times(sub, eta, p2)
-            if st.count > 1 + eta ** (-p2) * whole_h**p2 + 1e-9:
+            count = greedy_stopping_times(sub, eta, p2).sum() - 1
+            if count > 1 + eta ** (-p2) * whole_h**p2 + 1e-9:
                 violations += 1
     lin = lift_left_riemann(
         SamplePath(TimeGrid(0.0, 1.0, 1000), TimeGrid(0.0, 1.0, 1000).times[:, None].copy())
     )
-    st = greedy_stopping_times(lin, 0.5, 2.0)
+    stops = greedy_stopping_times(lin, 0.5, 2.0)
     spacing = 0.5 / math.sqrt(1.5)
-    gaps = np.diff(st.times)[:-1]  # terminal gap is the capped leftover
+    gaps = np.diff(lin.grid.times[stops])[:-1]  # terminal gap is the capped leftover
     spacing_ok = bool(np.all(np.abs(gaps - spacing) <= lin.grid.h))
     elapsed = time.perf_counter() - t0
     ok = violations == 0 and spacing_ok

@@ -40,7 +40,7 @@ class Cases:
     The first case takes the largest n and the second the smallest; stacks
     draw n from stack_n when it is given.  p takes its lowest value in a
     quarter of the cases.  A stack has one member axis of 1 to 7 members or,
-    where `axes` allows, the two axes (2, 3).
+    in a third of the stacks, the two axes (2, 3).
     """
 
     lone: int
@@ -49,7 +49,6 @@ class Cases:
     stack_n: tuple[int, int] | None = None
     p: tuple[float, float] = (2.0, 3.5)
     d: tuple[int, int] = (1, 3)
-    axes: int = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,8 +136,7 @@ def draw(row_id: str, spec: Cases) -> list[Case]:
         d = int(rng.integers(*spec.d, endpoint=True))
         members = ()
         if stacked:
-            two = spec.axes == 2 and rng.random() < 1 / 3
-            members = (2, 3) if two else (int(rng.integers(1, 8)),)
+            members = (2, 3) if rng.random() < 1 / 3 else (int(rng.integers(1, 8)),)
         p = spec.p[0] if rng.random() < 0.25 else float(rng.uniform(*spec.p))
         i, j = 0, n  # half the cases measure the whole path
         if rng.random() < 0.5:
@@ -287,8 +285,9 @@ def holder_loops(c):
 
 
 def stops(c, rp):
-    found = norms.greedy_stopping_times(rp, c.eta, c.p)
-    return [(st.indices, st.times) for st in (found if isinstance(found, tuple) else (found,))]
+    """Each member's stopping nodes and times, in member order."""
+    mask = c.first(norms.greedy_stopping_times(rp, c.eta, c.p))
+    return [(np.flatnonzero(col), rp.grid.times[col]) for col in mask.reshape(-1, rp.n_steps + 1)]
 
 
 def restarting_stops(c):
@@ -476,9 +475,9 @@ ROWS = [
     Row("greedy_stopping_times~greedy_stops_brute",
         lambda c: [idx for idx, _ in stops(c, c.win(c.rp))],
         lambda c: oracles.greedy_stops_brute(c.win(c.rp).values, c.win(c.rp).level2, c.p, c.eta),
-        EXACT, Cases(lone=10, stacks=6, n=(1, 8), axes=1)),
+        EXACT, Cases(lone=10, stacks=6, n=(1, 8))),
     Row("greedy_stopping_times~greedy_stops_restarting", lambda c: stops(c, c.win(c.rp)),
-        restarting_stops, EXACT, Cases(lone=300, stacks=60, n=(4, 80), axes=1)),
+        restarting_stops, EXACT, Cases(lone=300, stacks=60, n=(4, 80))),
     Row("level1,level2~chen_fold", lambda c: (c.rp.level1(*c.window), c.rp.level2(*c.window)),
         lambda c: oracles.chen_fold(c.rp.inc1, c.rp.inc2, *c.window),
         Tol(1e-12, CHEN, floor=1.0), Cases(lone=20, stacks=10, n=(1, 24))),
@@ -506,7 +505,7 @@ ROWS = [
         Cases(lone=0, stacks=6, n=(1, 30))),
     Row("variations,greedy_stopping_times[shift_rough_path]~unshifted",
         lambda c: shift_measures(c, shifted, False), lambda c: shift_measures(c, Case.win, False),
-        EXACT, Cases(lone=6, stacks=3, n=(1, 40), axes=1), whole=True),
+        EXACT, Cases(lone=6, stacks=3, n=(1, 40)), whole=True),
     Row("holder_seminorm,rho_alpha_metric[shift_rough_path]~unshifted",
         lambda c: shift_measures(c, shifted, True), lambda c: shift_measures(c, Case.win, True),
         Tol(1e-12, SHIFTED), Cases(lone=6, stacks=3, n=(1, 40)), whole=True),

@@ -430,7 +430,8 @@ class TestReports:
     def test_calibrated_stopping_rows_equal_the_per_rung_loop(self):
         # At the calibrated grid (1024 steps, stride 2, ladder 32..2) the
         # norms run far enough for a power that rounds an ulp off to show in
-        # the rows; the 64-step ladder tables above miss such a change.
+        # the rows; the 64-step ladder tables above miss such a change.  The
+        # loop's stopping nodes come from oracles.greedy_stops_restarting.
         cfg = ExperimentConfig(experiment="stopping", n_seeds=2)
         sampler = FbmSampler(
             cfg.grid.extended(cfg.delta_ladder[0]),
@@ -831,6 +832,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "'config'" in err and "UTF-8" in err
+
+    def test_config_file_nested_past_the_recursion_limit_is_usage_error(self, capsys, tmp_path):
+        # The JSON decoder recurses once per level; 100 000 levels overflow it.
+        cfg_path = tmp_path / "deep.json"
+        depth = 100_000
+        cfg_path.write_text('{"y0": ' + "[" * depth + "]" * depth + "}")
+        assert main(["--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'config'" in err and "too deeply" in err
 
     def test_config_file_unknown_key(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -83,6 +83,17 @@ class TestSamplePath:
         assert sub.grid.t_max == pytest.approx(0.75)
         assert np.array_equal(sub.values, vals[:4])
 
+    @pytest.mark.parametrize("shape", [(5, 2), (5,)])
+    def test_values_read_only_and_callers_array_left_writeable(self, shape):
+        vals = np.zeros(shape)
+        path = SamplePath(TimeGrid(0.0, 1.0, 4), vals)
+        assert vals.flags.writeable
+        assert not path.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            path.values[1] = 1.0
+        vals[1] = 2.0  # the caller may still write its own array
+        assert path.values[1, 0] == 2.0
+
     def test_restrict_must_keep_time_zero(self):
         # Every grid spans 0 so the vanishing-at-zero anchor stays meaningful.
         g = TimeGrid(0.0, 1.0, 4)

@@ -1,6 +1,7 @@
 """Modules of the package use each other only through public names."""
 
 import ast
+import builtins
 import importlib
 import inspect
 import io
@@ -78,26 +79,36 @@ README = PACKAGE_DIR.parents[1] / "README.md"
 
 
 def readme_api_names(text: str) -> list[str]:
-    """Dotted names in inline code spans of text that start at roughwz or one of its names.
+    """Names in inline code spans of text: dotted ones that start at roughwz
+    or one of its names, and spans that are one bare CamelCase name.
 
     A first part counts when it is roughwz or a public attribute of the
-    package: a submodule or a name it exports.  Fenced code blocks are
-    skipped.
+    package: a submodule or a name it exports.  A bare CamelCase span
+    (`GridRoughPath`, not `H` or `NaN`) counts whatever it names, so a class
+    the package no longer has is read too.  Fenced code blocks are skipped.
     """
     submodules()
     roots = {"roughwz", *(name for name in vars(roughwz) if not name.startswith("_"))}
     text = re.sub(r"```.*?```", "", text, flags=re.S)
-    names = (
+    spans = re.findall(r"`([^`]+)`", text)
+    dotted = (
         name
-        for span in re.findall(r"`([^`]+)`", text)
+        for span in spans
         for name in re.findall(r"(?<![\w./])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span)
     )
-    return sorted({name for name in names if name.split(".")[0] in roots})
+    bare = {span for span in spans if re.fullmatch(r"[A-Z][a-z]+[A-Z][a-z]\w*", span)}
+    return sorted({name for name in dotted if name.split(".")[0] in roots} | bare)
 
 
 def resolves(name: str) -> bool:
+    """name is an attribute path from roughwz or one of its names, or a builtin."""
     first, *rest = name.split(".")
-    obj = roughwz if first == "roughwz" else getattr(roughwz, first)
+    if first == "roughwz":
+        obj = roughwz
+    elif hasattr(roughwz, first):
+        obj = getattr(roughwz, first)
+    else:
+        return not rest and hasattr(builtins, first)
     for part in rest:
         if not hasattr(obj, part):
             return False
@@ -113,6 +124,16 @@ def test_readme_api_names_finds_dotted_roughwz_names():
     names = readme_api_names(text)
     assert names == ["GridRoughPath.no_such_block", "GridRoughPath.stack", "norms.partition_sums"]
     assert [name for name in names if not resolves(name)] == ["GridRoughPath.no_such_block"]
+
+
+def test_readme_api_names_finds_bare_camelcase_spans():
+    text = (
+        "`GridRoughPath`, `MemoryError`, `DeletedClass`, `H`, `NaN`, `Ok`,\n"
+        "`DeletedClass(x)` and\n```\nGoneAlso\n```\n"
+    )
+    names = readme_api_names(text)
+    assert names == ["DeletedClass", "GridRoughPath", "MemoryError"]
+    assert [name for name in names if not resolves(name)] == ["DeletedClass"]
 
 
 def test_readme_names_resolve():

@@ -14,7 +14,6 @@ from roughwz.expcli import ExperimentConfig
 from roughwz.fbm import FbmParams, FbmSampler, SamplePath, TimeGrid
 from roughwz.lift import GridRoughPath, lift_left_riemann
 from roughwz.norms import (
-    StoppingTimes,
     block_variation,
     euclidean_norms,
     frobenius_norms,
@@ -344,21 +343,21 @@ class TestGreedyStopping:
     def test_linear_path_spacing(self):
         # Homogeneous norm of the unit-slope line over a width-w window is
         # w sqrt(1.5), so thresholds land every 0.5/sqrt(1.5) ~ 0.40825.
-        st = greedy_stopping_times(linear_lift(1000), 0.5, 2.0)
-        assert st.indices.tolist() == [0, 409, 818, 1000]
-        assert st.count == 3
-        assert st.times[1] == pytest.approx(0.409)
+        rp = linear_lift(1000)
+        stops = greedy_stopping_times(rp, 0.5, 2.0)
+        assert np.flatnonzero(stops).tolist() == [0, 409, 818, 1000]
+        assert stops.sum() - 1 == 3
+        assert rp.grid.times[stops][1] == pytest.approx(0.409)
 
     def test_linear_path_even_eta(self):
-        st = greedy_stopping_times(linear_lift(100), 0.3, 2.0)
-        assert st.indices.tolist() == [0, 25, 50, 75, 100]
-        assert st.count == 4
+        stops = greedy_stopping_times(linear_lift(100), 0.3, 2.0)
+        assert np.flatnonzero(stops).tolist() == [0, 25, 50, 75, 100]
+        assert stops.sum() - 1 == 4
 
     def test_threshold_above_total_norm(self):
-        rp = linear_lift(16)
-        st = greedy_stopping_times(rp, 10.0, 2.0)
-        assert st.indices.tolist() == [0, 16]
-        assert st.count == 1
+        stops = greedy_stopping_times(linear_lift(16), 10.0, 2.0)
+        assert np.flatnonzero(stops).tolist() == [0, 16]
+        assert stops.sum() - 1 == 1
 
     def test_matches_brute_force(self):
         assert_rows("greedy_stopping_times~greedy_stops_brute")
@@ -372,39 +371,44 @@ class TestGreedyStopping:
         for counter in range(25):
             rp = lift_left_riemann(sampler.sample(counter))
             for eta in (0.3, 0.6, 1.0):
-                st = greedy_stopping_times(rp, eta, 2.5)
+                count = greedy_stopping_times(rp, eta, 2.5).sum() - 1
                 whole = homogeneous_pvar_norm(rp, 2.5)
-                assert st.count <= 1 + eta ** (-2.5) * whole**2.5 + 1e-9
+                assert count <= 1 + eta ** (-2.5) * whole**2.5 + 1e-9
 
     def test_stack_members_match_restarting_program(self):
         assert_rows("greedy_stopping_times~greedy_stops_restarting")
 
-    def test_stack_rejected(self):
-        # A stack with more than one member axis has no member order.
-        pair = GridRoughPath.stack([linear_lift(8), linear_lift(8)])
-        rp = GridRoughPath(pair.grid, pair.inc1[:, None], pair.inc2[:, None])
-        with pytest.raises(ValueError, match="one member axis"):
-            greedy_stopping_times(rp, 0.5, 2.0)
+    def test_two_member_axes_give_each_members_lone_mask(self):
+        # Any member shape: a (2, 3) stack's mask has the stack's member
+        # axes, and each member's column is its lone path's mask.
+        rng = np.random.default_rng(67)
+        lones = [random_lift(rng, 20) for _ in range(6)]
+        rp = GridRoughPath.stack(
+            [GridRoughPath.stack(lones[:3]), GridRoughPath.stack(lones[3:])]
+        )
+        stops = greedy_stopping_times(rp, 1.5, 2.5)
+        assert stops.shape == (21, 2, 3)
+        for k, lone in enumerate(lones):
+            assert np.array_equal(stops[:, k // 3, k % 3], greedy_stopping_times(lone, 1.5, 2.5))
+        assert stops[1:-1].any()
 
     def test_window_and_structure(self):
         rng = np.random.default_rng(59)
         rp = random_lift(rng, 32)
         window = rp.restrict(4, 28)
-        st = greedy_stopping_times(window, 0.8, 2.0)
-        assert st.indices[0] == 0
-        assert st.indices[-1] == 24
-        assert np.all(np.diff(st.indices) > 0)
-        assert np.array_equal(st.times, window.grid.times[st.indices])
-        assert np.array_equal(st.times, rp.grid.times[st.indices + 4])
-        assert st.count == len(st.times) - 1
-        assert isinstance(st, StoppingTimes)
+        stops = greedy_stopping_times(window, 0.8, 2.0)
+        assert stops.dtype == bool and stops.shape == (25,)
+        idx = np.flatnonzero(stops)
+        assert idx[0] == 0
+        assert idx[-1] == 24
+        assert np.array_equal(window.grid.times[stops], rp.grid.times[idx + 4])
 
     def test_each_stop_first_to_reach_eta(self):
         rng = np.random.default_rng(61)
         rp = random_lift(rng, 24)
         eta, p = 1.0, 2.0
-        st = greedy_stopping_times(rp, eta, p)
-        for lo, hi in zip(st.indices[:-1], st.indices[1:]):
+        idx = np.flatnonzero(greedy_stopping_times(rp, eta, p))
+        for lo, hi in zip(idx[:-1], idx[1:]):
             if hi < rp.n_steps:
                 assert homogeneous_pvar_norm(rp.restrict(lo, hi), p) >= eta
             if hi - lo > 1:
