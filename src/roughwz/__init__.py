@@ -69,6 +69,6 @@ from .expcli import (
     run_suite,
 )
 from .rds import CocycleProbe, cocycle_residual, shift_rough_path
-from .wongzakai import DeltaParam, g_delta, w_delta, ww_delta
+from .wongzakai import g_delta, w_delta, ww_delta
 
 __version__ = "0.1.0"

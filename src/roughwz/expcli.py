@@ -60,6 +60,7 @@ import csv
 import json
 import math
 import numbers
+import reprlib
 import sys
 import time
 import typing
@@ -91,7 +92,7 @@ from .rde import (
 )
 # perfbench/spans.py wraps the layer calls by their names in this module (w_delta
 # too, which no experiment calls), so the experiments look them up as globals.
-from .wongzakai import DeltaParam, w_delta, ww_delta
+from .wongzakai import w_delta, ww_delta
 
 __all__ = [
     "EXPERIMENTS",
@@ -111,6 +112,8 @@ __all__ = [
 EXPERIMENTS = ("noise", "solution", "stopping")
 
 _DECREASE_FRACTION = 0.9
+# Error messages echo a bad value through this, which cuts a long one short.
+_short = reprlib.repr
 
 
 class ConfigError(ValueError):
@@ -217,12 +220,12 @@ class ExperimentConfig:
                 object.__setattr__(self, name, _as_field_type(value, hint))
             except TypeError:
                 kind = self.__dataclass_fields__[name].type
-                raise ConfigError(name, f"expected {kind}, got {value!r}") from None
+                raise ConfigError(name, f"expected {kind}, got {_short(value)}") from None
             except (ValueError, OverflowError):
-                raise ConfigError(name, f"floats must be finite, got {value!r}") from None
+                raise ConfigError(name, f"floats must be finite, got {_short(value)}") from None
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(
-                "experiment", f"unknown name {self.experiment!r}; choose from {EXPERIMENTS}"
+                "experiment", f"unknown name {_short(self.experiment)}; choose from {EXPERIMENTS}"
             )
         if not (1.0 / 3.0 < self.H <= 0.5):
             raise ConfigError("H", f"H must lie in (1/3, 1/2], got {self.H}")
@@ -233,14 +236,20 @@ class ExperimentConfig:
                 f"in floating point (beta = {self.beta!r}, beta_prime = {self.beta_prime!r})",
             )
         if not 1 <= self.d <= _MAX_DIM:
-            raise ConfigError("d", f"driver dimension must be 1 to {_MAX_DIM}, got {self.d}")
+            raise ConfigError(
+                "d", f"driver dimension must be 1 to {_MAX_DIM}, got {_short(self.d)}"
+            )
         if not 1 <= self.m <= _MAX_DIM:
-            raise ConfigError("m", f"state dimension must be 1 to {_MAX_DIM}, got {self.m}")
+            raise ConfigError(
+                "m", f"state dimension must be 1 to {_MAX_DIM}, got {_short(self.m)}"
+            )
         if self.grid_n == 0:
             default_n = 4096 if self.experiment == "noise" else 1024
             object.__setattr__(self, "grid_n", default_n)
         if not 2 <= self.grid_n <= _MAX_GRID_N:
-            raise ConfigError("grid_n", f"need 2 to {_MAX_GRID_N} grid steps, got {self.grid_n}")
+            raise ConfigError(
+                "grid_n", f"need 2 to {_MAX_GRID_N} grid steps, got {_short(self.grid_n)}"
+            )
         if not self.delta_ladder:
             default_top = 64 if self.experiment == "noise" else 32
             object.__setattr__(
@@ -250,16 +259,17 @@ class ExperimentConfig:
         if ladder != tuple(self.delta_ladder):
             raise ConfigError(
                 "delta_ladder",
-                f"multiples must be distinct and strictly decreasing, got {self.delta_ladder}",
+                f"multiples must be distinct and decreasing, got {_short(self.delta_ladder)}",
             )
         if ladder[-1] < 1:
-            raise ConfigError("delta_ladder", f"multiples must be >= 1, got {ladder}")
+            raise ConfigError("delta_ladder", f"multiples must be >= 1, got {_short(ladder)}")
         if ladder[0] >= self.grid_n:
             raise ConfigError(
-                "delta_ladder", f"largest multiple {ladder[0]} must be < grid_n = {self.grid_n}"
+                "delta_ladder",
+                f"largest multiple {_short(ladder[0])} must be < grid_n = {self.grid_n}",
             )
         if self.n_seeds < 1:
-            raise ConfigError("n_seeds", f"need at least one seed, got {self.n_seeds}")
+            raise ConfigError("n_seeds", f"need at least one seed, got {_short(self.n_seeds)}")
         if self.experiment == "noise" and self.n_seeds < 30:
             raise ConfigError(
                 "n_seeds", f"rate fits need n_seeds >= 30, got {self.n_seeds}"
@@ -273,13 +283,14 @@ class ExperimentConfig:
         if self.metric_stride < 0:
             raise ConfigError(
                 "metric_stride",
-                f"must be >= 0, where 0 picks the calibrated stride; got {self.metric_stride}",
+                "must be >= 0, where 0 picks the calibrated stride; "
+                f"got {_short(self.metric_stride)}",
             )
         stride = self.stride
         if self.experiment != "solution" and self.grid_n % stride != 0:
             if self.metric_stride:
                 raise ConfigError(
-                    "metric_stride", f"stride {stride} must divide grid_n = {self.grid_n}"
+                    "metric_stride", f"stride {_short(stride)} must divide grid_n = {self.grid_n}"
                 )
             div = self._stride_divisor
             raise ConfigError(
@@ -289,7 +300,7 @@ class ExperimentConfig:
                 f"of {div}, or set metric_stride",
             )
         if self.master_seed < 0:
-            raise ConfigError("master_seed", f"seed must be >= 0, got {self.master_seed}")
+            raise ConfigError("master_seed", f"seed must be >= 0, got {_short(self.master_seed)}")
         object.__setattr__(self, "delta_ladder", ladder)
 
     @property
@@ -518,20 +529,19 @@ def _run_ladder(
     sampler = FbmSampler(
         grid.extended(cfg.delta_ladder[0]), FbmParams(H=cfg.H, d=cfg.d, seed=cfg.master_seed)
     )
-    dps = [DeltaParam(k, grid.h) for k in cfg.delta_ladder]
 
     def one_seed(idx: int) -> np.ndarray:
         path = sampler.sample(idx)
         lifts = chain(
             [lift_left_riemann(path.restrict(0, n))],
-            (ww_delta(path, dp).restrict(0, n) for dp in dps),
+            (ww_delta(path, k).restrict(0, n) for k in cfg.delta_ladder),
         )
         return measure(idx, path, lifts)
 
     stacked = np.stack([one_seed(idx) for idx in range(cfg.n_seeds)])
     stacked.setflags(write=False)
     tables = {name: stacked[:, i, :] for i, name in enumerate(metrics)}
-    deltas = tuple(dp.delta for dp in dps)
+    deltas = tuple(k * grid.h for k in cfg.delta_ladder)
     summaries = {
         name: _summary(name, tables[name], deltas, predicted, note)
         for name, (predicted, note) in metrics.items()
@@ -758,7 +768,7 @@ def _config_from_file(path: str) -> dict:
     allowed = set(ExperimentConfig.__dataclass_fields__)
     unknown = set(raw) - allowed
     if unknown:
-        raise ConfigError("config", f"unknown keys {sorted(unknown)} in {path}")
+        raise ConfigError("config", f"unknown keys {_short(sorted(unknown))} in {path}")
     return raw
 
 
@@ -795,7 +805,8 @@ def _parse_ladder(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise ConfigError("delta_ladder", f"expected comma-separated integers, got {text!r}") from exc
+        message = f"expected comma-separated integers, got {_short(text)}"
+        raise ConfigError("delta_ladder", message) from exc
 
 
 def main(argv: list[str] | None = None) -> int:

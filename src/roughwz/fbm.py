@@ -149,8 +149,11 @@ class SamplePath:
     values: np.ndarray  # (n_nodes, d)
 
     def __post_init__(self) -> None:
-        # A view, so that making it read-only leaves the caller's array writeable.
-        v = np.asarray(self.values, dtype=float).view()
+        # Copy an array that its owner can still write to; a read-only one,
+        # such as the values of the path that restrict windows, is shared.
+        v = np.asarray(self.values, dtype=float)
+        if v.flags.writeable:
+            v = v.copy()
         if v.ndim == 1:
             v = v[:, None]
         if v.shape[0] != self.grid.n_nodes:

@@ -31,6 +31,7 @@ declared driver with it.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -165,11 +166,15 @@ def builtin_vector_field(name: str, m: int = 2, d: int = 2, **params) -> VectorF
     A parameter the field does not take raises ValueError.
     """
     if name not in _BUILTIN_FIELDS:
-        raise ValueError(f"unknown vector field {name!r}; catalog: {VECTOR_FIELD_CATALOG}")
+        raise ValueError(
+            f"unknown vector field {reprlib.repr(name)}; catalog: {VECTOR_FIELD_CATALOG}"
+        )
     build, defaults = _BUILTIN_FIELDS[name]
     unknown = sorted(set(params) - set(defaults))
     if unknown:
-        raise ValueError(f"vector field {name!r} takes {sorted(defaults)}, not {unknown}")
+        raise ValueError(
+            f"vector field {name!r} takes {sorted(defaults)}, not {reprlib.repr(unknown)}"
+        )
     return build(m, d, **{**defaults, **params})
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .fbm import FbmParams, FbmSampler, TimeGrid
 from .lift import GridRoughPath, lift_left_riemann
 from .rde import VectorField, solve_rde
-from .wongzakai import DeltaParam, ww_delta
+from .wongzakai import ww_delta
 
 __all__ = [
     "CocycleProbe",
@@ -78,7 +78,7 @@ def _probe_driver(probe: CocycleProbe) -> GridRoughPath:
     path = sampler.sample(probe.seed)
     if probe.delta_multiple is None:
         return lift_left_riemann(path.restrict(0, n))
-    return ww_delta(path, DeltaParam(probe.delta_multiple, grid.h))
+    return ww_delta(path, probe.delta_multiple)
 
 
 def cocycle_residual(vf: VectorField, probe: CocycleProbe) -> float:

@@ -17,7 +17,8 @@ from itertools import combinations
 
 import numpy as np
 
-from roughwz.lift import GridRoughPath, lift_left_riemann
+from roughwz.fbm import SamplePath
+from roughwz.lift import GridRoughPath, lift_left_riemann, lift_smooth_quadrature
 from roughwz.norms import (
     euclidean_norms,
     frobenius_norms,
@@ -25,7 +26,7 @@ from roughwz.norms import (
     rho_alpha_metric,
     rho_pvar_metric,
 )
-from roughwz.wongzakai import DeltaParam, ww_delta
+from roughwz.wongzakai import ww_delta
 
 
 def chen_fold(inc1: np.ndarray, inc2: np.ndarray, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -276,6 +277,24 @@ def einsum_solve(vf, rp: GridRoughPath, y0: np.ndarray) -> tuple[np.ndarray, np.
     return np.array(values), np.array(gub)
 
 
+def base_step_smoothing(path: SamplePath, k: int, h: float) -> tuple[np.ndarray, ...]:
+    """Values of W_delta and the data of its lift, from a width of k steps of spacing h.
+
+    The program w_delta and ww_delta ran when a width carried its own
+    spacing h, that of the base grid which the path's grid extends: the
+    trapezoid sums use the path's own spacing, but the window integrals and
+    the difference quotient are divided by k * h.
+    """
+    g, v = path.grid, path.values
+    cum = np.zeros_like(v)
+    np.cumsum(0.5 * g.h * (v[1:] + v[:-1]), axis=0, out=cum[1:])
+    k0 = g.zero_index
+    vals = ((cum[k:] - cum[:-k]) - (cum[k0 + k] - cum[k0])) / (k * h)
+    rp = lift_smooth_quadrature(SamplePath(g.window(0, g.n_steps - k), vals),
+                                (v[k:] - v[:-k]) / (k * h))
+    return vals, rp.inc1, rp.inc2
+
+
 def smoothed_value(times: np.ndarray, values: np.ndarray, t: float, delta: float) -> np.ndarray:
     """One node of the width-delta smoothing, by trapezoid quadrature.
 
@@ -333,7 +352,7 @@ def noise_ladder_loop(cfg, path) -> np.ndarray:
     coarse_true = lift_left_riemann(path.restrict(0, n)).coarsen(cfg.stride)
     out = np.empty((3, len(cfg.delta_ladder)))
     for col, k in enumerate(cfg.delta_ladder):
-        wz = ww_delta(path, DeltaParam(k, cfg.grid.h))
+        wz = ww_delta(path, k)
         w_fixed = wz.level1(wz.grid.zero_index, wz.grid.index_of(cfg.fixed_time))
         out[0, col] = float(np.linalg.norm(path.value_at(cfg.fixed_time) - w_fixed))
         coarse_wz = wz.restrict(0, n).coarsen(cfg.stride)
@@ -352,10 +371,7 @@ def noise_member_loop(cfg, path) -> np.ndarray:
     n = cfg.grid_n
     lifts = GridRoughPath.stack(
         [lift_left_riemann(path.restrict(0, n))]
-        + [
-            ww_delta(path, DeltaParam(k, cfg.grid.h)).restrict(0, n)
-            for k in cfg.delta_ladder
-        ]
+        + [ww_delta(path, k).restrict(0, n) for k in cfg.delta_ladder]
     )
     w_fixed = lifts.level1(cfg.grid.zero_index, cfg.grid.index_of(cfg.fixed_time))
     coarse = lifts.coarsen(cfg.stride)
@@ -383,8 +399,7 @@ def stopping_ladder_loop(cfg, path) -> np.ndarray:
     t_true = times[greedy_stops_restarting(coarse_true, cfg.eta, p)]
     out = np.empty((3, len(cfg.delta_ladder)))
     for col, k in enumerate(cfg.delta_ladder):
-        dp = DeltaParam(k, cfg.grid.h)
-        coarse_wz = ww_delta(path, dp).restrict(0, n).coarsen(cfg.stride)
+        coarse_wz = ww_delta(path, k).restrict(0, n).coarsen(cfg.stride)
         t_wz = times[greedy_stops_restarting(coarse_wz, cfg.eta, p)]
         count = len(t_wz) - 1
         m_common = min(len(t_true), len(t_wz))

@@ -22,7 +22,7 @@ from roughwz.lift import (
 from roughwz.norms import greedy_stopping_times, homogeneous_pvar_norm, pvar_level2, pvar_seminorm
 from roughwz.rde import builtin_vector_field, solve_rde
 from roughwz.rds import CocycleProbe, cocycle_residual
-from roughwz.wongzakai import DeltaParam, w_delta
+from roughwz.wongzakai import w_delta
 
 from oracles import fit_slope, table_pvar_brute
 
@@ -331,9 +331,8 @@ def test_criterion_09_cocycle_suite():
     worst_shift = 0.0
     for tau in (0.25, 0.5):
         for mult in (2, 4):
-            dp = DeltaParam(mult, grid.h)
-            left = w_delta(wiener_shift(path, tau), dp)
-            right = wiener_shift(w_delta(path, dp), tau)
+            left = w_delta(wiener_shift(path, tau), mult)
+            right = wiener_shift(w_delta(path, mult), tau)
             worst_shift = max(worst_shift, float(np.abs(left.values - right.values).max()))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and worst_shift <= 1e-12

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 import oracles
-from roughwz import lift, norms, rde
+from roughwz import lift, norms, rde, wongzakai
 from roughwz.fbm import SamplePath, TimeGrid
 from roughwz.rds import shift_rough_path
 
@@ -401,6 +401,27 @@ def member_measures(c):
             lift.geometricity_residual(w), a, *distance(c, a, solve(c, c.other)))
 
 
+def smoothing_input(c, same_spacing):
+    """A walk on the case's grid extended by k steps, k, and the case grid's spacing h.
+
+    k is drawn among the widths 1..n for which the extended grid's spacing
+    equals h bit for bit (same_spacing) or differs from it.
+    """
+    rng, base = c.rng(), TimeGrid(0.0, 1.0, c.n)
+    widths = [k for k in range(1, c.n + 1) if (base.extended(k).h == base.h) == same_spacing]
+    k = int(rng.choice(widths))
+    grid = base.extended(k)
+    walk = np.vstack([np.zeros(c.d), rng.standard_normal((grid.n_steps, c.d)).cumsum(axis=0)])
+    return SamplePath(grid, walk), k, base.h
+
+
+def smoothed(c, same_spacing):
+    """Values of w_delta and the data of ww_delta, over the width of smoothing_input."""
+    path, k, _ = smoothing_input(c, same_spacing)
+    rp = wongzakai.ww_delta(path, k)
+    return wongzakai.w_delta(path, k).values, rp.inc1, rp.inc2
+
+
 def shifted(c, path):
     """path translated by the time of node c.shift, then restricted to the window."""
     return c.win(shift_rough_path(path, path.grid.times[c.shift]))
@@ -431,6 +452,11 @@ STEPPED = (
     "and each step carries the rounding on; an entry near 0 is held to 1e-12 absolute"
 )
 SHIFTED = "the Hoelder gaps t_j - t_i are differences of translated node times"
+OFF_SPACING = (
+    "w_delta divides by k times the spacing of the path's grid, the reference by k "
+    "times that of the base grid, one ulp away; the lift's increments are differences "
+    "of such quotients, so an entry near 0 is held to 1e-12 absolute"
+)
 # (cap, norms._RUN_PAIRS, cases) of the Hoelder rows; the long grid, n = 200 with
 # 20100 node pairs, holds more pairs than one run of the default cap.
 SHORT = Cases(lone=12, stacks=8, n=(1, 40), stack_n=(1, 30))
@@ -506,6 +532,14 @@ ROWS = [
     Row("variations,greedy_stopping_times[shift_rough_path]~unshifted",
         lambda c: shift_measures(c, shifted, False), lambda c: shift_measures(c, Case.win, False),
         EXACT, Cases(lone=6, stacks=3, n=(1, 40)), whole=True),
+    # Every grid of 33 to 58 steps has widths of both kinds; powers of two have
+    # no width off the base spacing.
+    Row("w_delta,ww_delta~base_step_smoothing[same spacing]", lambda c: smoothed(c, True),
+        lambda c: oracles.base_step_smoothing(*smoothing_input(c, True)),
+        EXACT, Cases(lone=40, stacks=0, n=(1, 160)), whole=True),
+    Row("w_delta,ww_delta~base_step_smoothing[off spacing]", lambda c: smoothed(c, False),
+        lambda c: oracles.base_step_smoothing(*smoothing_input(c, False)),
+        Tol(1e-12, OFF_SPACING, floor=1.0), Cases(lone=40, stacks=0, n=(33, 58)), whole=True),
     Row("holder_seminorm,rho_alpha_metric[shift_rough_path]~unshifted",
         lambda c: shift_measures(c, shifted, True), lambda c: shift_measures(c, Case.win, True),
         Tol(1e-12, SHIFTED), Cases(lone=6, stacks=3, n=(1, 40)), whole=True),

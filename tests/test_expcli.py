@@ -316,12 +316,12 @@ class TestReports:
         h = cfg.grid.h
         overflow_node = {4: 9, 2: 5}
 
-        def overflowing_ww_delta(path, dp):
-            rp = ww_delta(path, dp)
-            if dp.multiple not in overflow_node:
+        def overflowing_ww_delta(path, k):
+            rp = ww_delta(path, k)
+            if k not in overflow_node:
                 return rp
             inc2 = rp.inc2.copy()
-            inc2[overflow_node[dp.multiple] - 1] = np.inf
+            inc2[overflow_node[k] - 1] = np.inf
             return GridRoughPath(rp.grid, rp.inc1, inc2)
 
         monkeypatch.setattr("roughwz.expcli.ww_delta", overflowing_ww_delta)
@@ -823,6 +823,18 @@ class TestCli:
         assert main(["--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(name) in err
+
+    @pytest.mark.parametrize("name", ["field_name", "y0"])
+    def test_a_long_bad_value_is_echoed_cut_short(self, capsys, tmp_path, name):
+        # A 5 MB field name, or a y0 nested 900 deep (within the recursion
+        # limit, so it parses): the error line shows a few dozen characters.
+        bad = {"field_name": json.dumps("x" * 5_000_000), "y0": "[" * 900 + "]" * 900}[name]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(f'{{"experiment": "solution", "{name}": {bad}}}')
+        assert main(["--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300
         assert repr(name) in err
 
     def test_config_file_not_utf8_is_usage_error(self, capsys, tmp_path):

@@ -91,8 +91,10 @@ class TestSamplePath:
         assert not path.values.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             path.values[1] = 1.0
-        vals[1] = 2.0  # the caller may still write its own array
-        assert path.values[1, 0] == 2.0
+        vals[1] = 2.0  # the caller may still write its own array, which the path copied
+        assert path.values[1, 0] == 0.0
+        # A window of a path reads the path's own read-only values, not a copy.
+        assert np.shares_memory(path.restrict(0, 3).values, path.values)
 
     def test_restrict_must_keep_time_zero(self):
         # Every grid spans 0 so the vanishing-at-zero anchor stays meaningful.

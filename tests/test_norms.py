@@ -4,6 +4,7 @@ Hand cases, frozen values and properties; every comparison with a reference
 program from oracles.py is a row of tests/test_conformance.py.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -358,6 +359,24 @@ class TestGreedyStopping:
         stops = greedy_stopping_times(linear_lift(16), 10.0, 2.0)
         assert np.flatnonzero(stops).tolist() == [0, 16]
         assert stops.sum() - 1 == 1
+
+    def test_a_sum_equal_to_eta_to_the_p_stops(self):
+        # A stop is the first node whose running sum reaches eta ** p, ties
+        # included.  For d = 1 and p = 2 the sum over one step x is
+        # x^2 + x^2 / 2, which is 1 at x = sqrt(2/3); search the last ulps of
+        # x for a sum of exactly 1.0 = eta ** p, then add only zero steps.
+        eta, p = 1.0, 2.0
+        x = math.sqrt(2.0 / 3.0)
+        for _ in range(32):
+            x = math.nextafter(x, 0.0)
+        for _ in range(64):
+            rp = lift_left_riemann(SamplePath(TimeGrid(0.0, 1.0, 3), np.array([0.0, x, x, x])))
+            if next(norms._homogeneous_sums(rp, p)) == eta**p:
+                break
+            x = math.nextafter(x, 1.0)
+        else:
+            pytest.fail("no increment within 32 ulps of sqrt(2/3) sums to exactly 1")
+        assert np.flatnonzero(greedy_stopping_times(rp, eta, p)).tolist() == [0, 1, 3]
 
     def test_matches_brute_force(self):
         assert_rows("greedy_stopping_times~greedy_stops_brute")

@@ -28,7 +28,6 @@ from roughwz.rde import (
     solve_rde,
 )
 from roughwz.rds import CocycleProbe
-from roughwz.wongzakai import DeltaParam
 
 from oracles import fd_jacobian, fit_slope, rk4_path_ode
 from test_conformance import ROWS, assert_rows
@@ -349,7 +348,7 @@ class TestStackMembersEqualLonePaths:
         assert_rows(*(row.id for row in ROWS if not row.whole))
 
 
-# Calls whose exponent, level, spacing or time is NaN; each must be
+# Calls whose exponent, level or time is NaN; each must be
 # rejected, not answered with NaN or a count of 1, nor fail later with a
 # message about something else.
 NAN_CALLS = {
@@ -363,7 +362,6 @@ NAN_CALLS = {
     "greedy_stopping_times(eta)": lambda rp, cp, vf: greedy_stopping_times(rp, math.nan, 2.5),
     "greedy_stopping_times(p)": lambda rp, cp, vf: greedy_stopping_times(rp, 0.5, math.nan),
     "solution_distance": lambda rp, cp, vf: solution_distance(cp, cp, math.nan),
-    "DeltaParam(h)": lambda rp, cp, vf: DeltaParam(2, math.nan),
     "CocycleProbe(t1)": lambda rp, cp, vf: CocycleProbe(
         t1=math.nan, t2=0.5, y0=np.zeros(2), seed=0, fbm=FbmParams(H=0.45, d=2, seed=1)
     ),

@@ -1,5 +1,8 @@
 """Shift operator on lifted drivers and the restart identity for solutions."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from roughwz.fbm import FbmParams, FbmSampler, GridAlignmentError, TimeGrid, wie
 from roughwz.lift import lift_left_riemann
 from roughwz.rde import builtin_vector_field
 from roughwz.rds import CocycleProbe, cocycle_residual, shift_rough_path
-from roughwz.wongzakai import DeltaParam, w_delta
+from roughwz.wongzakai import w_delta
 
 
 class TestShiftRoughPath:
@@ -40,10 +43,9 @@ def test_smoothing_commutes_with_shift():
     # integrals only see increments, so the anchor constants drop out.
     grid = TimeGrid(-0.5, 1.5, 64)
     path = FbmSampler(grid, FbmParams(H=0.45, d=2, seed=94)).sample(2)
-    dp = DeltaParam(4, grid.h)
     for tau in (0.25, 0.5, 1.0):
-        left = w_delta(wiener_shift(path, tau), dp)
-        right = wiener_shift(w_delta(path, dp), tau)
+        left = w_delta(wiener_shift(path, tau), 4)
+        right = wiener_shift(w_delta(path, 4), tau)
         assert left.grid.t_min == pytest.approx(right.grid.t_min)
         assert np.allclose(left.values, right.values, rtol=0, atol=1e-12)
 
@@ -83,6 +85,25 @@ class TestCocycleProbe:
             steps_per_unit=64,
         )
         assert cocycle_residual(vf, probe) == 0.0
+
+    @pytest.mark.parametrize("delta_multiple", [None, 4])
+    def test_residual_sees_a_field_that_changes_between_calls(self, delta_multiple):
+        # Negative control for the exact zeros above: a field whose amplitude
+        # grows with each evaluation gives the whole solve and the restarted
+        # legs other coefficients at the same node, and the residual shows it.
+        base = builtin_vector_field("sin-g", 2, 2)
+        calls = itertools.count()
+        vf = dataclasses.replace(base, g=lambda y: (1.0 + 1e-3 * next(calls)) * base.g(y))
+        probe = CocycleProbe(
+            t1=0.5,
+            t2=0.75,
+            y0=np.array([0.1, -0.3]),
+            seed=0,
+            fbm=FbmParams(H=0.45, d=2, seed=7),
+            delta_multiple=delta_multiple,
+            steps_per_unit=64,
+        )
+        assert cocycle_residual(vf, probe) > 1e-6
 
     def test_restart_comparison_is_sensitive(self):
         # The exact-zero residual is meaningful only if restarting from the

@@ -5,7 +5,7 @@ import pytest
 
 from roughwz.fbm import FbmParams, FbmSampler, SamplePath, TimeGrid
 from roughwz.lift import geometricity_residual, lift_left_riemann
-from roughwz.wongzakai import DeltaParam, g_delta, w_delta, ww_delta
+from roughwz.wongzakai import g_delta, w_delta, ww_delta
 
 from oracles import fit_slope, smoothed_value
 
@@ -27,76 +27,88 @@ def smooth_path(n, extra=0):
 
 
 class TestDeltaParam:
+    """The width parameter of g_delta, w_delta and ww_delta: k steps, delta = k * h."""
+
     def test_width_is_multiple_of_step(self):
-        dp = DeltaParam(4, TimeGrid(0.0, 1.0, 8).h)
-        assert dp.multiple == 4
-        assert dp.delta == pytest.approx(0.5)
+        w = w_delta(linear_path([1.0], n=8), 4)
+        assert w.grid.n_steps == 4
+        assert w.grid.t_max == pytest.approx(0.5)
 
     def test_rejects_nonpositive_multiple(self):
-        with pytest.raises(ValueError):
-            DeltaParam(0, 0.25)
+        for op in (g_delta, w_delta, ww_delta):
+            for k in (0, -2):
+                with pytest.raises(ValueError, match=">= 1"):
+                    op(hand_path(), k)
 
     def test_rejects_width_above_one(self):
-        with pytest.raises(ValueError):
-            DeltaParam(9, 0.25)
+        # The path holds 5 steps of 0.25, but delta = 1.25.
+        path = SamplePath(TimeGrid(0.0, 1.5, 6), np.zeros(7))
+        with pytest.raises(ValueError, match="exceeds 1"):
+            w_delta(path, 5)
 
-    @pytest.mark.parametrize("multiple, ok", [(2.5, False), (True, False), (np.int64(2), True)])
+    def test_rejects_a_width_the_path_cannot_hold(self):
+        with pytest.raises(ValueError, match="extended window"):
+            w_delta(hand_path(), 3)
+
+    @pytest.mark.parametrize(
+        "multiple, ok",
+        [(2.5, False), (True, False), (np.int64(2), True), (2.0, False), ("2", False)],
+    )
     def test_multiple_must_be_an_integer(self, multiple, ok):
         # A width counts whole grid steps; a bool is not a count.
         path = hand_path()
         if ok:
-            w = w_delta(path, DeltaParam(multiple, path.grid.h))
-            assert np.array_equal(w.values, w_delta(path, DeltaParam(2, path.grid.h)).values)
-        else:
-            with pytest.raises(ValueError, match="multiple"):
-                DeltaParam(multiple, path.grid.h)
+            assert np.array_equal(w_delta(path, multiple).values, w_delta(path, 2).values)
+            return
+        for op in (g_delta, w_delta, ww_delta):
+            with pytest.raises(ValueError, match="integer"):
+                op(path, multiple)
 
 
 class TestDifferenceQuotient:
     def test_hand_case(self):
-        gd = g_delta(hand_path(), DeltaParam(1, 0.25))
+        gd = g_delta(hand_path(), 1)
         assert gd.shape == (3, 1)
         assert np.allclose(gd.ravel(), [4.0, 8.0, -4.0])
 
     def test_constant_on_linear_paths(self):
         p = linear_path([2.0, -1.0])
-        gd = g_delta(p, DeltaParam(4, p.grid.h))
+        gd = g_delta(p, 4)
         assert np.allclose(gd, np.array([2.0, -1.0])[None, :], atol=1e-12)
 
 
 class TestSmoothing:
     def test_hand_case(self):
-        w = w_delta(hand_path(), DeltaParam(1, 0.25))
+        w = w_delta(hand_path(), 1)
         assert w.grid.t_max == pytest.approx(0.5)
         assert np.allclose(w.values.ravel(), [0.0, 1.5, 2.0], atol=1e-15)
 
     def test_anchored_at_zero_exactly(self):
         grid = TimeGrid(-0.5, 1.0, 24)
         path = FbmSampler(grid, FbmParams(H=0.4, d=2, seed=21)).sample(0)
-        w = w_delta(path, DeltaParam(3, grid.h))
+        w = w_delta(path, 3)
         assert w.values[w.grid.zero_index].tolist() == [0.0, 0.0]
 
     def test_linear_paths_are_fixed_points(self):
         # Averaging a line over a moving window reproduces the line.
         p = linear_path([3.0, 0.5])
         for k in (1, 2, 4):
-            w = w_delta(p, DeltaParam(k, p.grid.h))
+            w = w_delta(p, k)
             expect = w.grid.times[:, None] * np.array([3.0, 0.5])[None, :]
             assert np.allclose(w.values, expect, atol=1e-14)
 
     def test_matches_quadrature_oracle(self):
         grid = TimeGrid(0.0, 1.0, 64)
         path = FbmSampler(grid, FbmParams(H=0.45, d=2, seed=22)).sample(1)
-        dp = DeltaParam(5, grid.h)
-        w = w_delta(path, dp)
+        w = w_delta(path, 5)
         for node in (3, 17, 40, 59):
-            want = smoothed_value(grid.times, path.values, grid.times[node], dp.delta)
+            want = smoothed_value(grid.times, path.values, grid.times[node], 5 * grid.h)
             assert np.allclose(w.values[node], want, atol=1e-10)
 
     def test_domain_shrinks_by_window_width(self):
         grid = TimeGrid(0.0, 1.0, 32)
         path = FbmSampler(grid, FbmParams(H=0.4, d=1, seed=23)).sample(0)
-        w = w_delta(path, DeltaParam(8, grid.h))
+        w = w_delta(path, 8)
         assert w.grid.n_steps == 24
         assert w.grid.t_max == pytest.approx(0.75)
 
@@ -110,7 +122,7 @@ class TestSmoothing:
         for k in (32, 16, 8, 4, 2):
             sq = []
             for path in paths:
-                w = w_delta(path, DeltaParam(k, grid.h))
+                w = w_delta(path, k)
                 n = w.grid.n_steps
                 sq.append((w.values[: n + 1] - path.values[: n + 1]) ** 2)
             errs.append(float(np.sqrt(np.mean(sq))))
@@ -123,20 +135,19 @@ class TestSmoothedLift:
         # the symmetric defect carries a few ulps rather than exact zeros.
         grid = TimeGrid(0.0, 1.0, 64)
         path = FbmSampler(grid, FbmParams(H=0.45, d=2, seed=25)).sample(0)
-        rp = ww_delta(path, DeltaParam(4, grid.h))
+        rp = ww_delta(path, 4)
         assert geometricity_residual(rp) < 1e-15
 
     def test_level1_is_smoothed_path(self):
         grid = TimeGrid(0.0, 1.0, 32)
         path = FbmSampler(grid, FbmParams(H=0.4, d=2, seed=26)).sample(1)
-        dp = DeltaParam(2, grid.h)
-        rp = ww_delta(path, dp)
-        w = w_delta(path, dp)
+        rp = ww_delta(path, 2)
+        w = w_delta(path, 2)
         assert np.allclose(rp.values, w.values, atol=1e-14)
 
     def test_linear_case_closed_form(self):
         p = linear_path([2.0, 5.0])
-        rp = ww_delta(p, DeltaParam(2, p.grid.h))
+        rp = ww_delta(p, 2)
         n = rp.n_steps
         t = rp.grid.t_max
         assert np.allclose(rp.level1(0, n), np.array([2.0, 5.0]) * t, atol=1e-13)
@@ -158,7 +169,7 @@ class TestSmoothedLift:
         ).level2(0, n)
         deltas, errs = [], []
         for k in (32, 16, 8, 4):
-            rp = ww_delta(base, DeltaParam(k, base.grid.h))
+            rp = ww_delta(base, k)
             got = rp.level2(0, n)
             deltas.append(k * base.grid.h)
             errs.append(float(np.abs(got - truth).max()))
@@ -171,6 +182,6 @@ class TestSmoothedLift:
         truth = lift_left_riemann(inner)
         sups = []
         for k in (16, 8, 4, 2, 1):
-            rp = ww_delta(path, DeltaParam(k, grid.h)).restrict(0, 128)
+            rp = ww_delta(path, k).restrict(0, 128)
             sups.append(float(np.abs(rp.values - truth.values).max()))
         assert all(a > b for a, b in zip(sups, sups[1:]))
