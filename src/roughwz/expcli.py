@@ -735,7 +735,8 @@ def run_suite(cfg: ExperimentConfig) -> ConvergenceReport:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError("out_dir", f"cannot create {out}: {exc}") from None
+        reason = f"cannot create {_short(str(out))}: {_os_reason(exc)}"
+        raise ConfigError("out_dir", reason) from None
     report = _RUNNERS[cfg.experiment](cfg)
     with open(out / f"{report.experiment}.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -750,25 +751,31 @@ def run_suite(cfg: ExperimentConfig) -> ConvergenceReport:
     return report
 
 
+def _os_reason(exc: OSError) -> str:
+    """The reason of an OSError without the file names its text repeats."""
+    return exc.strerror or type(exc).__name__
+
+
 def _config_from_file(path: str) -> dict:
     """Read a JSON config file mirroring ExperimentConfig field names."""
+    where = _short(path)
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise ConfigError("config", f"cannot read {path}: {exc}") from exc
+        raise ConfigError("config", f"cannot read {where}: {_os_reason(exc)}") from exc
     except UnicodeDecodeError as exc:
-        raise ConfigError("config", f"{path} is not UTF-8 text: {exc}") from exc
+        raise ConfigError("config", f"{where} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"{path} is not valid JSON: {exc}") from exc
+        raise ConfigError("config", f"{where} is not valid JSON: {exc}") from exc
     except RecursionError:
-        raise ConfigError("config", f"{path} nests too deeply to read") from None
+        raise ConfigError("config", f"{where} nests too deeply to read") from None
     if not isinstance(raw, dict):
-        raise ConfigError("config", f"{path} must hold a JSON object")
+        raise ConfigError("config", f"{where} must hold a JSON object")
     allowed = set(ExperimentConfig.__dataclass_fields__)
     unknown = set(raw) - allowed
     if unknown:
-        raise ConfigError("config", f"unknown keys {_short(sorted(unknown))} in {path}")
+        raise ConfigError("config", f"unknown keys {_short(sorted(unknown))} in {where}")
     return raw
 
 

@@ -5,11 +5,11 @@ function: norms(i, j) returns the norms of the blocks over node pairs
 (i, j), i a slice of left ends with one int right end j or i and j
 equal-length index arrays, along a leading pair axis.  The code that
 builds a block also takes its norm: euclidean_norms of the level-1
-increments  pts[j] - pts[i]  and of the solution remainders
-ControlledPath.remainder, frobenius_norms of the level-2 blocks
-GridRoughPath.level2, and the same norm of the difference of two such
-blocks.  Blocks of stacked paths, and their norms, carry member axes
-right after the pair axis.
+increments  pts[j] - pts[i]  and of the gaps between two solutions'
+remainders that rde.solution_distance reads, frobenius_norms of the
+level-2 blocks GridRoughPath.level2, and the same norm of the difference
+of two such blocks.  Blocks of stacked paths, and their norms, carry
+member axes right after the pair axis.
 
 Two kernels consume pair norms.  partition_sums is the exact O(n^2)
 p-variation program: over nodes 0..j the maximal partition sum satisfies

@@ -21,7 +21,9 @@ with member axes).  solve_rde advances all of its members in one step
 loop, the builtin fields acting on states of shape (*members, m), and the
 solution carries the same member axes right after the node axis;
 solution_distance broadcasts the member axes of its two solutions and
-measures every pair through one variation program per part.
+measures every pair through one variation program per part; its
+remainder part reads the gaps R^a - R^b of one right end at a time, as one
+matrix-vector product per member (_remainder_gaps).
 
 Every norm and distance is taken over the whole grid of its arguments;
 over nodes [i, j] it is taken of cp.restrict(i, j), which restricts the
@@ -234,21 +236,6 @@ class ControlledPath:
             self.driver.restrict(i_lo, i_hi),
         )
 
-    def remainder(self, i, j) -> np.ndarray:
-        """R_{i,j} = y_{i,j} - y'_i X1_{i,j}, node pairs (i, j) as in GridRoughPath.level2."""
-        x = self.driver.values[..., None, :]  # X1 broadcast over the value axis m
-        w1 = x[j] - x[i]
-        gub = self.gubinelli[i]
-        # y'_i X1_{i,j}, summed over the driver axis in index order: one
-        # ufunc pass per component stays fast on the strided member views of
-        # a stack, where einsum is several times slower.
-        lin = gub[..., 0] * w1[..., 0]
-        for e in range(1, w1.shape[-1]):
-            lin += gub[..., e] * w1[..., e]
-        out = self.values[j] - self.values[i]
-        out -= lin
-        return out
-
 
 # ---------------------------------------------------------------------------
 # solver
@@ -330,9 +317,56 @@ def solution_distance(a: ControlledPath, b: ControlledPath, p: float) -> Solutio
     """
     if not a.grid.is_compatible(b.grid):
         raise ValueError("controlled paths live on different grids")
-
-    rem = block_variation(
-        lambda i, j: euclidean_norms(a.remainder(i, j) - b.remainder(i, j)), p / 2.0, b.grid.n_steps
-    )
+    gaps = _remainder_gaps(a, b)
+    rem = block_variation(lambda i, j: euclidean_norms(gaps(i, j)), p / 2.0, b.grid.n_steps)
+    del gaps  # its matrices go before the p-variation's temporaries come
     diff = a.values - b.values
     return SolutionDistance(euclidean_norms(diff).max(axis=0), pvar_seminorm(diff, p), rem)
+
+
+def _remainder_gaps(a: ControlledPath, b: ControlledPath) -> Callable[..., np.ndarray]:
+    """R^a_{i,j} - R^b_{i,j} over node pairs i < j, in the forms of GridRoughPath.level2.
+
+    A remainder splits as  R_{i,j} = y_j - c_i - y'_i X_j  with intercepts
+    c_i = y_i - y'_i X_i,  X the node values of the path's declared driver
+    (0 at its first node).  So one matrix G, whose row (i, r) holds
+    [y'^a_i | -y'^b_i | c^a_i - c^b_i] at value component r, gives every gap
+    of a right end j as  y^a_j - y^b_j - G[:j] [X^a_j; X^b_j; 1]:  one
+    matrix-vector product per member.  The member axes of a and b broadcast
+    and come first in G and the vectors.  Every form reads the gaps of a
+    pair from the row of its right end, so it gets the same bits whichever
+    form asks.
+    """
+    members = np.broadcast_shapes(a.values.shape[1:-1], b.values.shape[1:-1])
+    n_nodes, m = a.values.shape[0], a.values.shape[-1]
+    xa, xb = a.driver.values, b.driver.values
+    da = xa.shape[-1]
+    c = [cp.values - (cp.gubinelli @ cp.driver.values[..., None])[..., 0] for cp in (a, b)]
+    g = np.empty(members + (n_nodes, m, da + xb.shape[-1] + 1))
+    g[..., :da] = np.moveaxis(a.gubinelli, 0, -3)
+    g[..., da:-1] = np.moveaxis(-b.gubinelli, 0, -3)
+    g[..., -1] = np.moveaxis(c[0] - c[1], 0, -2)
+    g = g.reshape(members + (n_nodes * m, g.shape[-1]))
+    z = np.ones(members + (g.shape[-1], 1))  # [X^a_j; X^b_j; 1] of one right end j
+    # A row's axes (*members, pairs, m) in the order (pairs, *members, m).
+    pairs_first = (len(members), *range(len(members)), len(members) + 1)
+
+    def row(j: int) -> np.ndarray:
+        """The gaps of the pairs (i, j), i < j, shape (*members, j, m)."""
+        z[..., :da, 0] = xa[j]
+        z[..., da:-1, 0] = xb[j]
+        out = (g[..., : j * m, :] @ z).reshape(members + (j, m))
+        return np.subtract((a.values[j] - b.values[j])[..., None, :], out, out=out)
+
+    def gaps(i, j) -> np.ndarray:
+        if isinstance(i, slice):
+            return row(j)[..., i, :].transpose(pairs_first)
+        if np.ndim(j) == 0:
+            return row(j)[..., i, :]
+        out = np.empty(np.shape(i) + members + (m,))
+        for k in set(np.ravel(j).tolist()):
+            at = j == k
+            out[at] = row(k)[..., i[at], :].transpose(pairs_first)
+        return out
+
+    return gaps

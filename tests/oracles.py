@@ -12,6 +12,7 @@ ladder replaced.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -248,11 +249,30 @@ def greedy_stops_restarting(rp: GridRoughPath, eta: float, p: float) -> list[int
     return stops
 
 
+def loop_remainder(cp, i, j) -> np.ndarray:
+    """R_{i,j} = y_{i,j} - y'_i X1_{i,j}, node pairs (i, j) in the forms of GridRoughPath.level2.
+
+    The program ControlledPath.remainder ran before solution_distance read
+    every remainder gap of a right end from one matrix product: both node
+    values differenced per pair, y'_i X1_{i,j} summed over the driver axis
+    in index order, one ufunc pass per component.
+    """
+    x = cp.driver.values[..., None, :]  # X1 broadcast over the value axis m
+    w1 = x[j] - x[i]
+    gub = cp.gubinelli[i]
+    lin = gub[..., 0] * w1[..., 0]
+    for e in range(1, w1.shape[-1]):
+        lin += gub[..., e] * w1[..., e]
+    out = cp.values[j] - cp.values[i]
+    out -= lin
+    return out
+
+
 def einsum_remainder(cp, i, j) -> np.ndarray:
     """R_{i,j} = y_{i,j} - y'_i X1_{i,j} of a lone controlled path, by one einsum.
 
-    The formula ControlledPath.remainder had before it summed over the
-    driver axis in a loop of ufunc passes.
+    The formula the remainder had before it summed over the driver axis in
+    the loop of loop_remainder.
     """
     x = cp.driver.values
     lin = np.einsum("i...d,id->i...", cp.gubinelli[i], x[j] - x[i])
@@ -293,6 +313,28 @@ def base_step_smoothing(path: SamplePath, k: int, h: float) -> tuple[np.ndarray,
     rp = lift_smooth_quadrature(SamplePath(g.window(0, g.n_steps - k), vals),
                                 (v[k:] - v[:-k]) / (k * h))
     return vals, rp.inc1, rp.inc2
+
+
+def quadratic_path_lift(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-interval (inc1, inc2) that trapezoid quadrature gives the path X_t = (t, t^2).
+
+    On [s, u] the area integrands  f_01(r) = (r - s) 2r  and
+    f_10(r) = r^2 - s^2  are quadratic, so the trapezoid rule gives their
+    exact integrals plus h^3 f''/12 with h = u - s (f''_01 = 4, f''_10 = 2).
+    inc2 is inc (x) inc / 2 plus half the difference of the two, all in
+    exact rationals from the float node times.
+    """
+    inc1, inc2 = [], []
+    for s, u in zip(map(Fraction, times[:-1]), map(Fraction, times[1:])):
+        h = u - s
+        x = (h, u * u - s * s)
+        f01 = 2 * (u**3 - s**3) / 3 - s * (u * u - s * s) + h**3 * 4 / 12
+        f10 = (u**3 - s**3) / 3 - s * s * h + h**3 * 2 / 12
+        area = (f01 - f10) / 2
+        inc1.append([float(v) for v in x])
+        inc2.append([[float(x[a] * x[b] / 2 + (a < b) * area - (a > b) * area) for b in range(2)]
+                     for a in range(2)])
+    return np.array(inc1), np.array(inc2)
 
 
 def smoothed_value(times: np.ndarray, values: np.ndarray, t: float, delta: float) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 A row names a fast path, the reference program from oracles.py that it must
 agree with, and how: `==` bit for bit, or a relative tolerance of at most
-1e-12 with its reason written in the row.  Every row runs on the cases that
-one seeded generator, `draw`, makes for it: n, d, a member shape,
-exponents, eta, a window restrict(i, j), a coarsening stride and a shift
-node.  A fast path that replaces a slower program adds one row here.
+1e-12 with its reason written in the row, for the whole result or for each
+of its parts.  Every row runs on the cases that one seeded generator,
+`draw`, makes for it: n, d, a member shape, exponents, eta, a window
+restrict(i, j), a coarsening stride and a shift node.  A fast path that
+replaces a slower program adds one row here.
 
 A row's fast side measures the case's path, a stack in one call, and gives
 results with the member axes first.  Unless the row compares whole cases,
@@ -178,7 +179,7 @@ class Row:
     id: str
     fast: Callable[[Case], object]
     oracle: Callable[[Case], object] | None
-    comparison: str | Tol
+    comparison: str | Tol | tuple  # a tuple holds one comparison per part of a result
     cases: Cases
     whole: bool = False
     run_pairs: int | None = None  # norms._RUN_PAIRS while the row runs
@@ -186,9 +187,18 @@ class Row:
 
 
 def agree(got, want, comparison) -> bool:
-    """got and want hold the same entries: nested tuples and lists of arrays."""
+    """got and want hold the same entries: nested tuples and lists of arrays.
+
+    A tuple of comparisons is taken apart with the first tuple of want, one
+    comparison per part; a list, such as one entry per member, keeps it whole.
+    """
     if isinstance(want, (tuple, list)) and isinstance(got, (tuple, list)):
-        return len(got) == len(want) and all(agree(g, w, comparison) for g, w in zip(got, want))
+        each = [comparison] * len(want)
+        if isinstance(comparison, tuple) and isinstance(want, tuple):
+            each = comparison
+        return len(got) == len(want) == len(each) and all(
+            agree(g, w, c) for g, w, c in zip(got, want, each)
+        )
     got, want = np.asarray(got), np.asarray(want)
     if got.shape != want.shape:
         return False
@@ -296,10 +306,16 @@ def restarting_stops(c):
 
 
 def controlled(c):
-    """A controlled path of generic values on the case's path."""
+    """Controlled paths of generic values with one m (1 to 3) on the case's path and on other."""
     rng = c.rng()
-    shape = (c.n + 1, *c.members, int(rng.integers(1, 4)))
-    return rde.ControlledPath(rng.standard_normal(shape), rng.standard_normal(shape + (c.d,)), c.rp)
+    m = int(rng.integers(1, 4))
+
+    def on(path):
+        shape = (c.n + 1, *path.inc1.shape[1:-1], m)
+        return rde.ControlledPath(rng.standard_normal(shape), rng.standard_normal(shape + (c.d,)),
+                                  path)
+
+    return on(c.rp), on(c.other)
 
 
 def all_pairs(c):
@@ -313,7 +329,7 @@ def pair_forms(c, loop):
     """Blocks of a slice row and of all_pairs; with loop, the same from ints and slice rows."""
     i, j = c.window
     out = []
-    for block in (c.rp.level1, c.rp.level2, controlled(c).remainder):
+    for block in (c.rp.level1, c.rp.level2, rde._remainder_gaps(*controlled(c))):
         if not loop:
             out += [block(slice(i, j), j), block(*all_pairs(c))]
             continue
@@ -348,31 +364,37 @@ def distance(c, a, b):
     return parts
 
 
+def loop_gaps(a, b):
+    return lambda i, j: oracles.loop_remainder(a, i, j) - oracles.loop_remainder(b, i, j)
+
+
 def enumerated_distance(c):
     a, b = solve(c, c.rp), solve(c, c.other)
     (i, j), diff = c.window, a.values - b.values
-    gap = lambda s, t: a.remainder(s, t) - b.remainder(s, t)
     sup = max(np.linalg.norm(diff[k]) for k in range(i, j + 1))
-    return sup, oracles.pvar_brute(diff, c.p, i, j), oracles.pvar2_brute(gap, c.q, i, j)
+    return sup, oracles.pvar_brute(diff, c.p, i, j), oracles.pvar2_brute(loop_gaps(a, b), c.q, i, j)
+
+
+def solved_windows(c):
+    """The windows of the solutions driven by the case's path and by other."""
+    return c.win(solve(c, c.rp)), c.win(solve(c, c.other))
 
 
 def einsum_distance(c):
-    """Distance parts from einsum_remainder, then the window's last row of remainders."""
-    a, b = c.win(solve(c, c.rp)), c.win(solve(c, c.other))
-    last = (slice(0, a.grid.n_steps), a.grid.n_steps)
+    """Distance parts with the remainders of einsum_remainder."""
+    a, b = solved_windows(c)
     gap = lambda i, j: oracles.einsum_remainder(a, i, j) - oracles.einsum_remainder(b, i, j)
-    rem = norms.block_variation(lambda i, j: norms.euclidean_norms(gap(i, j)), c.q, last[1])
+    rem = norms.block_variation(lambda i, j: norms.euclidean_norms(gap(i, j)), c.q, a.grid.n_steps)
     diff = a.values - b.values
     sup = float(np.sqrt(np.einsum("id,id->i", diff, diff)).max())
-    return sup, norms.pvar_seminorm(diff, c.p), rem, oracles.einsum_remainder(a, *last)
+    return sup, norms.pvar_seminorm(diff, c.p), rem
 
 
-def einsum_fast(c):
-    """Distance parts, the window's last row of remainders, and the distance swapped."""
-    a, b = solve(c, c.rp), solve(c, c.other)
-    w = c.win(a)
-    last = c.first(w.remainder(slice(0, w.grid.n_steps), w.grid.n_steps))
-    return (*distance(c, a, b), last, *distance(c, b, a))
+def gap_rows(c, gaps):
+    """gaps(a, b)(slice(0, j), j) of the solved windows for every right end j, in one array."""
+    a, b = solved_windows(c)
+    rows = [gaps(a, b)(slice(0, j), j) for j in range(1, a.grid.n_steps + 1)]
+    return c.first(np.concatenate(rows))
 
 
 def member_views(c):
@@ -422,6 +444,15 @@ def smoothed(c, same_spacing):
     return wongzakai.w_delta(path, k).values, rp.inc1, rp.inc2
 
 
+def quadratic_lift(c):
+    """inc1 and inc2 of lift_smooth_quadrature for X_t = (t, t^2) on the case's grid."""
+    grid = TimeGrid(0.0, 1.0, c.n)
+    t = grid.times
+    path = SamplePath(grid, np.column_stack([t, t * t]))
+    rp = lift.lift_smooth_quadrature(path, np.column_stack([np.ones_like(t), 2.0 * t]))
+    return rp.inc1, rp.inc2
+
+
 def shifted(c, path):
     """path translated by the time of node c.shift, then restricted to the window."""
     return c.win(shift_rough_path(path, path.grid.times[c.shift]))
@@ -450,6 +481,16 @@ CHEN = (
 STEPPED = (
     "einsum sums the second-order term's (c, e) pairs in another order than one matmul, "
     "and each step carries the rounding on; an entry near 0 is held to 1e-12 absolute"
+)
+GAP_TOL = Tol(1e-12, (
+    "a remainder gap is read as y_j - c_i - y'_i X_j with c_i = y_i - y'_i X_i, so its "
+    "rounding is a few ulps of |y| + |y'||X|, not of |R|; an entry near 0 is held to "
+    "1e-12 absolute"
+), floor=1.0)
+QUADRATURE = (
+    "the reference is exact in rationals from the float node times; the lift differences "
+    "rounded values t^2, which carries about n ulps, weighs each interval by the grid "
+    "spacing rather than t_{k+1} - t_k, and rounds inc (x) inc / 2 and the trapezoid terms"
 )
 SHIFTED = "the Hoelder gaps t_j - t_i are differences of translated node times"
 OFF_SPACING = (
@@ -520,10 +561,16 @@ ROWS = [
         enumerated_distance,
         Tol(1e-12, WINDOWED + "; np.linalg.norm rounds otherwise than euclidean_norms"),
         Cases(lone=2, stacks=2, n=(1, 8))),
-    # einsum sums d = 1 or 2 driver components in the order of remainder's loop only.
-    Row("solution_distance,remainder~einsum_remainder", einsum_fast,
-        lambda c: (*einsum_distance(c), *distance(c, solve(c, c.rp), solve(c, c.other))),
-        EXACT, Cases(lone=1, stacks=4, n=(1, 40), d=(1, 2))),
+    Row("remainder gaps~loop_remainder", lambda c: gap_rows(c, rde._remainder_gaps),
+        lambda c: gap_rows(c, loop_gaps), GAP_TOL,
+        Cases(lone=12, stacks=12, n=(1, 30))),
+    # The distance swapped has the same parts: a - b and b - a have the same norms.
+    Row("solution_distance,remainder~einsum_remainder",
+        lambda c: (*distance(c, solve(c, c.rp), solve(c, c.other)),
+                   *distance(c, solve(c, c.other), solve(c, c.rp))),
+        lambda c: (*einsum_distance(c), *einsum_distance(c)),
+        (EXACT, EXACT, GAP_TOL, EXACT, EXACT, GAP_TOL),
+        Cases(lone=1, stacks=4, n=(1, 40))),
     # No reference program: each member of a stack measures as its lone path.
     Row("stack member data~lone paths", member_data, None, EXACT,
         Cases(lone=0, stacks=12, n=(1, 40))),
@@ -540,6 +587,11 @@ ROWS = [
     Row("w_delta,ww_delta~base_step_smoothing[off spacing]", lambda c: smoothed(c, False),
         lambda c: oracles.base_step_smoothing(*smoothing_input(c, False)),
         Tol(1e-12, OFF_SPACING, floor=1.0), Cases(lone=40, stacks=0, n=(33, 58)), whole=True),
+    # The areas are h^3 / 4 an interval, so an area scaled by 1 + 1e-9 moves
+    # inc2 by more than 1e-12 of itself on every grid up to 64 steps.
+    Row("lift_smooth_quadrature[t, t^2]~quadratic_path_lift", quadratic_lift,
+        lambda c: oracles.quadratic_path_lift(TimeGrid(0.0, 1.0, c.n).times),
+        Tol(1e-12, QUADRATURE), Cases(lone=24, stacks=0, n=(1, 64)), whole=True),
     Row("holder_seminorm,rho_alpha_metric[shift_rough_path]~unshifted",
         lambda c: shift_measures(c, shifted, True), lambda c: shift_measures(c, Case.win, True),
         Tol(1e-12, SHIFTED), Cases(lone=6, stacks=3, n=(1, 40)), whole=True),

@@ -837,6 +837,16 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300
         assert repr(name) in err
 
+    @pytest.mark.parametrize("flag", ["--config", "--out"])
+    def test_a_long_path_is_echoed_cut_short(self, capsys, tmp_path, flag):
+        # A 5 000-character file name cannot be opened or made; the error line
+        # shows the start and end of the name once, and the reason without it.
+        long = str(tmp_path / ("x" * 5000))
+        assert main(["--experiment", "stopping", flag, long]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300
+        assert "File name too long" in err
+
     def test_config_file_not_utf8_is_usage_error(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_bytes(b"\xff\xfe" + json.dumps(dict(TINY_STOPPING)).encode())

@@ -2,10 +2,12 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from roughwz import rde
 from roughwz.fbm import FbmParams, FbmSampler, SamplePath, TimeGrid
 from roughwz.lift import GridRoughPath, lift_left_riemann, lift_smooth_quadrature
 from roughwz.norms import (
@@ -280,8 +282,9 @@ class TestControlledPaths:
         driver_vals = np.array([[0.0], [1.0], [3.0]])
         driver = lift_left_riemann(SamplePath(grid, driver_vals))
         cp = ControlledPath(np.array([[0.0], [1.0], [3.0]]), np.full((3, 1, 1), 2.0), driver=driver)
-        # R_{u,2} = y_{u,2} - 2 x_{u,2} for u = 0, 1.
-        blk = cp.remainder(slice(0, 2), 2)
+        zero = ControlledPath(np.zeros((3, 1)), np.zeros((3, 1, 1)), driver=driver)
+        # R_{u,2} = y_{u,2} - 2 x_{u,2} for u = 0, 1, less the zero path's remainder.
+        blk = rde._remainder_gaps(cp, zero)(slice(0, 2), 2)
         assert np.allclose(blk.ravel(), [-3.0, -2.0])
 
     def test_value_shape_is_members_then_one_axis(self):
@@ -340,6 +343,20 @@ class TestDistancesAndBounds:
     @pytest.mark.parametrize("i_lo, i_hi", [(0, 8), (2, 6)])
     def test_batched_remainder_distance_matches_enumeration(self, i_lo, i_hi):
         assert_rows("solution_distance~enumeration")
+
+    def test_remainder_distance_keeps_per_row_memory(self):
+        # The remainder part reads one right end's gaps at a time.  A table of
+        # every (i, j) gap of this 1025-node stack of 5 members against 1 would
+        # take more than 16 MB of the traced heap.
+        stack = GridRoughPath.stack([fbm_lift(1024, seed=80, counter=k) for k in range(6)])
+        cp = solve_rde(builtin_vector_field("sin-g", 2, 2), stack, np.zeros(2))
+        tracemalloc.start()
+        try:
+            solution_distance(cp.member(slice(1, None)), cp.member(slice(0, 1)), 2.8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestStackMembersEqualLonePaths:
