@@ -62,6 +62,7 @@ import math
 import numbers
 import reprlib
 import sys
+import textwrap
 import time
 import typing
 from dataclasses import asdict, dataclass, field
@@ -533,7 +534,7 @@ def _run_ladder(
     def one_seed(idx: int) -> np.ndarray:
         path = sampler.sample(idx)
         lifts = chain(
-            [lift_left_riemann(path.restrict(0, n))],
+            [lift_left_riemann(path).restrict(0, n)],
             (ww_delta(path, k).restrict(0, n) for k in cfg.delta_ladder),
         )
         return measure(idx, path, lifts)
@@ -766,7 +767,7 @@ def _config_from_file(path: str) -> dict:
         raise ConfigError("config", f"cannot read {where}: {_os_reason(exc)}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError("config", f"{where} is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
         raise ConfigError("config", f"{where} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise ConfigError("config", f"{where} nests too deeply to read") from None
@@ -780,10 +781,11 @@ def _config_from_file(path: str) -> dict:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Argument errors print one `error:` line, without the usage block, and exit 2."""
+    """Argument errors print one short `error:` line, without the usage block, and exit 2."""
 
     def error(self, message: str):
-        self.exit(2, f"error: {message}\n")
+        # argparse echoes a bad value or flag whole; shorten drops a long one.
+        self.exit(2, f"error: {textwrap.shorten(message, 200)}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:

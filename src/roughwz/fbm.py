@@ -149,11 +149,8 @@ class SamplePath:
     values: np.ndarray  # (n_nodes, d)
 
     def __post_init__(self) -> None:
-        # Copy an array that its owner can still write to; a read-only one,
-        # such as the values of the path that restrict windows, is shared.
-        v = np.asarray(self.values, dtype=float)
-        if v.flags.writeable:
-            v = v.copy()
+        # Always a copy, so no later write to the caller's array reaches the path.
+        v = np.array(self.values, dtype=float)
         if v.ndim == 1:
             v = v[:, None]
         if v.shape[0] != self.grid.n_nodes:
@@ -171,10 +168,6 @@ class SamplePath:
 
     def value_at(self, t: float) -> np.ndarray:
         return self.values[self.grid.index_of(t)]
-
-    def restrict(self, i_lo: int, i_hi: int) -> "SamplePath":
-        """Restriction to a node window that still spans time 0."""
-        return SamplePath(self.grid.window(i_lo, i_hi), self.values[i_lo : i_hi + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,8 @@ of |block|^p when the grid's pairs x members fit _TABLE_PAIRS (the
 reads its row of the table; on larger grids (513-node stopping, 1025-node
 solution) it reads one row, norms(slice(0, j), j), per right end.  Every
 norm is taken over the whole grid of its path; over nodes [i, j] it is
-the norm of rp.restrict(i, j), and no measure takes a node range.
+the norm of rp.restrict(i, j), the one window taker, and no measure
+takes a node range.
 
 The homogeneous rough-path norm combines the levels as
 
@@ -143,6 +144,8 @@ def _root(total: float | np.ndarray, p: float) -> float | np.ndarray:
 
 def block_variation(norms: PairNorms, p: float, n_steps: int) -> float | np.ndarray:
     """Exact p-variation of the blocks behind a pair-norm function over nodes 0..n_steps."""
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     if n_steps == 0:
         return np.zeros(_member_shape(norms))[()]
     for best in partition_sums(norms, p, n_steps):

@@ -25,9 +25,9 @@ measures every pair through one variation program per part; its
 remainder part reads the gaps R^a - R^b of one right end at a time, as one
 matrix-vector product per member (_remainder_gaps).
 
-Every norm and distance is taken over the whole grid of its arguments;
-over nodes [i, j] it is taken of cp.restrict(i, j), which restricts the
-declared driver with it.
+Every norm and distance is taken over the whole grid of its arguments.
+Over nodes [i, j], solve on rp.restrict(i, j) from the state at node i:
+the scheme restarts at nodes, so that is the window up to rounding.
 """
 
 from __future__ import annotations
@@ -228,14 +228,6 @@ class ControlledPath:
         """Member k of a path against a stacked driver, k an index or a slice (views)."""
         return ControlledPath(self.values[:, k], self.gubinelli[:, k], self.driver.member(k))
 
-    def restrict(self, i_lo: int, i_hi: int) -> "ControlledPath":
-        """Window onto node indices [i_lo, i_hi] (views), the driver restricted with it."""
-        return ControlledPath(
-            self.values[i_lo : i_hi + 1],
-            self.gubinelli[i_lo : i_hi + 1],
-            self.driver.restrict(i_lo, i_hi),
-        )
-
 
 # ---------------------------------------------------------------------------
 # solver
@@ -317,6 +309,9 @@ def solution_distance(a: ControlledPath, b: ControlledPath, p: float) -> Solutio
     """
     if not a.grid.is_compatible(b.grid):
         raise ValueError("controlled paths live on different grids")
+    ma, mb = a.values.shape[-1], b.values.shape[-1]
+    if ma != mb:
+        raise ValueError(f"controlled paths have state dimensions m={ma} and m={mb}")
     gaps = _remainder_gaps(a, b)
     rem = block_variation(lambda i, j: euclidean_norms(gaps(i, j)), p / 2.0, b.grid.n_steps)
     del gaps  # its matrices go before the p-variation's temporaries come

@@ -77,7 +77,7 @@ def _probe_driver(probe: CocycleProbe) -> GridRoughPath:
     sampler = FbmSampler(grid.extended(extra), probe.fbm)
     path = sampler.sample(probe.seed)
     if probe.delta_multiple is None:
-        return lift_left_riemann(path.restrict(0, n))
+        return lift_left_riemann(path)
     return ww_delta(path, probe.delta_multiple)
 
 

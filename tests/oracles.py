@@ -228,6 +228,19 @@ def greedy_stops_restarting(rp: GridRoughPath, eta: float, p: float) -> list[int
     blocks (prefix sums from rp's first node), and stops at the first j
     where their sum reaches eta^p.
     """
+    return _restarting_pass(rp, eta, p)[0]
+
+
+def restarting_margin(rp: GridRoughPath, eta: float, p: float) -> float:
+    """The least |sum - eta^p| / eta^p over the sums greedy_stops_restarting compares.
+
+    A stop can flip under rounding only where this margin is a few ulps.
+    """
+    return _restarting_pass(rp, eta, p)[1]
+
+
+def _restarting_pass(rp: GridRoughPath, eta: float, p: float) -> tuple[list[int], float]:
+    """The stops of greedy_stops_restarting and the margin of restarting_margin."""
 
     def running(norms, q, start, n):
         best = np.zeros(n - start + 1)
@@ -239,14 +252,39 @@ def greedy_stops_restarting(rp: GridRoughPath, eta: float, p: float) -> list[int
     v = rp.values
     level1 = lambda i, j: euclidean_norms(v[j] - v[i])
     level2 = lambda i, j: frobenius_norms(rp.level2(i, j))
-    n = rp.n_steps
-    stops = [0]
+    n, thresh = rp.n_steps, eta**p
+    stops, margin = [0], np.inf
     while stops[-1] < n:
         start = stops[-1]
         sums = zip(running(level1, p, start, n), running(level2, p / 2.0, start, n))
-        hits = (j for j, (a, b) in enumerate(sums, start + 1) if a + b >= eta**p)
-        stops.append(next(hits, n))
-    return stops
+        stop = n
+        for j, (a, b) in enumerate(sums, start + 1):
+            margin = min(margin, abs(a + b - thresh) / thresh)
+            if a + b >= thresh:
+                stop = j
+                break
+        stops.append(stop)
+    return stops, margin
+
+
+def dilate(rp: GridRoughPath, lam: float) -> GridRoughPath:
+    """The dilation delta_lam of a rough path: X1 -> lam X1 and X2 -> lam^2 X2 on every step.
+
+    Chen's relation is bilinear, so every block over a node pair scales the
+    same way: level-1 measures are 1-homogeneous and level-2 ones 2-homogeneous.
+    """
+    return GridRoughPath(rp.grid, lam * rp.inc1, lam * lam * rp.inc2)
+
+
+def reverse(rp: GridRoughPath) -> GridRoughPath:
+    """Time reversal on the same grid: the steps in reverse order, inc1 -> -inc1, inc2 -> inc2^T.
+
+    Chen's relation composes transposed steps in reverse order to the
+    transposed block, so over the node pair (n - j, n - i) the reversal
+    carries -X1_{i,j} and (X2_{i,j})^T, which for a geometric path is the
+    inverse block.  Every norm of a pair's blocks is kept.
+    """
+    return GridRoughPath(rp.grid, -rp.inc1[::-1], np.swapaxes(rp.inc2[::-1], -1, -2))
 
 
 def loop_remainder(cp, i, j) -> np.ndarray:
@@ -384,6 +422,15 @@ def fit_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(np.log(np.asarray(x, float)), np.log(np.asarray(y, float)), 1)[0])
 
 
+def sampled_window(path: SamplePath, n: int) -> SamplePath:
+    """The sampled path on nodes [0, n], built with the public constructor.
+
+    The per-rung loops below restrict the sampled path and then lift it, the
+    order the experiments used before they restricted the lift instead.
+    """
+    return SamplePath(path.grid.window(0, n), path.values[: n + 1])
+
+
 def noise_ladder_loop(cfg, path) -> np.ndarray:
     """One noise seed's (metric, delta) table, one ladder rung at a time.
 
@@ -391,7 +438,7 @@ def noise_ladder_loop(cfg, path) -> np.ndarray:
     the coarsened approximant against the coarsened canonical lift.
     """
     n = cfg.grid_n
-    coarse_true = lift_left_riemann(path.restrict(0, n)).coarsen(cfg.stride)
+    coarse_true = lift_left_riemann(sampled_window(path, n)).coarsen(cfg.stride)
     out = np.empty((3, len(cfg.delta_ladder)))
     for col, k in enumerate(cfg.delta_ladder):
         wz = ww_delta(path, k)
@@ -412,7 +459,7 @@ def noise_member_loop(cfg, path) -> np.ndarray:
     """
     n = cfg.grid_n
     lifts = GridRoughPath.stack(
-        [lift_left_riemann(path.restrict(0, n))]
+        [lift_left_riemann(sampled_window(path, n))]
         + [ww_delta(path, k).restrict(0, n) for k in cfg.delta_ladder]
     )
     w_fixed = lifts.level1(cfg.grid.zero_index, cfg.grid.index_of(cfg.fixed_time))
@@ -436,7 +483,7 @@ def stopping_ladder_loop(cfg, path) -> np.ndarray:
     """
     n = cfg.grid_n
     p = cfg.p
-    coarse_true = lift_left_riemann(path.restrict(0, n)).coarsen(cfg.stride)
+    coarse_true = lift_left_riemann(sampled_window(path, n)).coarsen(cfg.stride)
     times = coarse_true.grid.times
     t_true = times[greedy_stops_restarting(coarse_true, cfg.eta, p)]
     out = np.empty((3, len(cfg.delta_ladder)))

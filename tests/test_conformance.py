@@ -104,7 +104,12 @@ class Case:
         return self.eta_share * float(norm)
 
     def win(self, path):
-        return path.restrict(*self.window)
+        """path on the nodes of the window; a controlled path's driver is restricted with it."""
+        i, j = self.window
+        if isinstance(path, rde.ControlledPath):
+            return rde.ControlledPath(path.values[i : j + 1], path.gubinelli[i : j + 1],
+                                      path.driver.restrict(i, j))
+        return path.restrict(i, j)
 
     def first(self, x: np.ndarray) -> np.ndarray:
         """x with its leading pair or node axis moved behind the member axes."""
@@ -453,6 +458,90 @@ def quadratic_lift(c):
     return rp.inc1, rp.inc2
 
 
+def sampled_lift(c, restrict_first):
+    """The canonical lift on the case's grid of a walk on that grid extended by K >= 1 steps.
+
+    The walk is lifted and the lift restricted, or (restrict_first) the walk
+    is windowed with the SamplePath constructor and then lifted.
+    """
+    rng = c.rng()
+    grid = TimeGrid(0.0, 1.0, c.n).extended(int(rng.integers(1, c.n + 1)))
+    walk = np.vstack([np.zeros(c.d), rng.standard_normal((grid.n_steps, c.d)).cumsum(axis=0)])
+    path = SamplePath(grid, walk)
+    if restrict_first:
+        return path_data(lift.lift_left_riemann(oracles.sampled_window(path, c.n)))
+    return path_data(lift.lift_left_riemann(path).restrict(0, c.n))
+
+
+def level2_twin(c):
+    """The window with other's level 2 on its own level 1.
+
+    Its rho_alpha_metric to the window is the level-2 Hoelder part alone:
+    the level-1 gaps are 0 exactly.
+    """
+    a, o = c.win(c.rp), c.win(c.other)
+    return lift.GridRoughPath(a.grid, a.inc1, np.broadcast_to(o.inc2, a.inc2.shape))
+
+
+# The degree of homogeneity under dilation of each part of homogeneous_measures.
+SUP_DEGREES = (1, 2)
+VARIATION_DEGREES = (1, 2, 1, 1, 2)
+
+
+def homogeneous_measures(c, move, sups):
+    """Measures of the case's windows after move, each level on its own.
+
+    sups: the level-1 Hoelder sup and the level-2 part of rho_alpha_metric.
+    Otherwise: the level-1 and level-2 variations, the homogeneous norm and
+    the level-1 and level-2 variation distances to other.
+    """
+    a, b = move(c.win(c.rp)), move(c.win(c.other))
+    if sups:
+        t = c.times[c.window[0] : c.window[1] + 1]
+        return (norms.holder_seminorm(t, a.values, c.alpha),
+                norms.rho_alpha_metric(a, move(level2_twin(c)), c.alpha))
+    return (norms.pvar_seminorm(a.values, c.p), norms.pvar_level2(a, c.q),
+            norms.homogeneous_pvar_norm(a, c.p), norms.pvar_seminorm(a.values - b.values, c.p),
+            norms.pvar_level2_distance(a, b, c.q))
+
+
+def dilated_by(lam):
+    return lambda rp: oracles.dilate(rp, lam)
+
+
+def unmoved(rp):
+    return rp
+
+
+def scaled(measures, lam, degrees):
+    """Each measure times lam to its degree."""
+    return tuple(lam**k * m for m, k in zip(measures, degrees))
+
+
+NEAR_TIE = 1e-12
+
+
+def dilated_stops(c, lam):
+    """Each member's stopping nodes of the window dilated by lam, at eta times lam.
+
+    A member whose oracle sums come within NEAR_TIE of eta^p, relatively,
+    reads "near tie": rounding may flip its stops.
+    """
+    clear = [oracles.restarting_margin(c.win(lone), c.eta, c.p) > NEAR_TIE for lone in c.lones]
+    mask = c.first(norms.greedy_stopping_times(oracles.dilate(c.win(c.rp), lam), lam * c.eta, c.p))
+    cols = mask.reshape(-1, mask.shape[-1])
+    return [np.flatnonzero(col) if ok else "near tie" for col, ok in zip(cols, clear)]
+
+
+def reversal_measures(c, move):
+    """Variations, the homogeneous norm, both metrics and the Hoelder sup of the moved windows."""
+    a, b = move(c.win(c.rp)), move(c.win(c.other))
+    return (norms.pvar_seminorm(a.values, c.p), norms.pvar_level2(a, c.q),
+            norms.homogeneous_pvar_norm(a, c.p), norms.rho_pvar_metric(a, b, c.p),
+            norms.rho_alpha_metric(a, b, c.alpha),
+            norms.holder_seminorm(a.grid.times, a.values, c.alpha))
+
+
 def shifted(c, path):
     """path translated by the time of node c.shift, then restricted to the window."""
     return c.win(shift_rough_path(path, path.grid.times[c.shift]))
@@ -493,6 +582,15 @@ QUADRATURE = (
     "spacing rather than t_{k+1} - t_k, and rounds inc (x) inc / 2 and the trapezoid terms"
 )
 SHIFTED = "the Hoelder gaps t_j - t_i are differences of translated node times"
+DILATED = (
+    "a power-of-two scale is exact through the blocks and their norms, but (2 x)^p and "
+    "2^p x^p round apart, so a sum of p-th powers and its root move by a few ulps"
+)
+REVERSED = (
+    "the reversal's prefix sums add the steps in the other order, its partition sums "
+    "add the blocks in the other order, and its Hoelder gaps are differences of other "
+    "node times"
+)
 OFF_SPACING = (
     "w_delta divides by k times the spacing of the path's grid, the reference by k "
     "times that of the base grid, one ulp away; the lift's increments are differences "
@@ -595,6 +693,27 @@ ROWS = [
     Row("holder_seminorm,rho_alpha_metric[shift_rough_path]~unshifted",
         lambda c: shift_measures(c, shifted, True), lambda c: shift_measures(c, Case.win, True),
         Tol(1e-12, SHIFTED), Cases(lone=6, stacks=3, n=(1, 40)), whole=True),
+    # The one window taker on a sampled path's lift: restricting the lift of
+    # the whole path is restricting the path and then lifting it.
+    Row("lift_left_riemann(path).restrict~lift of the SamplePath window",
+        lambda c: sampled_lift(c, False), lambda c: sampled_lift(c, True),
+        EXACT, Cases(lone=40, stacks=0, n=(1, 64)), whole=True),
+    # Metamorphic rows: no reference program, but the relation between the
+    # measures of a path and of its dilation or time reversal.
+    Row("holder_seminorm,rho_alpha_metric[level 2][dilate 2]~scaled",
+        lambda c: homogeneous_measures(c, dilated_by(2.0), True),
+        lambda c: scaled(homogeneous_measures(c, unmoved, True), 2.0, SUP_DEGREES),
+        EXACT, Cases(lone=24, stacks=12, n=(1, 40)), whole=True),
+    Row("variations,homogeneous_pvar_norm[dilate 2]~scaled",
+        lambda c: homogeneous_measures(c, dilated_by(2.0), False),
+        lambda c: scaled(homogeneous_measures(c, unmoved, False), 2.0, VARIATION_DEGREES),
+        Tol(1e-12, DILATED), Cases(lone=24, stacks=8, n=(1, 30)), whole=True),
+    Row("greedy_stopping_times[dilate 2, eta 2 eta]~undilated",
+        lambda c: dilated_stops(c, 2.0), lambda c: dilated_stops(c, 1.0),
+        EXACT, Cases(lone=60, stacks=20, n=(4, 60)), whole=True),
+    Row("variations,metrics,holder_seminorm[reverse]~forward",
+        lambda c: reversal_measures(c, oracles.reverse), lambda c: reversal_measures(c, unmoved),
+        Tol(1e-12, REVERSED), Cases(lone=24, stacks=8, n=(1, 30)), whole=True),
 ]
 ROW_IDS = {row.id: row for row in ROWS}
 assert len(ROW_IDS) == len(ROWS), "row ids are unique"
@@ -634,6 +753,13 @@ def assert_rows(*row_ids: str) -> None:
 @pytest.mark.parametrize("row", ROWS, ids=lambda row: row.id)
 def test_row(row):
     assert_rows(row.id)
+
+
+def test_dilated_stops_leave_few_near_ties():
+    # The greedy dilation row compares a member's stops only away from a near tie.
+    row = ROW_IDS["greedy_stopping_times[dilate 2, eta 2 eta]~undilated"]
+    stops = [s for c in draw(row.id, row.cases) for s in dilated_stops(c, 1.0)]
+    assert sum(isinstance(s, str) for s in stops) <= len(stops) // 20
 
 
 def test_draw_is_seeded_and_spans_its_ranges():

@@ -72,14 +72,14 @@ class TestSamplePath:
         with pytest.raises(ValueError):
             SamplePath(g, np.ones((5, 1)))
 
-    def test_value_at_and_restrict(self):
+    def test_value_at_and_window(self):
         g = TimeGrid(0.0, 1.0, 4)
         vals = np.arange(10, dtype=float).reshape(5, 2)
         vals[0] = 0.0
         path = SamplePath(g, vals)
         assert path.d == 2
         assert np.array_equal(path.value_at(0.5), vals[2])
-        sub = path.restrict(0, 3)
+        sub = SamplePath(g.window(0, 3), path.values[:4])
         assert sub.grid.t_max == pytest.approx(0.75)
         assert np.array_equal(sub.values, vals[:4])
 
@@ -93,15 +93,15 @@ class TestSamplePath:
             path.values[1] = 1.0
         vals[1] = 2.0  # the caller may still write its own array, which the path copied
         assert path.values[1, 0] == 0.0
-        # A window of a path reads the path's own read-only values, not a copy.
-        assert np.shares_memory(path.restrict(0, 3).values, path.values)
+        # A read-only array is copied too: the path always owns its values.
+        vals.setflags(write=False)
+        assert not np.shares_memory(SamplePath(TimeGrid(0.0, 1.0, 4), vals).values, vals)
 
-    def test_restrict_must_keep_time_zero(self):
+    def test_window_must_keep_time_zero(self):
         # Every grid spans 0 so the vanishing-at-zero anchor stays meaningful.
         g = TimeGrid(0.0, 1.0, 4)
-        vals = np.zeros((5, 1))
         with pytest.raises(GridAlignmentError):
-            SamplePath(g, vals).restrict(1, 3)
+            SamplePath(g.window(1, 3), np.zeros((3, 1)))
 
 
 def test_covariance_frozen_values():

@@ -143,12 +143,7 @@ def test_readme_names_resolve():
 
 
 # A window is taken by restricting a path, never by parameters of a measure.
-WINDOW_TAKERS = [
-    "fbm.SamplePath.restrict",
-    "fbm.TimeGrid.window",
-    "lift.GridRoughPath.restrict",
-    "rde.ControlledPath.restrict",
-]
+WINDOW_TAKERS = ["fbm.TimeGrid.window", "lift.GridRoughPath.restrict"]
 WINDOW_PARAMETERS = {"i_lo", "i_hi", "start"}
 
 

@@ -107,6 +107,11 @@ class TestPartitionSums:
         with pytest.raises(ValueError, match="window"):
             pvar_level2(rp.restrict(*window), 1.4)
 
+    def test_negative_step_count_rejected(self):
+        pts = np.zeros((3, 1))
+        with pytest.raises(ValueError, match="n_steps must be >= 0, got -1"):
+            block_variation(lambda i, j: euclidean_norms(pts[j] - pts[i]), 2.5, -1)
+
     @pytest.mark.parametrize("members", [(), (4,), (2, 3)])
     def test_no_steps_give_zeros_of_the_member_shape(self, members):
         pts = np.ones((1, *members, 2))

@@ -314,6 +314,13 @@ class TestDistancesAndBounds:
         dist = solution_distance(cp, cp, 2.8)
         assert (dist.sup, dist.pvar, dist.remainder_qvar) == (0.0, 0.0, 0.0)
 
+    def test_different_state_dimensions_rejected(self):
+        rp = fbm_lift(8, seed=79)
+        a = solve_rde(builtin_vector_field("sin-g", 2, 2), rp, np.zeros(2))
+        b = solve_rde(builtin_vector_field("sin-g", 3, 2), rp, np.zeros(3))
+        with pytest.raises(ValueError, match="state dimensions m=2 and m=3"):
+            solution_distance(a, b, 2.8)
+
     def test_constant_offset_moves_only_sup(self):
         rp = fbm_lift(32, seed=77)
         vf = builtin_vector_field("sin-g", 2, 2)

@@ -178,8 +178,7 @@ class TestSmoothedLift:
     def test_paired_ladder_shrinks_toward_true_lift(self):
         grid = TimeGrid(0.0, 1.0, 128).extended(16)
         path = FbmSampler(grid, FbmParams(H=0.45, d=2, seed=27)).sample(3)
-        inner = path.restrict(0, 128)
-        truth = lift_left_riemann(inner)
+        truth = lift_left_riemann(path).restrict(0, 128)
         sups = []
         for k in (16, 8, 4, 2, 1):
             rp = ww_delta(path, k).restrict(0, 128)
