@@ -163,6 +163,13 @@ _MAX_GRID_N = 2**24
 # no size a calibrated run could hold.
 _MAX_DIM = 2**10
 
+# n_seeds above this is refused before the first seed runs.  The seeds run
+# one after another and every seed's row of the table is kept until the
+# reports are written: one seed of the calibrated solution run takes about
+# 0.16 s on a 2-core x86 VM, so 2**20 seeds, ten thousand times the seeds
+# of an acceptance run, take about two days.
+_MAX_SEEDS = 2**20
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -187,7 +194,7 @@ class ExperimentConfig:
     cleanest for per-seed monotonicity; a negative metric_stride is refused.
     The solution experiment uses metric_stride no further: it measures its
     distances on the full grid.  field_name, y0 and m only shape the solution runs.
-    d and m are at most 2**10.
+    d and m are at most 2**10, n_seeds at most 2**20.
     out_dir, when set, is where run_suite writes its reports.
     Values are checked against the field types and stored as them: integral
     values for int fields, finite real ones for float fields (y0 entries
@@ -269,8 +276,10 @@ class ExperimentConfig:
                 "delta_ladder",
                 f"largest multiple {_short(ladder[0])} must be < grid_n = {self.grid_n}",
             )
-        if self.n_seeds < 1:
-            raise ConfigError("n_seeds", f"need at least one seed, got {_short(self.n_seeds)}")
+        if not 1 <= self.n_seeds <= _MAX_SEEDS:
+            raise ConfigError(
+                "n_seeds", f"need 1 to {_MAX_SEEDS} seeds, got {_short(self.n_seeds)}"
+            )
         if self.experiment == "noise" and self.n_seeds < 30:
             raise ConfigError(
                 "n_seeds", f"rate fits need n_seeds >= 30, got {self.n_seeds}"

@@ -143,7 +143,9 @@ def partition_sums_rows(norms, p: float, n_steps: int):
     """Running partition sums reading one row norms(slice(0, j), j) per right end.
 
     The program norms.partition_sums ran on every grid before it read small
-    grids from a table of every pair; restart masks sent back act as there.
+    grids from a table of every pair, with the step it had before it added
+    the running sums into the row's p-th powers in place: a fresh sum, then
+    ndarray.max.  Restart masks sent back act as there.
     """
     for j in range(1, n_steps + 1):
         terms = norms(slice(0, j), j) ** p
@@ -154,6 +156,15 @@ def partition_sums_rows(norms, p: float, n_steps: int):
         if restart is not None:
             best[:j, restart] = -np.inf
             best[j, restart] = 0.0
+
+
+def einsum_norms(blocks: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis by one einsum, for every axis length.
+
+    The program norms.euclidean_norms ran on every axis before a last axis
+    of length 1 or 2 summed its squares as plain products.
+    """
+    return np.sqrt(np.einsum("...j,...j->...", blocks, blocks))
 
 
 def holder_sup_loop(block_norms, times: np.ndarray, alpha: float) -> float:

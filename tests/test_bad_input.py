@@ -13,9 +13,10 @@ Each case also carries the fields that main should build, or None where
 the input cannot give a config.  main runs in-process with the
 experiments' runners stubbed, so run_suite still creates out_dir and
 writes its reports, but a valid config costs nothing.  The exit code
-must be 0 exactly when ExperimentConfig accepts those fields and out_dir
-can be created, and 2 otherwise, with one stderr line that starts
-`error: `, is under 300 characters and holds no traceback.
+must be 0 exactly when ExperimentConfig accepts those fields, they ask
+for at most MAX_SEEDS seeds and out_dir can be created, and 2 otherwise,
+with one stderr line that starts `error: `, is under 300 characters and
+holds no traceback.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ N_CASES = 400
 MAX_LINE = 300
 UNREADABLE = object()  # a JSON fragment that json.load refuses
 LONG = "x" * 5000
+MAX_SEEDS = 2**20  # more seeds than a run could finish
 
 # Configs that ExperimentConfig accepts; a case starts from one of them.
 BASES = [
@@ -199,8 +201,11 @@ def draw(k: int, tmp: Path) -> Input:
 
 
 def accepts(fields: dict | None) -> bool:
-    """Whether ExperimentConfig accepts the fields."""
+    """Whether ExperimentConfig accepts the fields; it must refuse more than MAX_SEEDS seeds."""
     if fields is None:
+        return False
+    n_seeds = fields.get("n_seeds")
+    if isinstance(n_seeds, (int, float)) and n_seeds > MAX_SEEDS:
         return False
     try:
         ExperimentConfig(**fields)

@@ -241,15 +241,28 @@ def split(result, c: Case) -> list:
     return list(a.reshape((int(np.prod(c.members)),) + a.shape[len(c.members) :]))
 
 
-def increments(pts):
-    return lambda i, j: norms.euclidean_norms(pts[j] - pts[i])
+def increments(pts, norm=None):
+    """Euclidean norms of the increments of pts, by the library or by norm."""
+    norm = norm or norms.euclidean_norms
+    return lambda i, j: norm(pts[j] - pts[i])
 
 
-def level2s(a, b=None):
-    """Frobenius norms of the level-2 blocks of a, or of a - b."""
-    if b is None:
-        return lambda i, j: norms.frobenius_norms(a.level2(i, j))
-    return lambda i, j: norms.frobenius_norms(a.level2(i, j) - b.level2(i, j))
+def level2s(a, b=None, norm=None):
+    """Frobenius norms of the level-2 blocks of a, or of a - b.
+
+    With norm, a Euclidean norm over the last axis, they are its norms of
+    the blocks with their last two axes flattened into one.
+    """
+    blocks = a.level2 if b is None else (lambda i, j: a.level2(i, j) - b.level2(i, j))
+    if norm is None:
+        return lambda i, j: norms.frobenius_norms(blocks(i, j))
+    return lambda i, j: norm(flat(blocks(i, j)))
+
+
+def flat(blocks):
+    """blocks with their last two axes as one; spelt out, as a reshape of no pairs cannot infer -1."""
+    *lead, rows, cols = blocks.shape
+    return blocks.reshape(*lead, rows * cols)
 
 
 def running_sums(c):
@@ -258,13 +271,14 @@ def running_sums(c):
     return tuple(c.first(np.array(list(norms.partition_sums(f, q, w.n_steps)))) for f, q in levels)
 
 
-def table_sums(c, program, variation):
+def table_sums(c, program, variation, norm=None):
     """Over both levels of the window: the running sums of program, the same
     with each member restarted wherever its sum reaches eta_share of its last
-    plain one, and variation(norms, p, n_steps)."""
+    plain one, and variation(norms, p, n_steps).  The pair norms are the
+    library's, or those of norm, a Euclidean norm over the last axis."""
     w = c.win(c.rp)
     out = []
-    for f, q in ((increments(w.values), c.p), (level2s(w), c.q)):
+    for f, q in ((increments(w.values, norm), c.p), (level2s(w, norm=norm), c.q)):
         plain = np.array(list(program(f, q, w.n_steps)))
         sums, restart, again = [], None, program(f, q, w.n_steps)
         for _ in range(w.n_steps):
@@ -277,6 +291,34 @@ def table_sums(c, program, variation):
 def rows_variation(f, q, n_steps):
     *_, last = oracles.partition_sums_rows(f, q, n_steps)
     return oracles.root_loop(last, q)
+
+
+# Scales of kernel_blocks: squares that underflow to subnormals or to 0, a
+# sum of two finite squares that overflows, and squares that overflow.
+KERNEL_SCALES = (1.0, 1e-160, 1e-170, 1.2e154, 1e160)
+
+
+def kernel_blocks(c):
+    """Blocks whose last axis has length d or m (1 to 3), in several layouts.
+
+    The path's increments over all_pairs, its node values with the node axis
+    behind the member axes and each member's values as a view of the
+    stack's, the first column of its level-2 blocks (a strided view) and the
+    remainder gaps of controlled(c); each at every KERNEL_SCALES scale.
+    Then the increments with NaN in about 30 % of the entries, unscaled and
+    at the largest scale.
+    """
+    v, (i, j) = c.rp.values, all_pairs(c)
+    blocks = [v[j] - v[i], c.first(v), *(v[(slice(None), *idx)] for idx in np.ndindex(c.members)),
+              c.rp.level2(i, j)[..., 0], rde._remainder_gaps(*controlled(c))(i, j)]
+    nan = blocks[0].copy()
+    nan[c.rng().random(nan.shape) < 0.3] = np.nan
+    return [b * s for b in blocks for s in KERNEL_SCALES] + [nan, nan * KERNEL_SCALES[-1]]
+
+
+def kernel_bits(c, norm):
+    """The bits of norm over the last axis of each of kernel_blocks: NaN compares too."""
+    return [norm(b).view(np.uint64) for b in kernel_blocks(c)]
 
 
 def roots(c, root):
@@ -605,6 +647,8 @@ HOLDER_RUNS = [("cap=1", 1, SHORT), ("cap=7", 7, SHORT), ("cap=7,long", 7, LONG)
 # (cap, norms._TABLE_PAIRS) of the table rows: 0 reads every grid by rows, 1
 # reads a table of a lone path's one pair only, and at the default cap every
 # case reads a table, stacks of 64 to 128 steps too (the noise grid has 128).
+# Their reference is the program before the table, the in-place step and the
+# product norm: the allocating row step over pair norms by one einsum.
 TABLE_CAPS = [("cap=0", 0), ("cap=1", 1), ("cap=default", None)]
 
 ROWS = [
@@ -629,9 +673,14 @@ ROWS = [
         Tol(1e-12, WINDOWED), Cases(lone=4, stacks=4, n=(2, 64))),
     *(Row(f"partition_sums[table]~partition_sums_rows[{cap}]",
           lambda c: table_sums(c, norms.partition_sums, norms.block_variation),
-          lambda c: table_sums(c, oracles.partition_sums_rows, rows_variation),
+          lambda c: table_sums(c, oracles.partition_sums_rows, rows_variation,
+                               oracles.einsum_norms),
           EXACT, Cases(lone=12, stacks=12, n=(1, 40), stack_n=(64, 128)), table_pairs=table_pairs)
       for cap, table_pairs in TABLE_CAPS),
+    Row("euclidean_norms[last axis 1, 2]~einsum_norms",
+        lambda c: kernel_bits(c, norms.euclidean_norms),
+        lambda c: kernel_bits(c, oracles.einsum_norms),
+        EXACT, Cases(lone=12, stacks=12, n=(1, 30), d=(1, 2)), whole=True),
     Row("norms._root~root_loop", lambda c: roots(c, norms._root),
         lambda c: roots(c, oracles.root_loop), EXACT,
         Cases(lone=6, stacks=12, n=(1, 12), p=(1.0, 3.5)), whole=True),

@@ -128,6 +128,11 @@ class TestConfigValidation:
             pytest.param("d", {"d": 2**10 + 1}, id="d-kwargs42"),
             pytest.param("m", {"m": 2**10 + 1}, id="m-kwargs43"),
             pytest.param("m", {"m": 0}, id="m-kwargs44"),
+            # More seeds than a run could finish, refused before the first seed.
+            pytest.param("n_seeds", {"n_seeds": 2**20 + 1}, id="n_seeds-kwargs45"),
+            pytest.param(
+                "n_seeds", {"experiment": "stopping", "n_seeds": 10**9}, id="n_seeds-kwargs46"
+            ),
         ],
     )
     def test_each_field_is_guarded(self, field, kwargs):
@@ -151,6 +156,14 @@ class TestConfigValidation:
 
     def test_solution_ignores_metric_stride(self):
         ExperimentConfig(experiment="solution", grid_n=1024, metric_stride=3)
+
+    def test_seed_count_is_bounded(self, capsys, tmp_path):
+        assert ExperimentConfig(experiment="stopping", n_seeds=2**20).n_seeds == 2**20
+        assert main(["--experiment", "stopping", "--seeds", str(10**400),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "n_seeds" in err[0]
+        assert list(tmp_path.iterdir()) == []
 
     def test_noise_needs_thirty_seeds(self):
         with pytest.raises(ConfigError, match="n_seeds"):

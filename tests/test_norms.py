@@ -75,6 +75,13 @@ class TestLevel1Variation:
         assert pvar_seminorm(vals, 1.0) == pytest.approx(tv, rel=1e-12)
 
 
+class TestEuclideanNorms:
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_integer_blocks_measure_as_floats(self, length):
+        blocks = np.arange(6 * length).reshape(6, length) - 7
+        assert np.array_equal(euclidean_norms(blocks), euclidean_norms(blocks.astype(float)))
+
+
 class TestRoot:
     @pytest.mark.parametrize("p", [1.2, 1.4, 2.5, 2.8, 2.835, 3.0])
     def test_stack_roots_equal_scalar_roots(self, p):
@@ -119,6 +126,37 @@ class TestPartitionSums:
         want = pvar_seminorm(pts, 2.5)
         assert type(got) is type(want) and np.shape(got) == members
         assert np.array_equal(got, want) and not np.any(got)
+
+    # A PairNorms may return views of its own data: the kernels never write
+    # into what it returns.  Cap 0 reads rows, which are views of the matrix
+    # here, and the default cap reads a table.
+    @pytest.mark.parametrize("writeable", [False, True])
+    @pytest.mark.parametrize("members", [(), (3,)])
+    @pytest.mark.parametrize("table_pairs", [0, norms._TABLE_PAIRS])
+    def test_pair_norms_may_return_views(self, monkeypatch, writeable, members, table_pairs):
+        monkeypatch.setattr(norms, "_TABLE_PAIRS", table_pairs)
+        n, p = 12, 2.5
+        matrix = np.random.default_rng(41).uniform(0.0, 2.0, (n + 1, n + 1, *members))
+        matrix.flags.writeable = writeable
+        kept = matrix.copy()
+
+        def views(i, j):
+            return matrix[i, j]
+
+        def copies(i, j):
+            return matrix[i, j].copy()
+
+        def sums(f):
+            out, restart, run = [], None, partition_sums(f, p, n)
+            for _ in range(n):
+                out.append(np.array(run.send(restart)))
+                restart = out[-1] >= 4.0
+            return np.array(out)
+
+        assert isinstance(views(slice(0, n), n).base, np.ndarray)
+        assert np.array_equal(sums(views), sums(copies))
+        assert np.array_equal(block_variation(views, p, n), block_variation(copies, p, n))
+        assert np.array_equal(matrix, kept)
 
     # The calibrated stacks: noise measures its 6 ladder members on the coarse
     # grid, stopping the driver's lift and 5 ladder lifts, solution 5 ladder
