@@ -48,7 +48,6 @@ from .norms import (
 from .rde import (
     ControlledPath,
     SolutionDistance,
-    SolverBlowUpError,
     VECTOR_FIELD_CATALOG,
     VectorField,
     builtin_vector_field,

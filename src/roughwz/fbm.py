@@ -151,11 +151,9 @@ class SamplePath:
     def __post_init__(self) -> None:
         # Always a copy, so no later write to the caller's array reaches the path.
         v = np.array(self.values, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
-        if v.shape[0] != self.grid.n_nodes:
+        if v.ndim != 2 or v.shape[0] != self.grid.n_nodes:
             raise ValueError(
-                f"values have {v.shape[0]} rows, grid has {self.grid.n_nodes} nodes"
+                f"values must have shape ({self.grid.n_nodes}, d) on this grid, got {v.shape}"
             )
         if np.any(v[self.grid.zero_index] != 0.0):
             raise ValueError("path must vanish at the time-0 node")
@@ -255,11 +253,11 @@ class FbmSampler:
         """Path no. `counter` of the ensemble."""
         return SamplePath(self.grid, self._values(counter))
 
-    def sample_values(self, n_paths: int, start_counter: int = 0) -> np.ndarray:
-        """Value array (n_paths, n_nodes, d); row i is path no. start_counter + i."""
+    def sample_values(self, n_paths: int) -> np.ndarray:
+        """Value array (n_paths, n_nodes, d); row i is path no. i."""
         out = np.empty((n_paths, self.grid.n_nodes, self.params.d))
         for i in range(n_paths):
-            out[i] = self._values(start_counter + i)
+            out[i] = self._values(i)
         return out
 
 

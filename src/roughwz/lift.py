@@ -210,8 +210,6 @@ def lift_smooth_quadrature(path: SamplePath, derivative: np.ndarray) -> GridRoug
     v = path.values
     h = path.grid.h
     derivative = np.asarray(derivative, dtype=float)
-    if derivative.ndim == 1:
-        derivative = derivative[:, None]
     if derivative.shape != v.shape:
         raise ValueError(f"derivative shape {derivative.shape} does not match values {v.shape}")
     inc1 = np.diff(v, axis=0)

@@ -35,8 +35,9 @@ solution) it reads one row, norms(slice(0, j), j), per right end.  Such a
 right end costs one row of norms, its p-th power, one add and one max, so
 both steps stay lean: euclidean_norms sums a last axis of length 1 or 2 as
 plain products, bit for bit the einsum that longer axes keep, and
-partition_sums adds the running sums into the fresh array of the row's
-p-th powers, never into the array norms returned, which may be a view.  Every
+partition_sums adds the running sums into the row of p-th powers, a fresh
+array or the table's row, which only this right end reads, and never into
+the array norms returned, which may be a view.  Every
 norm is taken over the whole grid of its path; over nodes [i, j] it is
 the norm of rp.restrict(i, j), the one window taker, and no measure
 takes a node range.
@@ -153,10 +154,10 @@ def partition_sums(norms: PairNorms, p: float, n_steps: int) -> _RunningSums:
         if table is None:
             # A fresh array: norms may return a view, which is never written.
             terms = np.power(norms(slice(0, j), j), p)
-            np.add(best[:j], terms, out=terms)
         else:
             k = j * (j - 1) // 2  # position of pair (0, j) in the table
-            terms = best[:j] + table[k : k + j]
+            terms = table[k : k + j]  # read at this right end only, so written over
+        np.add(best[:j], terms, out=terms)
         best[j] = np.maximum.reduce(terms, axis=0)
         restart = yield best[j]
         if restart is not None:
@@ -221,12 +222,10 @@ def _holder_sup(norms: PairNorms, times: np.ndarray, alpha: float) -> float | np
 
 
 def _as_points(values: np.ndarray) -> np.ndarray:
-    """Points as (n, *members, d); a 1-D array is one scalar path."""
+    """Points as (n, *members, d), a float array of at least two axes."""
     pts = np.asarray(values, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
     if pts.ndim < 2:
-        raise ValueError(f"expected points of shape (n,) or (n, *members, d), got {pts.shape}")
+        raise ValueError(f"expected points of shape (n, *members, d), got {pts.shape}")
     return pts
 
 

@@ -46,25 +46,12 @@ from .norms import block_variation, euclidean_norms, pvar_seminorm
 __all__ = [
     "ControlledPath",
     "SolutionDistance",
-    "SolverBlowUpError",
     "VECTOR_FIELD_CATALOG",
     "VectorField",
     "builtin_vector_field",
     "solution_distance",
     "solve_rde",
 ]
-
-
-class SolverBlowUpError(RuntimeError):
-    """The explicit scheme produced a non-finite state."""
-
-    def __init__(self, node_index: int, time: float):
-        self.node_index = node_index
-        self.time = time
-        super().__init__(
-            f"solution became non-finite at node {node_index} (t = {time}); "
-            "reduce the step, the field size or the window"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +80,8 @@ class VectorField:
     dg: Callable[[np.ndarray], np.ndarray]
 
 
-def _sin_g_field(m: int, d: int, amp: float, drift: float) -> VectorField:
+def _sin_g_field(m: int, d: int) -> VectorField:
+    amp = drift = 0.25
     phase = 2.0 * math.pi * np.arange(m * d).reshape(m, d) / (m * d + 1)
     eye = np.eye(m)
 
@@ -151,7 +139,7 @@ _BUILTIN_FIELDS = {
     "additive": (_additive_field, {}),
     "drift-only": (_drift_only_field, {"rate": 1.0}),
     "linear-g": (_linear_g_field, {}),
-    "sin-g": (_sin_g_field, {"amp": 0.25, "drift": 0.25}),
+    "sin-g": (_sin_g_field, {}),
 }
 VECTOR_FIELD_CATALOG = tuple(_BUILTIN_FIELDS)
 
@@ -163,8 +151,8 @@ def builtin_vector_field(name: str, m: int = 2, d: int = 2, **params) -> VectorF
     drift-only: g = 0, f(y) = -rate y (rate=1); solutions ignore the driver.
     linear-g:   g(y) = diag(y) (m == d); unbounded, for the exponential
                 chain-rule oracle.
-    sin-g:      g^{ab}(y) = amp sin(y^a + phase_ab) (amp=0.25) with drift
-                f(y) = drift cos(y) (drift=0.25); bounded with its derivatives.
+    sin-g:      g^{ab}(y) = 0.25 sin(y^a + phase_ab) with drift
+                f(y) = 0.25 cos(y); bounded with its derivatives.
     A parameter the field does not take raises ValueError.
     """
     if name not in _BUILTIN_FIELDS:
@@ -240,10 +228,10 @@ def solve_rde(vf: VectorField, rp: GridRoughPath, y0: np.ndarray) -> ControlledP
     A lone driver is a stack with no member axes: one step loop advances
     every member from y0, the field's callables seeing states of shape
     (*members, m), and each member sums as its lone driver does.  One rule
-    handles blow-ups: a member is dead from the first node where its state
-    is not finite.  A stack's dead members are NaN from that node on while
-    the others carry on, so a member's first NaN node locates its blow-up;
-    a lone driver raises SolverBlowUpError at that node.
+    handles blow-ups, for a lone driver as for a stack: a member is dead
+    from the first node where its state is not finite, and its values and
+    derivatives are NaN from that node on while the others carry on, so a
+    member's first NaN node locates its blow-up.
     """
     if vf.d != rp.d:
         raise ValueError(f"field expects d={vf.d} driver components, driver has {rp.d}")
@@ -256,7 +244,7 @@ def solve_rde(vf: VectorField, rp: GridRoughPath, y0: np.ndarray) -> ControlledP
     values[0] = y
     inc1 = rp.inc1
     inc2 = rp.inc2
-    # Escaping iterates surface as blow-ups or NaN, not as numpy warnings.
+    # Escaping iterates surface as NaN blow-ups, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for u in range(n):
             gy = vf.g(y)
@@ -272,9 +260,6 @@ def solve_rde(vf: VectorField, rp: GridRoughPath, y0: np.ndarray) -> ControlledP
             values[u + 1] = y
         gub[n] = vf.g(y)
     dead = np.logical_or.accumulate(~np.isfinite(values).all(axis=-1), axis=0)
-    if dead.ndim == 1 and dead[-1]:
-        node = int(dead.argmax())
-        raise SolverBlowUpError(node, float(rp.grid.times[node]))
     values[dead] = np.nan
     gub[dead] = np.nan
     return ControlledPath(values, gub, rp)

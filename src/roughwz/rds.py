@@ -14,6 +14,7 @@ residual isolates restart and rounding effects only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +86,8 @@ def cocycle_residual(vf: VectorField, probe: CocycleProbe) -> float:
     """|phi(t1 + t2, w, y0) - phi(t2, theta_{t1} w, phi(t1, w, y0))|.
 
     Both sides run the scheme on the same grid; a t2 of zero returns an
-    exact zero by construction.
+    exact zero by construction.  A solve that blows up ends in NaN, and the
+    residual is then math.inf, so no comparison or max can pass it over.
     """
     driver = _probe_driver(probe)
     grid = driver.grid
@@ -95,7 +97,9 @@ def cocycle_residual(vf: VectorField, probe: CocycleProbe) -> float:
     whole = solve_rde(vf, driver, probe.y0)
     first = solve_rde(vf, driver.restrict(0, n1), probe.y0)
     if probe.t2 == 0.0:
-        return float(np.linalg.norm(whole.values[n1] - first.values[-1]))
-    shifted = shift_rough_path(driver, probe.t1).restrict(n1, n)
-    second = solve_rde(vf, shifted, first.values[-1])
-    return float(np.linalg.norm(whole.values[-1] - second.values[-1]))
+        gap = whole.values[n1] - first.values[-1]
+    else:
+        shifted = shift_rough_path(driver, probe.t1).restrict(n1, n)
+        gap = whole.values[-1] - solve_rde(vf, shifted, first.values[-1]).values[-1]
+    residual = float(np.linalg.norm(gap))
+    return residual if math.isfinite(residual) else math.inf

@@ -1,15 +1,22 @@
-"""Reach audit: the functions of src/roughwz that no acceptance criterion and no CLI call runs.
+"""Reach audit: the code of src/roughwz that no acceptance criterion and no CLI call runs.
 
 Run it from anywhere in a checkout:
 
     python tests/reach.py
 
 It runs the eleven criteria of tests/test_acceptance.py and a few calls of
-roughwz's main (a list, a small run that writes reports, and refused
+`python -m roughwz` (a list, a small run that writes reports, and refused
 input), with a trace function (sys.settrace) that records each call of a
-function defined under src/roughwz.  It prints every function, method and
-nested function of those files, found with ast, that was never called.
-A function only unit tests reach is a candidate for deletion.
+function defined under src/roughwz and each line it runs there.  It prints
+two listings, both found with ast:
+
+- every function, method and nested function of those files that was
+  never called;
+- every statement that never ran, except raise statements and the
+  `if __name__ == "__main__":` guard.  A statement inside one that never
+  ran is counted but not printed.
+
+Code that only unit tests reach is a candidate for deletion.
 
 pytest does not collect this file (its name does not start with test_), and
 it needs nothing beyond the standard library and the program itself.
@@ -20,6 +27,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import io
+import runpy
 import sys
 import tempfile
 import time
@@ -50,6 +58,59 @@ def defined_functions() -> dict[tuple[str, int], str]:
     return out
 
 
+def _left_out(node: ast.stmt) -> bool:
+    """A raise, the main guard or a docstring: no statement the listing asks about."""
+    if isinstance(node, ast.If):
+        return ast.unparse(node.test) == "__name__ == '__main__'"
+    if isinstance(node, ast.Expr):
+        return isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
+    return isinstance(node, ast.Raise)
+
+
+class Statement:
+    """One statement: its lines, the lines whose trace events show it ran, and its children."""
+
+    def __init__(self, node: ast.stmt):
+        self.first, self.last = node.lineno, node.end_lineno
+        body = getattr(node, "body", None)
+        if body:  # a compound statement runs its header, from its first decorator on
+            first = min([d.lineno for d in getattr(node, "decorator_list", [])] + [node.lineno])
+            self.probe = range(first, max(body[0].lineno, first + 1))
+        else:
+            self.probe = range(self.first, self.last + 1)
+        self.children = statements(node)
+
+    def ran(self, file_lines: set[int]) -> bool:
+        return any(k in file_lines for k in self.probe) or any(
+            child.ran(file_lines) for child in self.children
+        )
+
+    def size(self) -> int:
+        return 1 + sum(child.size() for child in self.children)
+
+    def unreached(self, file_lines: set[int]) -> tuple[int, list["Statement"]]:
+        """(count, outermost) of the statements here and below that never ran."""
+        if not self.ran(file_lines):
+            return self.size(), [self]
+        count, outermost = 0, []
+        for child in self.children:
+            n, top = child.unreached(file_lines)
+            count, outermost = count + n, outermost + top
+        return count, outermost
+
+
+def statements(node: ast.AST) -> list[Statement]:
+    """The statements directly below node, without raises, the main guard and docstrings."""
+    out = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.stmt):
+            if not _left_out(child):
+                out.append(Statement(child))
+        elif not isinstance(child, ast.expr):  # except handlers hold statements too
+            out += statements(child)
+    return out
+
+
 def main_calls(tmp: Path) -> list[list[str]]:
     """The CLI calls the audit makes: a list, a small run with reports, refused input."""
     bad_config = tmp / "bad.json"
@@ -69,7 +130,6 @@ def run_workload(tmp: Path) -> int:
     """Run the criteria and the main calls; return the number of main calls."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     import test_acceptance
-    from roughwz.expcli import main
 
     criteria = sorted(name for name in vars(test_acceptance) if name.startswith("test_criterion_"))
     for name in criteria:
@@ -81,24 +141,33 @@ def run_workload(tmp: Path) -> int:
             fn()
         print(f"{name}: {time.perf_counter() - t0:.1f} s", file=sys.stderr)
     calls = main_calls(tmp)
+    argv0 = sys.argv
     for argv in calls:
+        sys.argv = ["roughwz", *argv]  # as `python -m roughwz ARGV` runs
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             try:
-                main(argv)
+                runpy.run_module("roughwz", run_name="__main__")
             except SystemExit:
                 pass
+    sys.argv = argv0
     return len(calls)
 
 
 def main() -> int:
     functions = defined_functions()
-    files = {file for file, _ in functions}
+    files = {str(path) for path in PACKAGE.glob("*.py")}
     reached = set()
+    lines = {file: set() for file in files}
 
     def trace(frame, event, arg):
         code = frame.f_code
-        if event == "call" and code.co_filename in files:
+        if code.co_filename not in files:
+            return None
+        if event == "call":
             reached.add((code.co_filename, code.co_firstlineno))
+        else:
+            lines[code.co_filename].add(frame.f_lineno)
+        return trace
 
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
@@ -114,6 +183,21 @@ def main() -> int:
           f"({time.perf_counter() - t0:.0f} s):")
     for file, line, name in missed:
         print(f"  {name}  ({file}:{line})")
+
+    total, listing = 0, []
+    for file in sorted(files):
+        text = Path(file).read_text()
+        source = text.splitlines()
+        for stmt in statements(ast.parse(text)):
+            n, outermost = stmt.unreached(lines[file])
+            total += n
+            listing += [(Path(file).name, s.first, s.last, source[s.first - 1].strip())
+                        for s in outermost]
+    print(f"{total} statements under src/roughwz never ran, raise statements and the "
+          f"__main__ guard left out; outermost ones:")
+    for name, first, last, line in listing:
+        span = f"{first}" if first == last else f"{first}-{last}"
+        print(f"  {name}:{span}  {line}")
     return 0
 
 

@@ -182,6 +182,11 @@ class TestQuadratureLift:
         assert fit_slope([1.0 / n for n in ns], errs21) > 1.9
         assert errs12[-1] < 1e-5
 
+    def test_derivative_must_have_the_shape_of_the_values(self):
+        path = linear_path([2.0])
+        with pytest.raises(ValueError, match="does not match"):
+            lift_smooth_quadrature(path, np.full(path.values.shape[0], 2.0))
+
     def test_exactly_geometric_too(self):
         path = monomial_pair_path(64)
         rp = lift_smooth_quadrature(path, monomial_pair_derivative(path))

@@ -68,6 +68,12 @@ class TestLevel1Variation:
         assert np.array_equal(pvar_seminorm(np.zeros((1, 4, 2)), 2.8), np.zeros(4))
         assert pvar_seminorm(np.zeros((1, 2)), 2.8) == 0.0
 
+    def test_one_axis_of_points_is_refused(self):
+        with pytest.raises(ValueError, match="shape"):
+            pvar_seminorm(np.arange(4.0), 2.0)
+        with pytest.raises(ValueError, match="shape"):
+            holder_seminorm(np.linspace(0.0, 1.0, 4), np.arange(4.0), 0.4)
+
     def test_p_one_is_total_variation(self):
         rng = np.random.default_rng(41)
         vals = rng.standard_normal((12, 3))
@@ -253,7 +259,7 @@ class TestHolderSeminorm:
 
 
     def test_nan_propagates(self):
-        vals = np.arange(9.0)
+        vals = np.arange(9.0)[:, None]
         vals[5] = np.nan
         assert np.isnan(holder_seminorm(np.linspace(0.0, 1.0, 9), vals, 0.4))
 
@@ -283,7 +289,7 @@ class TestHolderSeminorm:
     )
     def test_non_increasing_times_rejected(self, times, bad):
         with pytest.raises(ValueError, match=f"increase strictly: {bad}"):
-            holder_seminorm(np.array(times), np.arange(4.0), 0.4)
+            holder_seminorm(np.array(times), np.arange(4.0)[:, None], 0.4)
 
 
 HOLDER = "holder_seminorm,rho_alpha_metric~holder_sup_loop"
@@ -413,7 +419,8 @@ class TestGreedyStopping:
         for _ in range(32):
             x = math.nextafter(x, 0.0)
         for _ in range(64):
-            rp = lift_left_riemann(SamplePath(TimeGrid(0.0, 1.0, 3), np.array([0.0, x, x, x])))
+            path = SamplePath(TimeGrid(0.0, 1.0, 3), np.array([[0.0], [x], [x], [x]]))
+            rp = lift_left_riemann(path)
             if next(norms._homogeneous_sums(rp, p)) == eta**p:
                 break
             x = math.nextafter(x, 1.0)

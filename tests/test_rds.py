@@ -2,13 +2,14 @@
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from roughwz.fbm import FbmParams, FbmSampler, GridAlignmentError, TimeGrid, wiener_shift
 from roughwz.lift import lift_left_riemann
-from roughwz.rde import builtin_vector_field
+from roughwz.rde import VectorField, builtin_vector_field
 from roughwz.rds import CocycleProbe, cocycle_residual, shift_rough_path
 from roughwz.wongzakai import w_delta
 
@@ -104,6 +105,29 @@ class TestCocycleProbe:
             steps_per_unit=64,
         )
         assert cocycle_residual(vf, probe) > 1e-6
+
+    @pytest.mark.parametrize("t2", [0.0, 0.75])
+    def test_a_blown_up_solve_is_an_infinite_residual(self, t2):
+        # The solves end in NaN; an infinite residual keeps a max over probes,
+        # as criterion 09 takes it, from passing over them.
+        vf = VectorField(
+            m=2,
+            d=2,
+            f=lambda y: 1e300 * y,
+            g=lambda y: np.zeros(y.shape[:-1] + (2, 2)),
+            dg=lambda y: np.zeros(y.shape[:-1] + (2, 2, 2)),
+        )
+        probe = CocycleProbe(
+            t1=0.5,
+            t2=t2,
+            y0=np.array([0.1, -0.3]),
+            seed=0,
+            fbm=FbmParams(H=0.45, d=2, seed=7),
+            steps_per_unit=64,
+        )
+        residual = cocycle_residual(vf, probe)
+        assert residual == math.inf
+        assert not max(0.0, residual) <= 1e-10
 
     def test_restart_comparison_is_sensitive(self):
         # The exact-zero residual is meaningful only if restarting from the

@@ -42,7 +42,7 @@ class TestDeltaParam:
 
     def test_rejects_width_above_one(self):
         # The path holds 5 steps of 0.25, but delta = 1.25.
-        path = SamplePath(TimeGrid(0.0, 1.5, 6), np.zeros(7))
+        path = SamplePath(TimeGrid(0.0, 1.5, 6), np.zeros((7, 1)))
         with pytest.raises(ValueError, match="exceeds 1"):
             w_delta(path, 5)
 
