@@ -113,7 +113,7 @@ class GridRoughPath:
     @cached_property
     def values(self) -> np.ndarray:
         """Level-1 partial sums from the first node, shape (n_nodes, *members, d)."""
-        out = np.zeros((self.grid.n_nodes,) + self.inc1.shape[1:])
+        out = np.zeros_like(self.inc1, shape=(self.grid.n_nodes,) + self.inc1.shape[1:])
         np.cumsum(self.inc1, axis=0, out=out[1:])
         out.setflags(write=False)
         return out
@@ -123,7 +123,7 @@ class GridRoughPath:
         """A[k] = X2 over [node 0, node k], shape (n_nodes, *members, d, d)."""
         # Chen fold left to right: A[k+1] = A[k] + inc2[k] + X1_{0,k} (x) inc1[k].
         cross = self.values[:-1, ..., :, None] * self.inc1[..., None, :]
-        out = np.zeros((self.grid.n_nodes,) + self.inc2.shape[1:])
+        out = np.zeros_like(self.inc2, shape=(self.grid.n_nodes,) + self.inc2.shape[1:])
         np.cumsum(self.inc2 + cross, axis=0, out=out[1:])
         out.setflags(write=False)
         return out

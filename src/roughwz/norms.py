@@ -31,16 +31,26 @@ pair axis only, per member.  partition_sums reads the runs into one table
 of |block|^p when the grid's pairs x members fit _TABLE_PAIRS (the
 129-node noise grid with its 6 members does), and each right end then
 reads its row of the table; on larger grids (513-node stopping, 1025-node
-solution) it reads one row, norms(slice(0, j), j), per right end.  Such a
-right end costs one row of norms, its p-th power, one add and one max, so
-both steps stay lean: euclidean_norms sums a last axis of length 1 or 2 as
-plain products, bit for bit the einsum that longer axes keep, and
-partition_sums adds the running sums into the row of p-th powers, a fresh
-array or the table's row, which only this right end reads, and never into
-the array norms returned, which may be a view.  Every
-norm is taken over the whole grid of its path; over nodes [i, j] it is
-the norm of rp.restrict(i, j), the one window taker, and no measure
-takes a node range.
+solution) it reads one row, norms(slice(0, j), j), per right end.  It adds
+the running sums into the row of p-th powers, a fresh array or the
+table's row, which only this right end reads, and never into the array
+norms returned, which may be a view.
+
+Layout never changes a shape: pair norms are (pairs, *members), and every
+array of a GridRoughPath keeps the C order its callers and the test
+oracles read.  Inside the kernel the pair axis is the contiguous one, so
+each max over left ends reduces along contiguous memory instead of
+running one inner loop over a few members per pair.  The norm builders
+read private node-contiguous copies of the points and increments, made
+once per call at O(n members d^2), so a row's blocks and norms come out
+pair-contiguous; partition_sums allocates best and its table so, and the
+Hoelder sup divides into a pair-contiguous buffer before its max.  Every
+step is elementwise or an exact max, so no bit depends on the layout but
+np.einsum's (a last axis of 3 or more components), whose order of
+summation follows it: euclidean_norms hands einsum C order.  Every norm
+is taken over the whole grid of its path; over nodes [i, j] it is the
+norm of rp.restrict(i, j), the one window taker, and no measure takes a
+node range.
 
 The homogeneous rough-path norm combines the levels as
 
@@ -89,8 +99,10 @@ _RunningSums = Generator[float | np.ndarray, np.ndarray | None, None]
 # array of them).
 _RUN_PAIRS = 1 << 14
 # Most pair x member values partition_sums keeps as one table of |block|^p
-# (0.5 MB of float64): the 129-node noise grid fits, the 513- and 1025-node
-# grids, where a table measured no faster than per-row reads, do not.
+# (0.5 MB of float64), pair-contiguous as the rows are: the 129-node noise
+# grid fits (its run_suite took 0.29 s against 0.34 s reading rows, 2-core
+# VM), the 513- and 1025-node grids, where a table measured no faster than
+# per-row reads, do not.
 _TABLE_PAIRS = 1 << 16
 
 
@@ -110,9 +122,12 @@ def euclidean_norms(blocks: np.ndarray) -> np.ndarray:
     einsum.  Longer axes keep np.einsum: its order of summation there is
     not the sequential one, and a Python loop over the components would
     grow with d (up to 2^10, and d^2 for a level-2 block).  Other dtypes
-    keep it too.
+    keep it too.  einsum's order also follows the memory layout, so it
+    reads a C-order copy: a pair-contiguous block gets the bits of its
+    C-order copy.
     """
     if blocks.dtype != np.float64 or not 1 <= blocks.shape[-1] <= 2:
+        blocks = np.ascontiguousarray(blocks)
         return np.sqrt(np.einsum("...j,...j->...", blocks, blocks))
     with np.errstate(over="ignore"):
         squares = blocks[..., 0] * blocks[..., 0]
@@ -142,11 +157,11 @@ def partition_sums(norms: PairNorms, p: float, n_steps: int) -> _RunningSums:
     norms(slice(0, j), j), read per right end.
     """
     members = _member_shape(norms)
-    best = np.zeros((n_steps + 1,) + members)
+    best = _node_contiguous(np.zeros((n_steps + 1,) + members))
     n_pairs = n_steps * (n_steps + 1) // 2
     table = None
     if n_pairs * int(np.prod(members)) <= _TABLE_PAIRS:
-        table, k = np.empty((n_pairs,) + members), 0
+        table, k = _pair_contiguous((n_pairs,) + members), 0
         for i, j in _pair_runs(n_steps + 1, members):
             table[k : k + len(i)] = norms(i, j) ** p
             k += len(i)
@@ -163,6 +178,23 @@ def partition_sums(norms: PairNorms, p: float, n_steps: int) -> _RunningSums:
         if restart is not None:
             best[:j, restart] = -np.inf
             best[j, restart] = 0.0
+
+
+def _pair_contiguous(shape: tuple[int, ...]) -> np.ndarray:
+    """An empty float array of this shape whose first axis is the contiguous one."""
+    return np.moveaxis(np.empty(shape[1:] + shape[:1]), -1, 0)
+
+
+def _node_contiguous(a: np.ndarray) -> np.ndarray:
+    """A private copy of a whose first (node) axis is the contiguous one."""
+    out = _pair_contiguous(a.shape)
+    out[...] = a
+    return out
+
+
+def _node_contiguous_path(rp: GridRoughPath) -> GridRoughPath:
+    """rp with node-contiguous increments, so its prefixes are node-contiguous too."""
+    return GridRoughPath(rp.grid, _node_contiguous(rp.inc1), _node_contiguous(rp.inc2))
 
 
 def _root(total: float | np.ndarray, p: float) -> float | np.ndarray:
@@ -216,7 +248,8 @@ def _holder_sup(norms: PairNorms, times: np.ndarray, alpha: float) -> float | np
     out = np.zeros(members)
     for i, j in _pair_runs(len(times), members):
         gaps = (times[j] - times[i]) ** alpha
-        ratio = norms(i, j) / gaps.reshape(gaps.shape + (1,) * len(members))
+        ratio = _pair_contiguous((len(i),) + members)
+        np.divide(norms(i, j), gaps.reshape(gaps.shape + (1,) * len(members)), out=ratio)
         out = np.maximum(out, ratio.max(axis=0))
     return out[()]
 
@@ -230,14 +263,17 @@ def _as_points(values: np.ndarray) -> np.ndarray:
 
 
 def _increment_norms(pts: np.ndarray) -> PairNorms:
+    pts = _node_contiguous(pts)
     return lambda i, j: euclidean_norms(pts[j] - pts[i])
 
 
 def _level2_norms(rp: GridRoughPath) -> PairNorms:
+    rp = _node_contiguous_path(rp)
     return lambda i, j: frobenius_norms(rp.level2(i, j))
 
 
 def _level2_gap_norms(a: GridRoughPath, b: GridRoughPath) -> PairNorms:
+    a, b = _node_contiguous_path(a), _node_contiguous_path(b)
     return lambda i, j: frobenius_norms(a.level2(i, j) - b.level2(i, j))
 
 

@@ -341,12 +341,14 @@ def _remainder_gaps(a: ControlledPath, b: ControlledPath) -> Callable[..., np.nd
     def gaps(i, j) -> np.ndarray:
         if isinstance(i, slice):
             return row(j)[..., i, :].transpose(pairs_first)
-        if np.ndim(j) == 0:
-            return row(j)[..., i, :]
         out = np.empty(np.shape(i) + members + (m,))
-        for k in set(np.ravel(j).tolist()):
-            at = j == k
-            out[at] = row(k)[..., i[at], :].transpose(pairs_first)
+        pairs = out.reshape((-1,) + members + (m,))
+        i, j = np.ravel(i), np.ravel(j)
+        # One row per run of pairs with one right end; norms' runs order their
+        # pairs by right end, so they read each row once.
+        starts = np.flatnonzero(np.diff(j, prepend=-1))
+        for lo, hi in zip(starts, [*starts[1:], len(j)]):
+            pairs[lo:hi] = row(j[lo])[..., i[lo:hi], :].transpose(pairs_first)
         return out
 
     return gaps

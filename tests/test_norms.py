@@ -88,6 +88,84 @@ class TestEuclideanNorms:
         assert np.array_equal(euclidean_norms(blocks), euclidean_norms(blocks.astype(float)))
 
 
+def lead_contiguous(a):
+    """A copy of a whose first (pair or node) axis is the contiguous one."""
+    return np.moveaxis(np.moveaxis(a, 0, -1).copy(), -1, 0)
+
+
+class TestLayout:
+    """The kernel reads pairs along a contiguous pair axis; no bit depends on that."""
+
+    # Last axes of 3 and more components take np.einsum, whose order of
+    # summation follows the memory layout.
+    @pytest.mark.parametrize("components", [1, 2, 3, 4])
+    def test_norms_of_c_order_and_pair_contiguous_blocks_are_equal(self, components):
+        blocks = np.random.default_rng(components).standard_normal((400, 3, components))
+        pair_major = lead_contiguous(blocks)
+        assert pair_major.strides[0] == pair_major.itemsize
+        assert np.array_equal(euclidean_norms(blocks), euclidean_norms(pair_major))
+        matrix = {1: (1, 1), 2: (1, 2), 3: (3, 1), 4: (2, 2)}[components]
+        square = blocks.reshape(400, 3, *matrix)
+        assert np.array_equal(frobenius_norms(square), frobenius_norms(lead_contiguous(square)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("table_pairs", [0, norms._TABLE_PAIRS])
+    def test_kernels_of_node_contiguous_and_c_order_points_are_equal(
+        self, monkeypatch, d, table_pairs
+    ):
+        monkeypatch.setattr(norms, "_TABLE_PAIRS", table_pairs)
+        n, p = 40, 2.5
+        rng = np.random.default_rng(83 + d)
+        pts = rng.standard_normal((n + 1, 3, d)).cumsum(axis=0)
+        times = np.cumsum(rng.uniform(0.01, 0.2, n + 1))
+
+        def measures(points):
+            def pair_norms(i, j):
+                return euclidean_norms(points[j] - points[i])
+
+            restart, run, sums = None, partition_sums(pair_norms, p, n), []
+            for _ in range(n):
+                sums.append(np.array(run.send(restart)))
+                restart = sums[-1] >= 2.0 * sums[-1].mean()
+            return (
+                np.array(sums),
+                block_variation(pair_norms, p, n),
+                norms._holder_sup(pair_norms, times, 0.4),
+            )
+
+        for c_order, node_major in zip(measures(pts), measures(lead_contiguous(pts))):
+            assert np.array_equal(c_order, node_major)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rough_paths_of_node_contiguous_increments_measure_alike(self, d):
+        rp = GridRoughPath.stack([random_lift(np.random.default_rng(k), 30, d) for k in range(3)])
+        node_major = GridRoughPath(rp.grid, lead_contiguous(rp.inc1), lead_contiguous(rp.inc2))
+        assert node_major.inc2.strides[0] == node_major.inc2.itemsize
+        for measure in (
+            lambda x: pvar_level2(x, 1.4),
+            lambda x: homogeneous_pvar_norm(x, 2.5),
+            lambda x: greedy_stopping_times(x, 1.0, 2.5),
+            lambda x: rho_pvar_metric(x, x.member(slice(0, 1)), 2.5),
+        ):
+            assert np.array_equal(measure(rp), measure(node_major))
+
+    def test_the_kernels_copies_stay_private(self):
+        # The oracles' einsum_norms reads these arrays; their C order fixes its bits.
+        rp, other = (
+            GridRoughPath.stack([random_lift(np.random.default_rng(k), 12, 2) for k in ks])
+            for ks in ((0, 1, 2), (3, 4, 5))
+        )
+        homogeneous_pvar_norm(rp, 2.5)
+        greedy_stopping_times(rp, 0.5, 2.5)
+        rho_alpha_metric(rp, other, 0.3)
+        rho_pvar_metric(rp, other, 2.5)
+        holder_seminorm(rp.grid.times, rp.values, 0.3)
+        i, j = np.array([0, 1, 3]), np.array([2, 5, 12])
+        for a in (rp.values, rp._area_prefix, rp.level1(slice(0, 7), 7),
+                  rp.level2(slice(0, 7), 7), rp.level1(i, j), rp.level2(i, j)):
+            assert a.flags.c_contiguous
+
+
 class TestRoot:
     @pytest.mark.parametrize("p", [1.2, 1.4, 2.5, 2.8, 2.835, 3.0])
     def test_stack_roots_equal_scalar_roots(self, p):
