@@ -25,8 +25,6 @@ from .fbm import (
 )
 from .lift import (
     GridRoughPath,
-    Level2Value,
-    chen_combine,
     geometricity_residual,
     lift_left_riemann,
     lift_smooth_quadrature,
@@ -67,7 +65,7 @@ from .expcli import (
     run_stopping_time_convergence,
     run_suite,
 )
-from .rds import CocycleProbe, cocycle_residual, shift_rough_path
+from .rds import cocycle_residual, shift_rough_path
 from .wongzakai import g_delta, w_delta, ww_delta
 
 __version__ = "0.1.0"

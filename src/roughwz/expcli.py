@@ -605,9 +605,10 @@ def run_noise_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
         return out
 
     rate_gap = cfg.H - cfg.beta_prime
+    gated = "gated on strict per-seed decrease" if n_delta >= 2 else "not gated"
     metrics = {
         "level1_fixed_time": (cfg.H, ""),
-        "rho_beta": (rate_gap, "rate reported only; gated on strict per-seed decrease"),
+        "rho_beta": (rate_gap, f"rate reported only; {gated}"),
         "rho_pvar": (rate_gap, "reported only, not gated"),
     }
     return _run_ladder(cfg, metrics, measure, gates)
@@ -713,8 +714,9 @@ def run_stopping_time_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
         )
         return out
 
+    gated = "gated on per-seed non-increase along the ladder" if n_delta >= 2 else "not gated"
     metrics = {
-        "displacement": (None, "gated on per-seed non-increase along the ladder"),
+        "displacement": (None, gated),
         "count_bound_margin": (None, "1 + eta^-p |||X|||^p - N; must stay >= 0"),
         "count": (None, "interval count of the approximant's stopping times"),
     }

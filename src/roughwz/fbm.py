@@ -17,6 +17,7 @@ spans 0 must contain as a node.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -70,6 +71,8 @@ class TimeGrid:
             raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        if not (math.isfinite(self.t_min) and math.isfinite(self.t_max)):
+            raise ValueError(f"grid endpoints must be finite, got [{self.t_min}, {self.t_max}]")
         if not self.t_max > self.t_min:
             raise ValueError(f"need t_max > t_min, got [{self.t_min}, {self.t_max}]")
         if self.spans_zero:
@@ -112,7 +115,7 @@ class TimeGrid:
     def index_of(self, t: float) -> int:
         """Node index of time t; raises if t is not grid aligned."""
         pos = (t - self.t_min) / self.h
-        i = int(round(pos))
+        i = int(round(pos)) if math.isfinite(pos) else -1
         if i < 0 or i > self.n_steps or abs(pos - i) > _ALIGN_RTOL * max(1.0, abs(pos)):
             raise GridAlignmentError(
                 f"time {t} is not a node of grid [{self.t_min}, {self.t_max}] "
@@ -184,8 +187,10 @@ class FbmParams:
     def __post_init__(self) -> None:
         if not (1.0 / 3.0 < self.H <= 0.5):
             raise ValueError(f"H must lie in (1/3, 1/2], got {self.H}")
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
+        for name, low in (("d", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def fbm_covariance(s, t, H: float):

@@ -35,24 +35,10 @@ from .fbm import SamplePath, TimeGrid
 
 __all__ = [
     "GridRoughPath",
-    "Level2Value",
-    "chen_combine",
     "geometricity_residual",
     "lift_left_riemann",
     "lift_smooth_quadrature",
 ]
-
-_TIME_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Level2Value:
-    """One level-2 block over [s, t]."""
-
-    s: float
-    t: float
-    matrix: np.ndarray  # (d, d)
-
 
 @dataclass(frozen=True)
 class GridRoughPath:
@@ -160,20 +146,6 @@ class GridRoughPath:
         i, j = nodes[:-1], nodes[1:]
         coarse = TimeGrid(self.grid.t_min, self.grid.t_max, n // stride)
         return GridRoughPath(coarse, self.level1(i, j), self.level2(i, j))
-
-
-# ---------------------------------------------------------------------------
-# Chen algebra
-# ---------------------------------------------------------------------------
-
-
-def chen_combine(
-    a: Level2Value, b: Level2Value, x_su: np.ndarray, x_ut: np.ndarray
-) -> Level2Value:
-    """Combine blocks over [s, u] and [u, t] into the block over [s, t]."""
-    if abs(a.t - b.s) > _TIME_TOL * max(1.0, abs(a.t)):
-        raise ValueError(f"blocks do not abut: [{a.s}, {a.t}] then [{b.s}, {b.t}]")
-    return Level2Value(a.s, b.t, a.matrix + b.matrix + np.outer(x_su, x_ut))
 
 
 # ---------------------------------------------------------------------------

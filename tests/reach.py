@@ -5,18 +5,21 @@ Run it from anywhere in a checkout:
     python tests/reach.py
 
 It runs the eleven criteria of tests/test_acceptance.py and a few calls of
-`python -m roughwz` (a list, a small run that writes reports, and refused
-input), with a trace function (sys.settrace) that records each call of a
-function defined under src/roughwz and each line it runs there.  It prints
-two listings, both found with ast:
+`python -m roughwz` (a list, a small run of each experiment, one of which
+writes reports, and refused input), with a trace function (sys.settrace)
+that records each call of a function defined under src/roughwz and each
+line it runs there; the calls the criteria make and those the main calls
+make are recorded apart.  It prints three listings, found with ast:
 
 - every function, method and nested function of those files that was
   never called;
 - every statement that never ran, except raise statements and the
   `if __name__ == "__main__":` guard.  A statement inside one that never
-  ran is counted but not printed.
+  ran is counted but not printed;
+- every function that the criteria call and no main call does.
 
-Code that only unit tests reach is a candidate for deletion.
+Code that only unit tests reach is a candidate for deletion; code that
+only the criteria reach is one for review, since no experiment needs it.
 
 pytest does not collect this file (its name does not start with test_), and
 it needs nothing beyond the standard library and the program itself.
@@ -112,13 +115,16 @@ def statements(node: ast.AST) -> list[Statement]:
 
 
 def main_calls(tmp: Path) -> list[list[str]]:
-    """The CLI calls the audit makes: a list, a small run with reports, refused input."""
+    """The CLI calls the audit makes: a list, a small run of each experiment, refused input."""
     bad_config = tmp / "bad.json"
     bad_config.write_text('{"experiment": "stopping", "H": 0.9}')
+    small = ["--grid-n", "32", "--delta-ladder", "4,2"]
     return [
         ["--list"],
         ["--experiment", "stopping", "--seeds", "2", "--grid-n", "64", "--delta-ladder", "4,2",
          "--out", str(tmp / "out")],
+        ["--experiment", "noise", "--seeds", "30", *small],
+        ["--experiment", "solution", "--seeds", "2", *small],
         ["--experiment", "stopping", "--delta-ladder", "a,b"],
         ["--experiment", "stopping", "--bogus"],
         ["--config", str(bad_config)],
@@ -126,9 +132,8 @@ def main_calls(tmp: Path) -> list[list[str]]:
     ]
 
 
-def run_workload(tmp: Path) -> int:
-    """Run the criteria and the main calls; return the number of main calls."""
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+def run_criteria(tmp: Path) -> int:
+    """Run the acceptance criteria; return their number."""
     import test_acceptance
 
     criteria = sorted(name for name in vars(test_acceptance) if name.startswith("test_criterion_"))
@@ -140,6 +145,11 @@ def run_workload(tmp: Path) -> int:
         else:
             fn()
         print(f"{name}: {time.perf_counter() - t0:.1f} s", file=sys.stderr)
+    return len(criteria)
+
+
+def run_main_calls(tmp: Path) -> int:
+    """Run `python -m roughwz` on each of main_calls in this process; return their number."""
     calls = main_calls(tmp)
     argv0 = sys.argv
     for argv in calls:
@@ -156,7 +166,7 @@ def run_workload(tmp: Path) -> int:
 def main() -> int:
     functions = defined_functions()
     files = {str(path) for path in PACKAGE.glob("*.py")}
-    reached = set()
+    reached_by = {}
     lines = {file: set() for file in files}
 
     def trace(frame, event, arg):
@@ -170,16 +180,23 @@ def main() -> int:
         return trace
 
     t0 = time.perf_counter()
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    counts = {}
     with tempfile.TemporaryDirectory() as tmp:
-        sys.settrace(trace)
-        try:
-            n_calls = run_workload(Path(tmp))
-        finally:
-            sys.settrace(None)
-    missed = sorted((Path(file).name, line, name) for (file, line), name in functions.items()
-                    if (file, line) not in reached)
+        for phase, run in (("criteria", run_criteria), ("main calls", run_main_calls)):
+            reached = reached_by[phase] = set()  # the set trace adds to
+            sys.settrace(trace)
+            try:
+                counts[phase] = run(Path(tmp))
+            finally:
+                sys.settrace(None)
+
+    def named(keys):
+        return sorted((Path(file).name, line, functions[file, line]) for file, line in keys)
+
+    missed = named(set(functions) - reached_by["criteria"] - reached_by["main calls"])
     print(f"{len(missed)} of {len(functions)} functions under src/roughwz are not reached by "
-          f"the 11 criteria and {n_calls} main calls "
+          f"the {counts['criteria']} criteria and {counts['main calls']} main calls "
           f"({time.perf_counter() - t0:.0f} s):")
     for file, line, name in missed:
         print(f"  {name}  ({file}:{line})")
@@ -198,6 +215,12 @@ def main() -> int:
     for name, first, last, line in listing:
         span = f"{first}" if first == last else f"{first}-{last}"
         print(f"  {name}:{span}  {line}")
+
+    criteria_only = named((reached_by["criteria"] - reached_by["main calls"]) & set(functions))
+    print(f"{len(criteria_only)} functions under src/roughwz are reached by the criteria "
+          f"and by no main call:")
+    for file, line, name in criteria_only:
+        print(f"  {name}  ({file}:{line})")
     return 0
 
 

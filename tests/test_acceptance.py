@@ -12,17 +12,11 @@ import numpy as np
 
 from roughwz.expcli import ExperimentConfig, run_noise_convergence, run_suite
 from roughwz.fbm import FbmParams, FbmSampler, SamplePath, TimeGrid, fbm_covariance, wiener_shift
-from roughwz.lift import (
-    chen_combine,
-    Level2Value,
-    geometricity_residual,
-    lift_left_riemann,
-    lift_smooth_quadrature,
-)
+from roughwz.lift import geometricity_residual, lift_left_riemann, lift_smooth_quadrature
 from roughwz.norms import greedy_stopping_times, homogeneous_pvar_norm, pvar_level2, pvar_seminorm
 from roughwz.rde import builtin_vector_field, solve_rde
-from roughwz.rds import CocycleProbe, cocycle_residual
-from roughwz.wongzakai import w_delta
+from roughwz.rds import cocycle_residual
+from roughwz.wongzakai import w_delta, ww_delta
 
 from oracles import fit_slope, table_pvar_brute
 
@@ -64,13 +58,9 @@ def test_criterion_01_chen_geometry_suite():
         for _ in range(5):
             i, u, j = sorted(rng.choice(n + 1, size=3, replace=False))
             direct = rp.level2(i, j)
-            t = rp.grid.times
-            combined = chen_combine(
-                Level2Value(t[i], t[u], rp.level2(i, u)),
-                Level2Value(t[u], t[j], rp.level2(u, j)),
-                rp.level1(i, u),
-                rp.level1(u, j),
-            ).matrix
+            combined = rp.level2(i, u) + rp.level2(u, j) + np.outer(
+                rp.level1(i, u), rp.level1(u, j)
+            )
             scale = max(1.0, float(np.abs(direct).max()))
             worst_chen = max(worst_chen, float(np.abs(direct - combined).max()) / scale)
         worst_geo = max(worst_geo, geometricity_residual(rp))
@@ -316,16 +306,13 @@ def test_criterion_09_cocycle_suite():
     for k in range(100):
         t1 = float(rng.choice([0.25, 0.5, 0.75, 1.0]))
         t2 = float(rng.choice([0.0, 0.25, 0.5, 1.0]))
-        probe = CocycleProbe(
-            t1=t1,
-            t2=t2,
-            y0=rng.standard_normal(2) * 0.3,
-            seed=k,
-            fbm=FbmParams(H=hursts[k % 4], d=2, seed=909),
-            delta_multiple=None if k % 2 == 0 else int(rng.choice([2, 4, 8])),
-            steps_per_unit=128,
-        )
-        worst = max(worst, cocycle_residual(vf, probe))
+        y0 = rng.standard_normal(2) * 0.3
+        width = None if k % 2 == 0 else int(rng.choice([2, 4, 8]))
+        grid = TimeGrid(0.0, t1 + t2, round((t1 + t2) * 128))
+        sampler = FbmSampler(grid.extended(width or 0), FbmParams(H=hursts[k % 4], d=2, seed=909))
+        path = sampler.sample(k)
+        driver = lift_left_riemann(path) if width is None else ww_delta(path, width)
+        worst = max(worst, cocycle_residual(vf, driver, t1, y0))
     grid = TimeGrid(-0.5, 1.5, 128)
     path = FbmSampler(grid, FbmParams(H=0.45, d=2, seed=910)).sample(0)
     worst_shift = 0.0

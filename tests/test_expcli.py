@@ -493,6 +493,23 @@ class TestReports:
             assert m.slope is not None
             assert len(m.rms) == 3
 
+    @pytest.mark.parametrize(
+        "kw, metric, gate",
+        [
+            (dict(experiment="noise", n_seeds=30), "rho_beta", "rho_beta_strict_decrease"),
+            (dict(experiment="stopping", n_seeds=2), "displacement", "displacement_non_increase"),
+        ],
+        ids=["noise", "stopping"],
+    )
+    @pytest.mark.parametrize("ladder", [(1,), (4, 2, 1)], ids=["one_rung", "three_rungs"])
+    def test_a_note_names_a_gate_only_when_the_run_makes_it(self, kw, metric, gate, ladder):
+        # A one-rung ladder skips the monotone gates, so no note may claim one.
+        rep = run_suite(ExperimentConfig(**kw, grid_n=32, delta_ladder=ladder))
+        note = next(m.note for m in rep.metrics if m.metric == metric)
+        made = gate in {g.name for g in rep.gates}
+        assert made == (len(ladder) >= 2)
+        assert ("gated on" in note) == made, note
+
     def test_json_dict_shape(self):
         cfg = ExperimentConfig(**TINY_STOPPING)
         rep = run_stopping_time_convergence(cfg)

@@ -1,5 +1,7 @@
 """Grid, sampler and shift behavior of the fractional Brownian layer."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,18 @@ class TestTimeGrid:
         else:
             with pytest.raises(ValueError, match="n_steps"):
                 TimeGrid(0.0, 1.0, n_steps)
+
+    @pytest.mark.parametrize(
+        "t_min, t_max", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)]
+    )
+    def test_non_finite_endpoints_rejected(self, t_min, t_max):
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(t_min, t_max, 8)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_is_not_a_node(self, t):
+        with pytest.raises(GridAlignmentError, match=str(t)):
+            TimeGrid(0.0, 1.0, 8).index_of(t)
 
 
 class TestSamplePath:
@@ -141,6 +155,21 @@ def test_covariance_symmetry_and_scaling():
 def test_hurst_range_enforced(bad_h):
     with pytest.raises(ValueError):
         FbmParams(H=bad_h)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("d", 2.5), ("d", True), ("d", 0), ("seed", 1.5), ("seed", -1), ("seed", True)]
+)
+def test_dimension_and_seed_must_be_counts(field, value):
+    with pytest.raises(ValueError, match=field):
+        FbmParams(H=0.45, **{field: value})
+
+
+def test_numpy_integer_dimension_and_seed_sample_as_ints():
+    grid = TimeGrid(0.0, 1.0, 8)
+    got = FbmSampler(grid, FbmParams(H=0.45, d=np.int64(2), seed=np.uint32(3))).sample(0)
+    want = FbmSampler(grid, FbmParams(H=0.45, d=2, seed=3)).sample(0)
+    assert np.array_equal(got.values, want.values)
 
 
 def test_path_rng_streams_are_keyed():

@@ -6,8 +6,6 @@ import pytest
 from roughwz.fbm import SamplePath, TimeGrid
 from roughwz.lift import (
     GridRoughPath,
-    Level2Value,
-    chen_combine,
     geometricity_residual,
     lift_left_riemann,
     lift_smooth_quadrature,
@@ -63,22 +61,6 @@ class TestChenReconstruction:
                 rp.level1(i, u), rp.level1(u, j)
             )
             assert np.allclose(rp.level2(i, j), combined, atol=1e-12)
-
-    def test_chen_combine_matches_block_algebra(self):
-        rng = np.random.default_rng(2)
-        rp = random_rough_path(rng, n=10, d=2)
-        t = rp.grid.times
-        a = Level2Value(t[1], t[4], rp.level2(1, 4))
-        b = Level2Value(t[4], t[9], rp.level2(4, 9))
-        out = chen_combine(a, b, rp.level1(1, 4), rp.level1(4, 9))
-        assert out.s == t[1] and out.t == t[9]
-        assert np.allclose(out.matrix, rp.level2(1, 9), atol=1e-12)
-
-    def test_chen_combine_rejects_gap(self):
-        m = np.zeros((2, 2))
-        x = np.zeros(2)
-        with pytest.raises(ValueError):
-            chen_combine(Level2Value(0.0, 0.3, m), Level2Value(0.4, 1.0, m), x, x)
 
     def test_block_and_gap_views_agree(self):
         assert_rows(FORMS)

@@ -28,7 +28,7 @@ from roughwz.rde import (
     solution_distance,
     solve_rde,
 )
-from roughwz.rds import CocycleProbe
+from roughwz.rds import cocycle_residual
 
 from oracles import fd_jacobian, fit_slope, rk4_path_ode
 from test_conformance import ROWS, assert_rows
@@ -394,12 +394,7 @@ NAN_CALLS = {
     "greedy_stopping_times(eta)": lambda rp, cp, vf: greedy_stopping_times(rp, math.nan, 2.5),
     "greedy_stopping_times(p)": lambda rp, cp, vf: greedy_stopping_times(rp, 0.5, math.nan),
     "solution_distance": lambda rp, cp, vf: solution_distance(cp, cp, math.nan),
-    "CocycleProbe(t1)": lambda rp, cp, vf: CocycleProbe(
-        t1=math.nan, t2=0.5, y0=np.zeros(2), seed=0, fbm=FbmParams(H=0.45, d=2, seed=1)
-    ),
-    "CocycleProbe(t2)": lambda rp, cp, vf: CocycleProbe(
-        t1=0.5, t2=math.nan, y0=np.zeros(2), seed=0, fbm=FbmParams(H=0.45, d=2, seed=1)
-    ),
+    "cocycle_residual": lambda rp, cp, vf: cocycle_residual(vf, rp, math.nan, np.zeros(2)),
 }
 
 

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from roughwz.fbm import FbmParams, FbmSampler, GridAlignmentError, TimeGrid, wiener_shift
-from roughwz.lift import lift_left_riemann
+from roughwz.lift import GridRoughPath, lift_left_riemann
 from roughwz.rde import VectorField, builtin_vector_field
-from roughwz.rds import CocycleProbe, cocycle_residual, shift_rough_path
-from roughwz.wongzakai import w_delta
+from roughwz.rds import cocycle_residual, shift_rough_path
+from roughwz.wongzakai import w_delta, ww_delta
 
 
 class TestShiftRoughPath:
@@ -51,41 +51,43 @@ def test_smoothing_commutes_with_shift():
         assert np.allclose(left.values, right.values, rtol=0, atol=1e-12)
 
 
+def probe_driver(horizon, seed, fbm, delta_multiple=None, steps_per_unit=64):
+    """The lift of one sampled path on [0, horizon], or its Wong-Zakai lift of that width."""
+    grid = TimeGrid(0.0, horizon, round(horizon * steps_per_unit))
+    path = FbmSampler(grid.extended(delta_multiple or 0), fbm).sample(seed)
+    return lift_left_riemann(path) if delta_multiple is None else ww_delta(path, delta_multiple)
+
+
 class TestCocycleProbe:
     def test_validation(self):
-        fp = FbmParams(H=0.45, d=2, seed=1)
-        with pytest.raises(ValueError):
-            CocycleProbe(t1=0.0, t2=0.5, y0=np.zeros(2), seed=0, fbm=fp)
-        with pytest.raises(ValueError):
-            CocycleProbe(t1=0.5, t2=-0.25, y0=np.zeros(2), seed=0, fbm=fp)
+        # t1 must be a node after the first: not node 0, not off the grid,
+        # not past the end, not NaN.
+        vf = builtin_vector_field("sin-g", 2, 2)
+        driver = probe_driver(1.0, 0, FbmParams(H=0.45, d=2, seed=1), steps_per_unit=8)
+        with pytest.raises(ValueError, match="first node"):
+            cocycle_residual(vf, driver, 0.0, np.zeros(2))
+        for t1 in (0.3, 1.25, math.nan):
+            with pytest.raises(GridAlignmentError, match=str(t1)):
+                cocycle_residual(vf, driver, t1, np.zeros(2))
+
+    def test_stack_rejected(self):
+        vf = builtin_vector_field("sin-g", 2, 2)
+        driver = probe_driver(1.0, 0, FbmParams(H=0.45, d=2, seed=1), steps_per_unit=8)
+        with pytest.raises(ValueError, match="not a stack"):
+            cocycle_residual(vf, GridRoughPath.stack([driver, driver]), 0.5, np.zeros(2))
 
     @pytest.mark.parametrize("delta_multiple", [None, 4])
     def test_restart_identity_is_exact(self, delta_multiple):
         vf = builtin_vector_field("sin-g", 2, 2)
         fp = FbmParams(H=0.45, d=2, seed=7)
         for seed in range(4):
-            probe = CocycleProbe(
-                t1=0.5,
-                t2=0.75,
-                y0=np.array([0.1, -0.3]),
-                seed=seed,
-                fbm=fp,
-                delta_multiple=delta_multiple,
-                steps_per_unit=64,
-            )
-            assert cocycle_residual(vf, probe) == 0.0
+            driver = probe_driver(1.25, seed, fp, delta_multiple)
+            assert cocycle_residual(vf, driver, 0.5, np.array([0.1, -0.3])) == 0.0
 
     def test_zero_second_leg(self):
         vf = builtin_vector_field("sin-g", 2, 2)
-        probe = CocycleProbe(
-            t1=0.5,
-            t2=0.0,
-            y0=np.zeros(2),
-            seed=3,
-            fbm=FbmParams(H=0.4, d=2, seed=11),
-            steps_per_unit=64,
-        )
-        assert cocycle_residual(vf, probe) == 0.0
+        driver = probe_driver(0.5, 3, FbmParams(H=0.4, d=2, seed=11))
+        assert cocycle_residual(vf, driver, 0.5, np.zeros(2)) == 0.0
 
     @pytest.mark.parametrize("delta_multiple", [None, 4])
     def test_residual_sees_a_field_that_changes_between_calls(self, delta_multiple):
@@ -95,16 +97,8 @@ class TestCocycleProbe:
         base = builtin_vector_field("sin-g", 2, 2)
         calls = itertools.count()
         vf = dataclasses.replace(base, g=lambda y: (1.0 + 1e-3 * next(calls)) * base.g(y))
-        probe = CocycleProbe(
-            t1=0.5,
-            t2=0.75,
-            y0=np.array([0.1, -0.3]),
-            seed=0,
-            fbm=FbmParams(H=0.45, d=2, seed=7),
-            delta_multiple=delta_multiple,
-            steps_per_unit=64,
-        )
-        assert cocycle_residual(vf, probe) > 1e-6
+        driver = probe_driver(1.25, 0, FbmParams(H=0.45, d=2, seed=7), delta_multiple)
+        assert cocycle_residual(vf, driver, 0.5, np.array([0.1, -0.3])) > 1e-6
 
     @pytest.mark.parametrize("t2", [0.0, 0.75])
     def test_a_blown_up_solve_is_an_infinite_residual(self, t2):
@@ -117,15 +111,8 @@ class TestCocycleProbe:
             g=lambda y: np.zeros(y.shape[:-1] + (2, 2)),
             dg=lambda y: np.zeros(y.shape[:-1] + (2, 2, 2)),
         )
-        probe = CocycleProbe(
-            t1=0.5,
-            t2=t2,
-            y0=np.array([0.1, -0.3]),
-            seed=0,
-            fbm=FbmParams(H=0.45, d=2, seed=7),
-            steps_per_unit=64,
-        )
-        residual = cocycle_residual(vf, probe)
+        driver = probe_driver(0.5 + t2, 0, FbmParams(H=0.45, d=2, seed=7))
+        residual = cocycle_residual(vf, driver, 0.5, np.array([0.1, -0.3]))
         assert residual == math.inf
         assert not max(0.0, residual) <= 1e-10
 
