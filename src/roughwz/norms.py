@@ -31,10 +31,13 @@ pair axis only, per member.  partition_sums reads the runs into one table
 of |block|^p when the grid's pairs x members fit _TABLE_PAIRS (the
 129-node noise grid with its 6 members does), and each right end then
 reads its row of the table; on larger grids (513-node stopping, 1025-node
-solution) it reads one row, norms(slice(0, j), j), per right end.  It adds
-the running sums into the row of p-th powers, a fresh array or the
-table's row, which only this right end reads, and never into the array
-norms returned, which may be a view.
+solution) it reads one row, norms(slice(lo, j), j), per right end.  Both
+rows start at lo, the earliest of the members' last restart nodes: every
+member's sums before it are -inf, so no left end there can win the max.
+lo stays 0 for every caller but greedy stopping, so only that pass reads
+shorter rows.  It adds the running sums into the row of p-th powers, a
+fresh array or the table's row, which only this right end reads, and
+never into the array norms returned, which may be a view.
 
 Layout never changes a shape: pair norms are (pairs, *members), and every
 array of a GridRoughPath keeps the C order its callers and the test
@@ -154,7 +157,14 @@ def partition_sums(norms: PairNorms, p: float, n_steps: int) -> _RunningSums:
 
     A grid whose pair x member values fit _TABLE_PAIRS has every |block|^p
     read first, run by run, into one table; a larger one has one row,
-    norms(slice(0, j), j), read per right end.
+    norms(slice(lo, j), j), read per right end.
+
+    Right end j reads only the left ends lo..j-1, lo the earliest of the
+    members' last restart nodes (0 until every member has restarted): a
+    left end before lo holds -inf for every member, so it never wins the
+    max, and each yield is the one a read from node 0 gives.  Only a caller
+    that sends restart masks, greedy stopping, ever moves lo; every other
+    caller reads whole rows.
     """
     members = _member_shape(norms)
     best = _node_contiguous(np.zeros((n_steps + 1,) + members))
@@ -165,19 +175,22 @@ def partition_sums(norms: PairNorms, p: float, n_steps: int) -> _RunningSums:
         for i, j in _pair_runs(n_steps + 1, members):
             table[k : k + len(i)] = norms(i, j) ** p
             k += len(i)
+    last, lo = np.zeros(members, dtype=int), 0  # each member's last restart node, and their min
     for j in range(1, n_steps + 1):
         if table is None:
             # A fresh array: norms may return a view, which is never written.
-            terms = np.power(norms(slice(0, j), j), p)
+            terms = np.power(norms(slice(lo, j), j), p)
         else:
             k = j * (j - 1) // 2  # position of pair (0, j) in the table
-            terms = table[k : k + j]  # read at this right end only, so written over
-        np.add(best[:j], terms, out=terms)
+            terms = table[k + lo : k + j]  # read at this right end only, so written over
+        np.add(best[lo:j], terms, out=terms)
         best[j] = np.maximum.reduce(terms, axis=0)
         restart = yield best[j]
         if restart is not None:
             best[:j, restart] = -np.inf
             best[j, restart] = 0.0
+            last[restart] = j
+            lo = int(last.min())
 
 
 def _pair_contiguous(shape: tuple[int, ...]) -> np.ndarray:

@@ -170,6 +170,16 @@ class TestConfigValidation:
             ExperimentConfig(experiment="noise", n_seeds=10)
         ExperimentConfig(experiment="solution", n_seeds=10)
 
+    def test_noise_needs_two_rungs(self, capsys, tmp_path):
+        # One rung fits no slope, so the rate gates could only fail.
+        argv = ["--experiment", "noise", "--grid-n", "16", "--seeds", "30", "--out", str(tmp_path)]
+        assert main([*argv, "--delta-ladder", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: config field 'delta_ladder': rate fits need at least 2 multiples, "
+                       "got (1,)"]
+        assert list(tmp_path.iterdir()) == []
+        ExperimentConfig(experiment="noise", grid_n=16, n_seeds=30, delta_ladder=(2, 1))
+
     def test_fixed_settings_are_constants_not_fields(self):
         cfg = ExperimentConfig(experiment="noise", H=0.4)
         assert list(asdict(cfg)) == [
@@ -421,6 +431,8 @@ class TestReports:
     def test_ladder_tables_equal_the_per_rung_loops(self, experiment, d, stride, ladder):
         # The stacked ladder must give every (seed, delta) value bit for bit
         # as the per-rung loops that measured one approximant at a time.
+        if experiment == "noise" and len(ladder) == 1:
+            ladder = (ladder[0], ladder[0] // 2)  # noise's rate fits need two rungs
         cfg = ExperimentConfig(
             experiment=experiment,
             d=d,
@@ -463,7 +475,7 @@ class TestReports:
         rng = np.random.default_rng(97)
         for _ in range(4):
             grid_n = int(rng.choice([32, 64, 128]))
-            rungs = rng.choice([16, 8, 4, 2], size=int(rng.integers(1, 4)), replace=False)
+            rungs = rng.choice([16, 8, 4, 2], size=int(rng.integers(2, 4)), replace=False)
             cfg = ExperimentConfig(
                 experiment="noise",
                 H=float(rng.uniform(0.36, 0.5)),
@@ -504,6 +516,9 @@ class TestReports:
     @pytest.mark.parametrize("ladder", [(1,), (4, 2, 1)], ids=["one_rung", "three_rungs"])
     def test_a_note_names_a_gate_only_when_the_run_makes_it(self, kw, metric, gate, ladder):
         # A one-rung ladder skips the monotone gates, so no note may claim one.
+        # noise refuses one rung, so its one-rung case runs two, the fewest it takes.
+        if kw["experiment"] == "noise" and len(ladder) == 1:
+            ladder = (2, 1)
         rep = run_suite(ExperimentConfig(**kw, grid_n=32, delta_ladder=ladder))
         note = next(m.note for m in rep.metrics if m.metric == metric)
         made = gate in {g.name for g in rep.gates}

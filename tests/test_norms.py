@@ -29,6 +29,7 @@ from roughwz.norms import (
     rho_pvar_metric,
 )
 
+import oracles
 from test_conformance import assert_rows
 
 # Tests that only call assert_rows moved into tests/test_conformance.py; they
@@ -241,6 +242,68 @@ class TestPartitionSums:
         assert np.array_equal(sums(views), sums(copies))
         assert np.array_equal(block_variation(views, p, n), block_variation(copies, p, n))
         assert np.array_equal(matrix, kept)
+
+    # Right end j reads only left ends from lo_j, the earliest of the members'
+    # last restart nodes: each member restarted at or after it, so every
+    # left end before it is -inf for every member.  Cap 0 reads rows.
+    @pytest.mark.parametrize("members", [(), (3,), (2, 3)])
+    def test_each_right_end_reads_from_the_earliest_restart(self, monkeypatch, members):
+        monkeypatch.setattr(norms, "_TABLE_PAIRS", 0)
+        n, p = 24, 2.5
+        rng = np.random.default_rng(71)
+        matrix = rng.uniform(0.0, 2.0, (n + 1, n + 1, *members))
+        # Each member restarts at its own 5 nodes of 1..n-1.
+        restarts = np.zeros((n + 1, *members), dtype=bool)
+        for idx in np.ndindex(members):
+            restarts[(rng.choice(np.arange(1, n), 5, replace=False), *idx)] = True
+        reads = []
+
+        def counted(i, j):
+            if isinstance(i, slice):
+                reads.append((i.start, i.stop, j))
+            return matrix[i, j]
+
+        def sums(program, f):
+            out, restart, run = [], None, program(f, p, n)
+            for j in range(1, n + 1):
+                out.append(np.array(run.send(restart)))
+                restart = restarts[j] if restarts[j].any() else None
+            return np.array(out)
+
+        got = sums(partition_sums, counted)
+        last = np.zeros(members, dtype=int)
+        lo = []
+        for j in range(1, n + 1):
+            lo.append(int(last.min()))
+            last[restarts[j]] = j
+        assert reads == [(lo_j, j, j) for j, lo_j in enumerate(lo, 1)]
+        assert len(set(lo)) > 2  # the window moved more than once
+        assert np.array_equal(got, sums(oracles.partition_sums_rows, lambda i, j: matrix[i, j]))
+
+    def test_greedy_stopping_reads_each_row_from_the_earliest_stop(self, monkeypatch):
+        monkeypatch.setattr(norms, "_TABLE_PAIRS", 0)
+        rng = np.random.default_rng(73)
+        lones = [random_lift(rng, 64) for _ in range(4)]
+        rp = GridRoughPath.stack(lones)
+        eta, p = 2.0, 2.5
+        pairs = []
+
+        def counted(blocks):
+            pairs.append(len(blocks))
+            return euclidean_norms(blocks)
+
+        monkeypatch.setattr(norms, "euclidean_norms", counted)
+        stops = greedy_stopping_times(rp, eta, p)
+        monkeypatch.undo()
+        for k, lone in enumerate(lones):
+            assert np.flatnonzero(stops[:, k]).tolist() == oracles.greedy_stops_restarting(
+                lone, eta, p
+            )
+        # Both levels read pairs (lo_j..j-1, j) at each right end j, lo_j the
+        # earliest of the members' last stops before j.
+        lo = [min(np.flatnonzero(col[:j]).max() for col in stops.T) for j in range(1, 65)]
+        assert sum(pairs) == 2 * sum(j - lo_j for j, lo_j in enumerate(lo, 1))
+        assert max(lo) > 0
 
     # The calibrated stacks: noise measures its 6 ladder members on the coarse
     # grid, stopping the driver's lift and 5 ladder lifts, solution 5 ladder
